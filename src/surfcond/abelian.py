@@ -193,81 +193,145 @@ def smith_normal_form(relation_matrix) -> FinAbGroup:
     Rows are relations among the columns' generators: the result is
     Z^cols / (row lattice).  Presentations with infinite cokernel are
     rejected; this artifact handles finite groups only.
+
+    The elimination runs modulo a D with D * Z^cols inside the row lattice,
+    so every entry stays in [0, D) and none can grow (Domich-Kannan-Trotter
+    modulo-determinant arithmetic).  D is the lcm over the columns j of the
+    gcd of the rows d * e_j, when such rows cover every column, as they do
+    for every caller in this package; otherwise D is |det| of a maximal
+    independent set of rows.  The rows are streamed one at a time into an
+    echelon basis over Z/D of at most cols rows, whose Smith form over Z/D
+    gives the invariant factors gcd(d_i, D).  relation_matrix is read twice,
+    so it must be a sequence of rows.
     """
-    rows = [list(map(int, r)) for r in relation_matrix]
-    ncols = len(rows[0]) if rows else 0
+    ncols = len(relation_matrix[0]) if relation_matrix else 0
+    D = _modulus(relation_matrix, ncols)
+    if ncols == 0 or D == 1:
+        return FinAbGroup.trivial()
+    basis: dict[int, dict[int, int]] = {}
+    units: set[int] = set()
+    columns = range(ncols)
+    for r in relation_matrix:
+        row = {j: v for j in itertools.compress(columns, r) if (v := int(r[j]) % D)}
+        if row:
+            _insert(basis, units, row, D)
+    return FinAbGroup.from_factors(_diagonal(list(basis.values()), ncols, D))
+
+
+def _modulus(rows, ncols: int) -> int:
+    """A positive D with D * Z^ncols inside the row lattice.
+
+    Raises ValueError on ragged rows and when the rank is below ncols.
+    """
+    axis = [0] * ncols  # gcd of the rows d * e_j on column j
     for r in rows:
         if len(r) != ncols:
             raise ValueError("ragged relation matrix")
-    if ncols == 0:
-        return FinAbGroup.trivial()
-    diag = _snf_diagonal(rows, ncols)
-    if len(diag) < ncols or any(d == 0 for d in diag):
-        raise ValueError("presentation has infinite cokernel; only finite groups are supported")
-    return FinAbGroup.from_factors([d for d in diag if d > 1])
+        support = list(itertools.compress(range(ncols), r))
+        if len(support) == 1:
+            j = support[0]
+            axis[j] = math.gcd(axis[j], int(r[j]))
+    if all(axis):
+        return math.lcm(*axis)
+    # Fraction-free (Bareiss) elimination with row pivoting: after step k the
+    # pivot is the (k+1)-th leading minor of the chosen rows, so the last one
+    # is the determinant of ncols independent rows.  This path holds a copy
+    # of the rows; no caller in the package takes it.
+    a = [[int(x) for x in r] for r in rows]
+    prev = 1
+    for k in range(ncols):
+        i = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if i is None:
+            raise ValueError(
+                "presentation has infinite cokernel; only finite groups are supported"
+            )
+        a[k], a[i] = a[i], a[k]
+        pivot = a[k]
+        for r in a[k + 1 :]:
+            f = r[k]
+            for j in range(k + 1, ncols):
+                r[j] = (r[j] * pivot[k] - f * pivot[j]) // prev
+        prev = pivot[k]
+    return abs(prev)
 
 
-def _snf_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
-    """Diagonal of the Smith normal form (nonnegative, divisibility chain)."""
-    m = [r[:] for r in rows]
-    nrows = len(m)
-    diag = []
-    t = 0
-    while t < min(nrows, ncols):
-        # find a nonzero pivot in the remaining block
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if m[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        m[t], m[i0] = m[i0], m[t]
-        for r in m:
-            r[t], r[j0] = r[j0], r[t]
-        while True:
-            # clear column t by row operations
-            again = False
-            for i in range(t + 1, nrows):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    for j in range(t, ncols):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        again = True
-            for j in range(t + 1, ncols):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    for r in m:
-                        r[j] -= q * r[t]
-                    if m[t][j]:
-                        for r in m:
-                            r[t], r[j] = r[j], r[t]
-                        again = True
-            if not again:
-                break
-        # make the pivot divide everything below-right
-        d = abs(m[t][t])
-        fixed = False
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if m[i][j] % d != 0:
-                    for jj in range(t, ncols):
-                        m[t][jj] += m[i][jj]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        diag.append(d)
-        t += 1
-    return diag
+def _subtract(row: dict[int, int], q: int, b: dict[int, int], D: int) -> None:
+    """row -= q * b over Z/D, in place."""
+    for j, x in b.items():
+        y = (row.get(j, 0) - q * x) % D
+        if y:
+            row[j] = y
+        else:
+            row.pop(j, None)
+
+
+def _insert(
+    basis: dict[int, dict[int, int]], units: set[int], row: dict[int, int], D: int
+) -> None:
+    """Reduce one sparse row into the echelon basis over Z/D (keyed by pivot column).
+
+    A basis row whose pivot is a unit mod D is scaled to pivot 1 and cleared
+    from every other basis row; its column is then in ``units``, and a row
+    is reduced at all of those columns in one pass.  At any other pivot the
+    two rows run Euclid's algorithm, which leaves the gcd of their entries
+    as the pivot.  Each step keeps the lattice spanned with D * Z^n
+    unchanged.
+    """
+    for c in [c for c in row if c in units]:
+        _subtract(row, row[c], basis[c], D)
+    while row:
+        c = min(row)
+        b = basis.get(c)
+        if b is None:
+            if math.gcd(row[c], D) == 1:
+                u = pow(row[c], -1, D)
+                row = {j: x * u % D for j, x in row.items()}
+                for other in basis.values():
+                    if c in other:
+                        _subtract(other, other[c], row, D)
+                units.add(c)
+            basis[c] = row
+            return
+        while c in row:
+            _subtract(row, row[c] // b[c], b, D)
+            if c in row:
+                b, row = row, b
+        basis[c] = b
+
+
+def _diagonal(rows: list[dict[int, int]], ncols: int, D: int) -> list[int]:
+    """Cokernel factors of the rows together with D * Z^ncols.
+
+    Smith form over Z/D by row and column operations: the smallest entry
+    reduces its column and its row, and a nonzero remainder becomes the
+    next, smaller, pivot.  Each finished pivot d contributes gcd(d, D), and
+    each column left without a pivot Z/D.
+    """
+    m = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    factors = []
+    while m:
+        p, i, j = min((x, i, j) for i, r in enumerate(m) for j, x in enumerate(r) if x)
+        piv = m[i]
+        done = True
+        for k, r in enumerate(m):
+            if k != i and r[j]:
+                q = r[j] // p
+                m[k] = r = [(x - q * y) % D for x, y in zip(r, piv)]
+                done = done and not r[j]
+        for k in range(ncols):
+            if k != j and piv[k]:
+                q = piv[k] // p
+                for r in m:
+                    r[k] = (r[k] - q * r[j]) % D
+                done = done and not piv[k]
+        if done:
+            factors.append(math.gcd(p, D))
+            del m[i]
+            for r in m:
+                del r[j]
+            ncols -= 1
+        m = [r for r in m if any(r)]
+    return factors + [D] * ncols
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +387,10 @@ def quad_group(E: FinAbGroup, target: str) -> FinAbGroup:
     functions take values in the (2 * exponent)-th roots of unity, so the
     circle target is modelled exactly by Z/(2e).
 
-    Cyclic and elementary-abelian groups (in fact any invariant-factor
-    decomposition) use the closed form; anything else falls back to the
-    brute-force enumeration, which is budget-limited.
+    The trivial group, cyclic groups and elementary-abelian groups (Z/p)^r
+    use the closed form.  Every other group goes to the brute-force
+    enumeration, which answers every such group with |E| <= QUAD_BUDGET and
+    raises BudgetError above it.
     """
     if target not in (CIRCLE, Z2_TARGET):
         raise ValueError(f"unknown quad target {target!r}")
@@ -370,29 +435,32 @@ def quad_group_brute(E: FinAbGroup, target: str) -> FinAbGroup:
     if E.is_trivial:
         return FinAbGroup.trivial()
     m = 2 * E.exponent if target == CIRCLE else 2
-    elems = [e for e in E.elements() if any(e)]
+    # elements by index, 0 the zero element; q(x) of element i is column i - 1
+    elems = list(E.elements())
     index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
+    add = [[index[E.add(x, y)] for y in elems] for x in elems]
+    n = len(elems) - 1
 
     def coords(*terms):
         row = [0] * n
-        for sign, e in terms:
-            if any(e):
-                row[index[e]] += sign
+        for sign, i in terms:
+            if i:
+                row[i - 1] += sign
         return row
 
     rows = []
-    for e in elems:
-        neg = E.neg(e)
-        if neg != e:
-            rows.append(coords((1, e), (-1, neg)))
-    for x, y, z in itertools.combinations_with_replacement(elems, 3):
+    for i, e in enumerate(elems[1:], 1):
+        neg = index[E.neg(e)]
+        if neg != i:
+            rows.append(coords((1, i), (-1, neg)))
+    for x, y, z in itertools.combinations_with_replacement(range(1, n + 1), 3):
+        xy = add[x][y]
         rows.append(
             coords(
-                (1, E.add(E.add(x, y), z)),
-                (-1, E.add(x, y)),
-                (-1, E.add(x, z)),
-                (-1, E.add(y, z)),
+                (1, add[xy][z]),
+                (-1, xy),
+                (-1, add[x][z]),
+                (-1, add[y][z]),
                 (1, x),
                 (1, y),
                 (1, z),

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,60 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError):
             smith_normal_form([[0, 2]])
 
+    def test_coefficient_explosion_regression(self):
+        # determinantal divisors 1, 1, 1, 1, 3; unbounded integer elimination
+        # grows past 1500-bit entries on this matrix
+        rows = [
+            [-6, 4, 2, -5, 9],
+            [-7, -8, 0, 8, 1],
+            [4, 0, 1, 2, -1],
+            [1, 7, 7, -9, 7],
+            [-6, -5, 1, 1, 1],
+            [9, -7, 5, -1, 6],
+        ]
+        assert smith_normal_form(rows) == FinAbGroup((3,))
+
+    def test_modulus_without_axis_rows(self):
+        assert smith_normal_form([[1, 1], [1, -1]]) == FinAbGroup((2,))
+
+    def test_rank_deficient_rejected(self):
+        with pytest.raises(ValueError):
+            smith_normal_form([[1, 1], [2, 2]])
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda ncols: st.lists(
+                st.lists(st.integers(min_value=-9, max_value=9), min_size=ncols, max_size=ncols),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    @settings(max_examples=150)
+    def test_matches_determinantal_divisors(self, rows):
+        # the k-th invariant factor is d_k / d_(k-1), with d_k the gcd of the
+        # k x k minors; the cokernel is infinite exactly when d_ncols = 0
+        ncols = len(rows[0])
+        divisors = [1]
+        for k in range(1, ncols + 1):
+            divisors.append(
+                math.gcd(
+                    *(
+                        _det([[rows[i][j] for j in cs] for i in rs])
+                        for rs in itertools.combinations(range(len(rows)), k)
+                        for cs in itertools.combinations(range(ncols), k)
+                    )
+                )
+            )
+        if divisors[-1] == 0:
+            with pytest.raises(ValueError):
+                smith_normal_form(rows)
+        else:
+            expected = FinAbGroup.from_factors(
+                [divisors[k] // divisors[k - 1] for k in range(1, ncols + 1)]
+            )
+            assert smith_normal_form(rows) == expected
+
     @given(
         st.lists(
             st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
@@ -77,6 +132,15 @@ class TestSmithNormalForm:
         G = smith_normal_form(rows)
         for a, b in zip(G.invariant_factors, G.invariant_factors[1:]):
             assert b % a == 0
+
+
+def _det(m):
+    """Leibniz expansion, independent of the elimination under test."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(m[i][j] for i, j in enumerate(perm))
+    return total
 
 
 class TestFunctors:
@@ -127,7 +191,7 @@ class TestQuadraticForms:
         assert quad_group(FinAbGroup((3,)), Z2_TARGET).is_trivial
 
     @pytest.mark.parametrize(
-        "factors", [(2, 2), (2, 4), (4, 4), (2, 8), (2, 2, 2), (3, 3)]
+        "factors", [(2, 2), (2, 4), (4, 4), (2, 8), (2, 2, 2), (3, 3), (4, 8), (2, 16)]
     )
     def test_brute_force_agrees_with_closed_form(self, factors):
         E = FinAbGroup.from_factors(factors)
