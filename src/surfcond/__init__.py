@@ -23,7 +23,7 @@ from .ahss import (
     smash_freeness_check,
     total_degree_report,
 )
-from .coefficients import circle_row, comparison_map, spectrum
+from .coefficients import circle_row, spectrum
 from .condense import (
     SkeletalCategory,
     condense_group_algebra,
@@ -43,7 +43,6 @@ __all__ = [
     "smash_freeness_check",
     "total_degree_report",
     "circle_row",
-    "comparison_map",
     "spectrum",
     "SkeletalCategory",
     "condense_group_algebra",

@@ -27,6 +27,7 @@ from .condense import (
     condense_phi,
     obstruction_verdict,
     parse_descriptor,
+    parse_subgroup,
 )
 from .em_cohomology import EmSpace, algebra_for, poincare_series
 from .steenrod import SteenrodMonomial, SteenrodWord, adem_expand, adem_normalize
@@ -133,16 +134,42 @@ def check_smash_margolis() -> tuple[bool, str]:
     return ok, f"dim={chk['dimension']}; {homs}"
 
 
+def orbit_count(pi0: FinAbGroup, generators) -> int:
+    """Number of orbits of the translation action of <generators> on pi0."""
+    gens = [tuple(g) for g in generators]
+    seen: set[tuple[int, ...]] = set()
+    orbits = 0
+    for x in pi0.elements():
+        if x in seen:
+            continue
+        orbits += 1
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            if y in seen:
+                continue
+            seen.add(y)
+            for g in gens:
+                stack.append(pi0.add(y, g))
+    return orbits
+
+
 def check_condensation_bookkeeping() -> tuple[bool, str]:
-    """Component counts through the condensation pipeline."""
+    """Component counts through the condensation pipeline; each group-algebra
+    quotient is cross-checked against the orbits of the translation action."""
     cat = SkeletalCategory("fusion", "bosonic", "2Vec", pi0=FinAbGroup.cyclic(4))
     two = condense_group_algebra(cat, "Z/2")
     braided = parse_descriptor("braided; pi0=Z/4; id=2Rep(S3); fermionic=no")
     phi = condense_phi(braided)
     ferm = parse_descriptor("symmetric; pi0=Z/2 x Z/4; id=2Rep(S3,z); fermionic=yes")
     step = condense_group_algebra(condense_phi(ferm), "Z/2 x Z/4")
+    orbits = [
+        orbit_count(c.pi0, parse_subgroup(c.pi0, sub)) == after.n_components
+        for c, sub, after in ((cat, "Z/2", two), (ferm, "Z/2 x Z/4", step))
+    ]
     ok = (
-        two.n_components == 2
+        all(orbits)
+        and two.n_components == 2
         and phi.strongly_fusion
         and phi.identity == "2Vec"
         and step.identity == "2SVec"

@@ -22,7 +22,7 @@ from .abelian import (
     quotient_by_subgroup_image,
 )
 from .coefficients import CircleRow, CoeffOverrides, SpectrumTable, circle_row, spectrum
-from .em_cohomology import EmSpace, _two_part, algebra_for, reduced_smash_basis
+from .em_cohomology import EmSpace, algebra_for, reduced_smash_basis
 from .gf2 import Echelon, Gf2Matrix
 from .steenrod import SqModule, margolis_homology
 
@@ -142,9 +142,8 @@ def assemble_e2(
     for i in sorted(circle.provenance):
         if i <= max_total_degree:
             log.append({"kind": "circle_row", "i": i, "note": circle.provenance[i]})
-    if overrides:
-        for note in overrides.notes:
-            log.append({"kind": "override", "note": note})
+    for note in spec_table.notes + circle.notes:
+        log.append({"kind": "override", "note": note})
     return Page(2, space, E, n, spec_table, max_total_degree, entries, circle, algebra, log)
 
 
@@ -165,74 +164,46 @@ def _opaque_entry(i: int, j: int, spec_table: SpectrumTable, algebra) -> Entry:
 # d2 and the E3 page
 
 
-def _order2_bits(group: FinAbGroup, elt: tuple[int, ...]) -> int:
-    bits = 0
-    for pos, (c, d) in enumerate(zip(elt, group.invariant_factors)):
-        if c == 0:
-            continue
-        if d % 2 or c != d // 2:
-            raise ValueError(f"comparison image {elt} is not 2-torsion in {group}")
-        bits |= 1 << pos
-    return bits
-
-
 def apply_d2(page: Page, twisted: bool | None = None) -> Page:
     """Turn the page once: E3 entries in the target total degree.
 
     Differentials with source in total degrees max_total - 1 and max_total
     are evaluated; that is exactly what the report in degree max_total
     consumes, and it keeps the engine away from untabulated circle entries
-    (a zero image never needs its target group).  d2 composed with itself is
-    asserted zero on every evaluated chain.
+    (a zero image never needs its target group).  Each d2 is one GF(2)
+    matrix, and d2 composed with itself is asserted zero on every evaluated
+    composable pair.
     """
     if page.number != 2:
         raise ValueError("apply_d2 expects an E2 page")
     tw = page.spectrum.twisted if twisted is None else twisted
     alg = page.algebra
     N = page.max_total
-    twist_cls = None
-    if tw:
-        if page.n != 2:
-            raise UnsupportedRangeError("fermion-parity twist needs a degree-2 base")
-        twist_cls = alg.fundamental_class()
-
-    def dcls(x):
-        y = alg.sq(2, x)
-        if tw:
-            y = y + (twist_cls * x)
-        return y
-
-    rule_to_z2 = "sq2_twisted" if tw else "sq2"
-    rule_to_circle = "exp_sq2_twisted" if tw else "exp_sq2"
+    if tw and page.n != 2:
+        raise UnsupportedRangeError("fermion-parity twist needs a degree-2 base")
+    twist_cls = alg.fundamental_class() if tw else None
     log = list(page.log)
     entries = dict(page.entries)
 
-    def z2_matrix(i: int) -> Gf2Matrix:
-        rows = [alg.coordinates(dcls(alg.monomial_class(m))) for m in alg.basis(i)]
-        return Gf2Matrix.from_rows(rows, alg.dimension(i + 2))
+    def d2_from(i: int, j: int) -> tuple[Gf2Matrix | None, int]:
+        """Logged d2 out of the mod-2 entry (i, j) and its rank.
 
-    def circle_images(i: int) -> list[tuple[int, ...] | None]:
-        out = []
-        for m in alg.basis(i):
-            y = dcls(alg.monomial_class(m))
-            if y.is_zero:
-                out.append(None)
-            else:
-                out.append(page.circle.comparison_image(alg, i + 2, y))
-        return out
-
-    def rank_of_images(i_target: int, images) -> int:
-        live = [e for e in images if e is not None]
-        if not live:
-            return 0
-        group = page.circle.entry(i_target).finite
-        mat = Gf2Matrix.from_rows(
-            [0 if e is None else _order2_bits(group, e) for e in images],
-            len(group.invariant_factors),
-        )
-        return mat.rank()
-
-    def record(i, j, rank, rule):
+        Sq2 (plus multiplication by the fundamental class under the twist);
+        into the circle row it lands on the order-2 coordinates of the
+        target entry.  None into a zero row.
+        """
+        target = page.row_kind(j - 1) if j >= 1 else "zero"
+        if target == "zero":
+            return None, 0
+        if target not in ("z2", "circle"):
+            raise UnsupportedRangeError(f"no differential rule from row {j} into row {j - 1}")
+        mat = alg.sq_matrix(2, i)
+        if tw:
+            mat = mat + alg.mul_matrix(twist_cls, i)
+        if target == "circle":
+            mat = mat.then(page.circle.comparison_matrix(alg, i + 2, mat))
+        rank = mat.rank()
+        rule = ("exp_sq2" if target == "circle" else "sq2") + ("_twisted" if tw else "")
         log.append(
             {
                 "kind": "d2",
@@ -242,6 +213,7 @@ def apply_d2(page: Page, twisted: bool | None = None) -> Page:
                 "rule": rule,
             }
         )
+        return mat, rank
 
     checked_chains = 0
     for i in range(N + 1):
@@ -250,77 +222,32 @@ def apply_d2(page: Page, twisted: bool | None = None) -> Page:
         old = page.entry(i, j)
         if kind in ("zero", "opaque"):
             continue  # zero rows stay zero; opaque entries pass unchanged at d2
+        if kind == "circle" and not old.known:
+            raise UnsupportedRangeError(f"circle entry ({i},{j}) not tabulated")
+        outgoing, out_rank = d2_from(i, j) if kind == "z2" else (None, 0)
+        above = page.row_kind(j + 1) if j + 1 <= page.spectrum.max_degree else "zero"
+        if above not in ("zero", "z2") and (kind == "z2" or i >= 2):
+            into = "the circle row" if kind == "circle" else f"row {j}"
+            raise UnsupportedRangeError(f"no differential rule from row {j + 1} into {into}")
+        incoming, in_rank = d2_from(i - 2, j + 1) if above == "z2" and i >= 2 else (None, 0)
         if kind == "circle":
-            if not old.known:
-                raise UnsupportedRangeError(f"circle entry ({i},{j}) not tabulated")
-            src_kind = page.row_kind(j + 1) if j + 1 <= page.spectrum.max_degree else "zero"
-            if src_kind == "z2" and i >= 2:
-                images = circle_images(i - 2)
-                rank = rank_of_images(i, images)
-                gens = [e for e in images if e is not None]
-                new_expr = (
-                    quotient_by_subgroup_image(old.expr, gens) if gens else old.expr
-                )
-                record(i - 2, j + 1, rank, rule_to_circle)
-                entries[(i, j)] = Entry(i, j, new_expr)
-            elif src_kind in ("zero",) or i < 2:
-                entries[(i, j)] = old
-            else:
-                raise UnsupportedRangeError(
-                    f"no differential rule from row {j + 1} into the circle row"
-                )
+            factors = old.expr.finite.invariant_factors
+            gens = [
+                tuple(d // 2 if (row >> pos) & 1 else 0 for pos, d in enumerate(factors))
+                for row in (incoming.rows if incoming else ())
+                if row
+            ]
+            new_expr = quotient_by_subgroup_image(old.expr, gens) if gens else old.expr
+            entries[(i, j)] = Entry(i, j, new_expr)
             continue
-        # kind == "z2"
+        if incoming is not None and outgoing is not None:
+            if not incoming.then(outgoing).is_zero:
+                raise AssertionError(
+                    f"d2 squared nonzero on chain ({i - 2},{j + 1}) -> ({i},{j})"
+                )
+            checked_chains += 1
         dim = len(old.basis)
-        tgt_kind = page.row_kind(j - 1) if j >= 1 else "zero"
-        if tgt_kind == "z2":
-            mat = z2_matrix(i)
-            out_rank = mat.rank()
-            ker = dim - out_rank
-            record(i, j, out_rank, rule_to_z2)
-        elif tgt_kind == "circle":
-            images = circle_images(i)
-            out_rank = rank_of_images(i + 2, images)
-            ker = dim - out_rank
-            record(i, j, out_rank, rule_to_circle)
-        elif tgt_kind == "zero":
-            ker = dim
-        else:
-            raise UnsupportedRangeError(f"no differential rule from row {j} into row {j - 1}")
-        src_kind = page.row_kind(j + 1) if j + 1 <= page.spectrum.max_degree else "zero"
-        if src_kind == "z2" and i < 2:
-            src_kind = "zero"  # no incoming column to the left of the quadrant
-        in_rank = 0
-        if src_kind == "z2":
-            in_mat = z2_matrix(i - 2)
-            in_rank = in_mat.rank()
-            record(i - 2, j + 1, in_rank, rule_to_z2)
-            if tgt_kind == "circle":
-                # d2 o d2 = 0 on the evaluated chain (i-2,j+1) -> (i,j) -> circle
-                for m in alg.basis(i - 2):
-                    y = dcls(alg.monomial_class(m))
-                    if y.is_zero:
-                        continue
-                    z = dcls(y)
-                    if z.is_zero:
-                        continue
-                    img = page.circle.comparison_image(alg, i + 2, z)
-                    if img is not None:
-                        raise AssertionError(
-                            f"d2 squared nonzero on chain ({i - 2},{j + 1}) -> ({i},{j})"
-                        )
-                checked_chains += 1
-            elif tgt_kind == "z2":
-                if not in_mat.then(z2_matrix(i)).is_zero:
-                    raise AssertionError(
-                        f"d2 squared nonzero on chain ({i - 2},{j + 1}) -> ({i},{j})"
-                    )
-                checked_chains += 1
-        elif src_kind not in ("zero",):
-            raise UnsupportedRangeError(
-                f"no differential rule from row {j + 1} into row {j}"
-            )
-        new_dim = ker - in_rank
+        new_dim = dim - out_rank - in_rank
         if new_dim < 0:
             raise AssertionError(f"negative dimension at ({i},{j})")
         basis = old.basis if new_dim == dim else ()
@@ -506,17 +433,17 @@ def run_ahss(
 def _a1_submodule(alg, seed_cls, lo: int, hi: int) -> SqModule:
     """A(1)-submodule generated by one class, truncated to a degree window."""
     spans: dict[int, Echelon] = {}
-    queue = [seed_cls]
+    queue = [(seed_cls.degree, alg.coordinates(seed_cls))]
     while queue:
-        cls = queue.pop()
-        if cls.is_zero or cls.degree > hi:
+        d, vec = queue.pop()
+        if not vec or d > hi:
             continue
-        span = spans.setdefault(cls.degree, Echelon())
-        if not span.add(alg.coordinates(cls)):
+        span = spans.setdefault(d, Echelon())
+        if not span.add(vec):
             continue
         for k in (1, 2):
-            if cls.degree + k <= hi:
-                queue.append(alg.sq(k, cls))
+            if d + k <= hi:
+                queue.append((d + k, alg.sq_matrix(k, d).apply(vec)))
     dims = {d: spans[d].dim for d in range(lo, hi + 1) if d in spans}
 
     def sq_map(d: int, k: int) -> Gf2Matrix | None:
@@ -524,23 +451,15 @@ def _a1_submodule(alg, seed_cls, lo: int, hi: int) -> SqModule:
         if src is None or d + k > hi:
             return None
         tgt = spans.get(d + k)
+        sq = alg.sq_matrix(k, d)
         rows = []
         for vec in src.vectors:
-            cls = alg.class_from_monomials(
-                m for pos, m in enumerate(alg.basis(d)) if (vec >> pos) & 1
-            )
-            img = alg.sq(k, cls)
-            bits = alg.coordinates(img)
-            if bits == 0:
-                rows.append(0)
-                continue
-            if tgt is None:
+            bits = sq.apply(vec)
+            expressed = tgt.express(bits) if tgt else None
+            if bits and expressed is None:
                 raise AssertionError("submodule not closed under Sq action")
-            expressed = tgt.express(bits)
-            if expressed is None:
-                raise AssertionError("submodule not closed under Sq action")
-            rows.append(expressed)
-        return Gf2Matrix.from_rows(rows, spans[d + k].dim if tgt else 0)
+            rows.append(expressed or 0)
+        return Gf2Matrix.from_rows(rows, tgt.dim if tgt else 0)
 
     sq1 = {d: m for d in dims if (m := sq_map(d, 1)) is not None}
     sq2 = {d: m for d in dims if (m := sq_map(d, 2)) is not None}
@@ -593,13 +512,9 @@ def product_split(
     freeness attestation at the first contributing degree, or "unknown".
     """
     spec_table = spectrum(spectrum_name, overrides)
-    factors = []
-    for d in E.invariant_factors:
-        k, odd = _two_part(d)
-        if k:
-            factors.append(FinAbGroup.cyclic(2**k))
-        if odd > 1:
-            factors.append(FinAbGroup.cyclic(odd))
+    cyclic = EmSpace.from_group(E, n).factors
+    factors = [FinAbGroup.cyclic(m) for m, _n in cyclic]
+    spaces = [EmSpace((f,)) for f in cyclic]
     summands: list[dict] = []
     if N <= spec_table.max_degree:
         summands.append(
@@ -622,7 +537,6 @@ def product_split(
         summands.append(
             {"summand": f"reduced factor {idx}: {F}[{n}]", "status": status, "group": group}
         )
-    spaces = [EmSpace.from_group(F, n) for F in factors]
     for a in range(len(spaces)):
         for b in range(a + 1, len(spaces)):
             label = f"smash {factors[a]}[{n}] ^ {factors[b]}[{n}]"

@@ -5,8 +5,10 @@ result} first; the human-readable text is rendered from that payload alone,
 so a --json dump re-rendered through the same functions reproduces the text
 output byte for byte.
 
-Exit codes: 0 success, 2 parse error, 3 unsupported range or missing table
-data, 4 inconclusive (undetermined differential).
+Exit codes: 0 success, 1 selftest FAILURES, 2 parse error (including a
+negative degree argument), 3 unsupported range or missing table data, 4
+inconclusive (undetermined differential), 5 internal invariant failure (an
+engine self-check such as d2 o d2 = 0 did not hold).
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ from .em_cohomology import CapExceededError, EmSpace, algebra_for
 from .steenrod import adem_normalize, excess, parse_word
 
 EXIT_OK = 0
+EXIT_FAILURES = 1
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_INTERNAL = 5
 
 
 def _payload(command: str, inputs: dict, provenance: list[str], result: dict) -> dict:
@@ -264,7 +268,7 @@ def _cmd_selftest(args) -> tuple[dict, int]:
     ]
     ok = all(r.ok for r in results)
     result = {"checks": checks, "verdict": "all checks passed" if ok else "FAILURES"}
-    return _payload("selftest", {}, [], result), (EXIT_OK if ok else 1)
+    return _payload("selftest", {}, [], result), (EXIT_OK if ok else EXIT_FAILURES)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +336,11 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name in ("space_degree", "total_degree", "max_degree"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            print(f"error: --{name.replace('_', '-')} must be >= 0, got {value}", file=sys.stderr)
+            return EXIT_PARSE
     try:
         payload, code = COMMANDS[args.command](args)
     except (UnsupportedRangeError, UnspecifiedComparisonError, CapExceededError, BudgetError) as exc:
@@ -340,6 +349,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except AssertionError as exc:
+        print(f"internal invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2))
     else:

@@ -24,6 +24,7 @@ from .abelian import (
     two_torsion,
 )
 from .em_cohomology import _two_part
+from .gf2 import Gf2Matrix
 
 
 class UnspecifiedComparisonError(LookupError):
@@ -41,6 +42,7 @@ class SpectrumTable:
     entries: tuple[GroupExpr, ...]
     provenance: tuple[str, ...]
     twisted: bool = False
+    notes: tuple[str, ...] = ()  # overrides applied to this table
 
     def entry(self, j: int) -> GroupExpr:
         if j < 0:
@@ -83,9 +85,10 @@ def spectrum(name: str, overrides: "CoeffOverrides | None" = None) -> SpectrumTa
     else:
         raise UnsupportedRangeError(f"unknown spectrum {name!r}")
     provenance = tuple(f"{name}^{j}(pt) = {e} [known value]" for j, e in enumerate(entries))
+    notes: tuple[str, ...] = ()
     if overrides:
-        entries, provenance = overrides.apply_spectrum(name, entries, provenance)
-    return SpectrumTable(name, entries, provenance, twisted)
+        entries, provenance, notes = overrides.apply_spectrum(name, entries, provenance)
+    return SpectrumTable(name, entries, provenance, twisted, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +109,7 @@ class CircleRow:
     entries: dict[int, GroupExpr]
     provenance: dict[int, str]
     comparison: dict[int, dict[str, tuple[int, ...] | None]] = field(default_factory=dict)
+    notes: tuple[str, ...] = ()  # overrides applied to this row
 
     def entry(self, i: int) -> GroupExpr:
         if i < 0:
@@ -119,36 +123,50 @@ class CircleRow:
     def has_entry(self, i: int) -> bool:
         return i < 0 or i in self.entries
 
-    def comparison_image(self, algebra, i: int, cls) -> tuple[int, ...] | None:
-        """Image of a mod-2 class under X -> (-1)^X in the degree-i entry.
+    def comparison_matrix(self, algebra, i: int, source: Gf2Matrix) -> Gf2Matrix:
+        """X -> (-1)^X from H^i(K(E,n); Z2) onto the order-2 coordinates of
+        the degree-i entry, one bit per invariant factor.
 
-        Returns a coordinate tuple in the entry's finite part, or None for
-        the zero element when no entry coordinates are needed.
+        Only monomials that some row of source reaches are looked up; the
+        others stay zero rows.  A zero source needs neither the declared data
+        nor the entry, and the entry is read only for a nonzero declared
+        image (without it the matrix has no columns).
         """
-        if cls.is_zero:
-            return None
+        used = 0
+        for row in source.rows:
+            used |= row
+        rows = [0] * source.ncols
+        if not used:
+            return Gf2Matrix.from_rows(rows, 0)
         data = self.comparison.get(i)
         if data is None:
             raise UnspecifiedComparisonError(
                 f"no comparison data into H^{i}(K({self.E},{self.n}); C^x)"
             )
-        total: tuple[int, ...] | None = None
-        for mono in cls.monomials:
+        group = None
+        for pos, mono in enumerate(algebra.basis(i)):
+            if not (used >> pos) & 1:
+                continue
             name = algebra.format_monomial(mono)
             if name not in data:
                 raise UnspecifiedComparisonError(
                     f"comparison image of {name} in degree {i} not declared"
                 )
-            val = data[name]
-            if val is None:
-                continue
-            if total is None:
-                group = self.entry(i).finite
-                total = group.zero()
-            total = self.entry(i).finite.add(total, tuple(val))
-        if total is not None and not any(total):
-            return None
-        return total
+            if data[name] is not None:
+                group = group or self.entry(i).finite
+                rows[pos] = _order2_bits(group, data[name])
+        return Gf2Matrix.from_rows(rows, len(group.invariant_factors) if group else 0)
+
+
+def _order2_bits(group: FinAbGroup, elt) -> int:
+    bits = 0
+    for pos, (c, d) in enumerate(zip(elt, group.invariant_factors)):
+        if c == 0:
+            continue
+        if d % 2 or c != d // 2:
+            raise ValueError(f"comparison image {tuple(elt)} is not 2-torsion in {group}")
+        bits |= 1 << pos
+    return bits
 
 
 def _order2_element(G: FinAbGroup) -> tuple[int, ...]:
@@ -238,24 +256,15 @@ def circle_row(
         elif cyclic:
             put(6, _0, "odd torsion: no even classes")
 
-    if overrides:
-        overrides.apply_circle_row(E, n, entries, prov, comparison)
-    return CircleRow(E, n, entries, prov, comparison)
-
-
-def comparison_map(E: FinAbGroup, n: int, degree: int, cls, algebra=None):
-    """Standalone access to the declared (-1)^X comparison data."""
-    row = circle_row(E, n)
-    if algebra is None:
-        algebra = cls.algebra
-    return row.comparison_image(algebra, degree, cls)
+    notes = overrides.apply_circle_row(E, n, entries, prov, comparison) if overrides else ()
+    return CircleRow(E, n, entries, prov, comparison, notes)
 
 
 # ---------------------------------------------------------------------------
 # Overrides
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoeffOverrides:
     """Optional replacements for spectrum or circle-row table entries.
 
@@ -269,7 +278,9 @@ class CoeffOverrides:
 
     Group values use the usual literal syntax; comparison images are
     coordinate lists in the entry's invariant factors (null = zero image).
-    Applied overrides are echoed in the provenance notes.
+    An unknown section raises ValueError.  The tables built from an
+    override carry a note for each value it replaced (SpectrumTable.notes,
+    CircleRow.notes), and the E2 page logs those notes once each.
     """
 
     spectrum_overrides: dict[str, dict[int, GroupExpr]] = field(default_factory=dict)
@@ -277,12 +288,16 @@ class CoeffOverrides:
     comparison_overrides: dict[tuple[str, int, int], dict[str, tuple[int, ...] | None]] = field(
         default_factory=dict
     )
-    notes: list[str] = field(default_factory=list)
 
     @staticmethod
     def load(path: str) -> "CoeffOverrides":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"overrides in {path} must be a JSON object")
+        unknown = sorted(set(raw) - {"spectrum", "circle_row", "comparison"})
+        if unknown:
+            raise ValueError(f"unknown override sections in {path}: {', '.join(unknown)}")
         out = CoeffOverrides()
         for name, table in raw.get("spectrum", {}).items():
             out.spectrum_overrides[name] = {
@@ -303,27 +318,30 @@ class CoeffOverrides:
     def apply_spectrum(self, name, entries, provenance):
         table = self.spectrum_overrides.get(name)
         if not table:
-            return entries, provenance
+            return entries, provenance, ()
         entries = list(entries)
         provenance = list(provenance)
+        notes = []
         for j, expr in table.items():
             while j >= len(entries):
                 entries.append(_0)
                 provenance.append("")
             entries[j] = expr
             provenance[j] = f"{name}^{j}(pt) = {expr} [override]"
-            self.notes.append(f"override: spectrum {name} degree {j} -> {expr}")
-        return tuple(entries), tuple(provenance)
+            notes.append(f"override: spectrum {name} degree {j} -> {expr}")
+        return tuple(entries), tuple(provenance), tuple(notes)
 
-    def apply_circle_row(self, E, n, entries, prov, comparison):
+    def apply_circle_row(self, E, n, entries, prov, comparison) -> tuple[str, ...]:
+        notes = []
         for i, expr in self.circle_overrides.get((str(E), n), {}).items():
             entries[i] = expr
             prov[i] = f"H^{i}(K({E},{n}); C^x) = {expr} [override]"
-            self.notes.append(f"override: circle row ({E}, {n}) degree {i} -> {expr}")
+            notes.append(f"override: circle row ({E}, {n}) degree {i} -> {expr}")
         for (g, nn, i), table in self.comparison_overrides.items():
             if g == str(E) and nn == n:
                 comparison.setdefault(i, {}).update(table)
-                self.notes.append(f"override: comparison data ({E}, {n}) degree {i}")
+                notes.append(f"override: comparison data ({E}, {n}) degree {i}")
+        return tuple(notes)
 
 
 def _parse_expr(text: str) -> GroupExpr:

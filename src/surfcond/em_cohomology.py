@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import FinAbGroup, UnsupportedRangeError
+from .gf2 import Gf2Matrix
 from .steenrod import (
     SteenrodMonomial,
     SteenrodWord,
@@ -224,6 +225,7 @@ class EmAlgebra:
         }
         self._sq_gen_cache: dict[tuple[int, int], frozenset[Monomial]] = {}
         self._sq_pow_cache: dict[tuple[int, int, int], frozenset[Monomial]] = {}
+        self._sq_matrix_cache: dict[tuple[int, int], Gf2Matrix] = {}
 
     # -- construction -------------------------------------------------
 
@@ -276,13 +278,6 @@ class EmAlgebra:
             )
         return self.generator_class(gi)
 
-    def class_from_monomials(self, monos) -> PolyClass:
-        monos = frozenset(monos)
-        degs = {self.monomial_degree(m) for m in monos}
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous monomial set")
-        return PolyClass(self, degs.pop() if degs else 0, monos)
-
     def coordinates(self, cls: PolyClass) -> int:
         """Bitmask of cls in the canonical basis of its degree."""
         out = 0
@@ -290,7 +285,24 @@ class EmAlgebra:
             out |= 1 << self._basis_pos[(cls.degree, m)]
         return out
 
+    def mul_matrix(self, cls: PolyClass, degree: int) -> Gf2Matrix:
+        """Multiplication by cls, from degree to degree + cls.degree."""
+        rows = [self.coordinates(cls * self.monomial_class(m)) for m in self.basis(degree)]
+        return Gf2Matrix.from_rows(rows, self.dimension(degree + cls.degree))
+
     # -- Steenrod action ----------------------------------------------
+
+    def sq_matrix(self, i: int, degree: int) -> Gf2Matrix:
+        """Sq^i from degree to degree + i in the monomial bases, cached."""
+        key = (i, degree)
+        mat = self._sq_matrix_cache.get(key)
+        if mat is None:
+            rows = [
+                self.coordinates(self.sq(i, self.monomial_class(m))) for m in self.basis(degree)
+            ]
+            mat = Gf2Matrix.from_rows(rows, self.dimension(degree + i))
+            self._sq_matrix_cache[key] = mat
+        return mat
 
     def sq(self, i: int, cls: PolyClass) -> PolyClass:
         """Sq^i on a homogeneous class: instability on generators, Cartan
@@ -463,13 +475,3 @@ def reduced_smash_basis(X: EmSpace, Y: EmSpace, degree: int, cap: int = DEFAULT_
         if dl > 0 and dr > 0:
             out.append(alg.monomial_class(mono))
     return out
-
-
-def sq_action_table(algebra: EmAlgebra, up_to: int) -> dict[tuple[int, Monomial], PolyClass]:
-    """Sq^i on every basis monomial, for all i >= 1 with image degree <= up_to."""
-    table: dict[tuple[int, Monomial], PolyClass] = {}
-    for d in range(up_to + 1):
-        for mono in algebra.basis(d):
-            for i in range(1, up_to - d + 1):
-                table[(i, mono)] = algebra.sq(i, algebra.monomial_class(mono))
-    return table

@@ -1,4 +1,4 @@
-"""Bit-packed GF(2) linear algebra: ranks, kernels, composition."""
+"""Bit-packed GF(2) linear algebra: ranks, composition, incremental spans."""
 
 from __future__ import annotations
 
@@ -53,25 +53,6 @@ class Gf2Matrix:
 
     def rank(self) -> int:
         return len(_row_reduce(list(self.rows)))
-
-    def kernel_basis(self) -> list[int]:
-        """Basis of {v : v . M = 0}, as bitmasks over the domain."""
-        n = self.nrows
-        # carry identity alongside to track the combinations
-        work = [(self.rows[i], 1 << i) for i in range(n)]
-        pivots: list[tuple[int, int]] = []
-        kernel: list[int] = []
-        for row, comb in work:
-            for prow, pcomb in pivots:
-                low = prow & -prow
-                if row & low:
-                    row ^= prow
-                    comb ^= pcomb
-            if row:
-                pivots.append((row, comb))
-            else:
-                kernel.append(comb)
-        return kernel
 
 
 class Echelon:

@@ -172,53 +172,6 @@ def adem_normalize(word: SteenrodWord) -> SteenrodWord:
     return SteenrodWord(frozenset(out))
 
 
-def compose(left: SteenrodWord, right: SteenrodWord) -> SteenrodWord:
-    """Product in the Steenrod algebra, normalized to admissible form.
-
-    The right factor's Bockstein markers stay innermost; composing onto a
-    marked monomial from the left is plain concatenation of the square parts.
-    Composing a marked word on the left of anything is not defined here.
-    """
-    out: set[SteenrodMonomial] = set()
-    for lm in left.monomials:
-        if lm.bockstein:
-            raise ValueError("left factor with Bockstein marker cannot be composed")
-        for rm in right.monomials:
-            out.symmetric_difference_update(
-                {SteenrodMonomial(lm.squares + rm.squares, rm.bockstein)}
-            )
-    return adem_normalize(SteenrodWord(frozenset(out)))
-
-
-# ---------------------------------------------------------------------------
-# Action on polynomial classes (delegates to the algebra object)
-
-
-def act(op: SteenrodWord, cls, algebra=None):
-    """Apply a Steenrod word to a class of a graded polynomial algebra.
-
-    The heavy lifting (instability, Cartan formula, rewriting of excess-n
-    words as squares) lives with the algebra; this wrapper applies the
-    word's squares rightmost-first and sums over monomials.  Both the word
-    and the class must be homogeneous.
-    """
-    if algebra is None:
-        algebra = cls.algebra
-    if not op.is_homogeneous:
-        raise ValueError("inhomogeneous Steenrod word")
-    result = None
-    for mono in op.monomials:
-        if mono.bockstein:
-            raise ValueError("power Bocksteins act on fundamental classes only")
-        term = cls
-        for i in reversed(mono.squares):
-            term = algebra.sq(i, term)
-        result = term if result is None else result + term
-    if result is None:
-        return algebra.zero_class(cls.degree + op.degree if op.monomials else cls.degree)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Margolis homology
 

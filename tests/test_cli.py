@@ -118,3 +118,71 @@ class TestRouting:
         assert code == 0  # no opaque entry left, so no blocker
         payload = json.loads(out)
         assert payload["result"]["verdict"] == "0"
+
+
+SW_Z2_DEG5 = ["ahss", "--spectrum", "SW", "--group", "Z/2", "--space-degree", "2",
+              "--total-degree", "5"]
+
+
+class TestExitContract:
+    def test_assertion_is_internal_failure(self, capsys, monkeypatch):
+        import surfcond.cli as cli
+
+        def broken(*_args, **_kwargs):
+            raise AssertionError("negative dimension at (2,3)")
+
+        monkeypatch.setattr(cli, "run_ahss", broken)
+        code, out, err = run(capsys, SW_Z2_DEG5)
+        assert code == 5
+        assert out == ""
+        assert err == "internal invariant failure: negative dimension at (2,3)\n"
+
+    def test_d2_squared_failure_from_overrides(self, capsys, tmp_path):
+        # declaring (-1)^(Sq1(i2)^2) nonzero breaks d2 o d2 = 0 on (2,2) -> (4,1)
+        path = tmp_path / "ov.json"
+        path.write_text(json.dumps({"comparison": {"Z/2|2|6": {"Sq1(i2)^2": [1]}}}))
+        code, _, err = run(capsys, SW_Z2_DEG5 + ["--coeff-overrides", str(path)])
+        assert code == 5
+        assert "d2 squared nonzero on chain (2,2) -> (4,1)" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (SW_Z2_DEG5[:-1] + ["-1"], "--total-degree"),
+            (["ahss", "--spectrum", "SH", "--group", "0", "--space-degree", "-2",
+              "--total-degree", "3"], "--space-degree"),
+            (["emcoh", "--group", "Z/2", "--space-degree", "2", "--max-degree", "-3"],
+             "--max-degree"),
+        ],
+    )
+    def test_negative_degrees_rejected(self, capsys, argv, flag):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be >= 0")
+
+    def test_unknown_override_section(self, capsys, tmp_path):
+        path = tmp_path / "ov.json"
+        path.write_text(json.dumps({"spectrm": {"SW": {"4": "0"}}}))
+        code, _, err = run(capsys, SW_Z2_DEG5 + ["--coeff-overrides", str(path)])
+        assert code == 2
+        assert "unknown override sections" in err and "spectrm" in err
+
+    def test_dump_pages_log_each_override_once(self, capsys, tmp_path):
+        ov = tmp_path / "ov.json"
+        ov.write_text(json.dumps({
+            "spectrum": {"SW": {"4": "0"}},
+            "circle_row": {"Z/2|2": {"5": "Z/2"}},
+            "comparison": {"Z/2|2|5": {"Sq2 Sq1(i2)": [1]}},
+        }))
+        pages = tmp_path / "pages.json"
+        code, _, _ = run(capsys, SW_Z2_DEG5 + ["--coeff-overrides", str(ov),
+                                                "--dump-pages", str(pages)])
+        assert code == 0
+        for dump in json.loads(pages.read_text()):
+            notes = [e["note"] for e in dump["log"] if e["kind"] == "override"]
+            assert notes == [
+                "override: spectrum SW degree 4 -> 0",
+                "override: circle row (Z/2, 2) degree 5 -> Z/2",
+                "override: comparison data (Z/2, 2) degree 5",
+            ]

@@ -7,10 +7,10 @@ from surfcond.coefficients import (
     CoeffOverrides,
     UnspecifiedComparisonError,
     circle_row,
-    comparison_map,
     spectrum,
 )
 from surfcond.em_cohomology import EmSpace, algebra_for
+from surfcond.gf2 import Gf2Matrix
 
 Z2 = FinAbGroup((2,))
 Z3 = FinAbGroup((3,))
@@ -85,28 +85,47 @@ class TestCircleRows:
             circle_row(Z2, 3)
 
 
+def class_matrix(alg, cls) -> Gf2Matrix:
+    """One-row matrix whose image is the class cls."""
+    return Gf2Matrix.from_rows([alg.coordinates(cls)], alg.dimension(cls.degree))
+
+
 class TestComparisonMap:
     def test_fundamental_class_hits_order_two_element(self):
         alg = algebra_for(EmSpace.from_group(Z4, 2))
         iota = alg.fundamental_class()
-        assert comparison_map(Z4, 2, 2, iota) == (2,)  # order-2 element of Z/4
+        comp = circle_row(Z4, 2).comparison_matrix(alg, 2, class_matrix(alg, iota))
+        assert comp.ncols == 1  # one bit per factor: the order-2 element of Z/4
+        assert comp.apply(alg.coordinates(iota)) == 0b1
 
     def test_zero_class_maps_to_none(self):
-        alg = algebra_for(EmSpace.from_group(Z2, 2))
-        assert comparison_map(Z2, 2, 6, alg.zero_class(6)) is None
+        # a zero source reads neither the declared data nor the entry
+        alg = algebra_for(EmSpace.from_group(Z4, 2))
+        row = circle_row(Z4, 2)
+        comp = row.comparison_matrix(alg, 6, class_matrix(alg, alg.zero_class(6)))
+        assert comp.is_zero and comp.ncols == 0
 
     def test_cancelling_sum_maps_to_none(self):
-        # i2^3 + i2^3 = 0 never reaches the table; a declared-zero monomial does
+        # a declared-zero monomial needs no entry coordinates
         alg = algebra_for(EmSpace.from_group(Z2, 2))
         iota = alg.fundamental_class()
         sq1_sq = alg.sq(1, iota) * alg.sq(1, iota)
-        assert comparison_map(Z2, 2, 6, sq1_sq) is None
+        comp = circle_row(Z2, 2).comparison_matrix(alg, 6, class_matrix(alg, sq1_sq))
+        assert comp.apply(alg.coordinates(sq1_sq)) == 0
 
     def test_undeclared_class_raises(self):
         alg = algebra_for(EmSpace.from_group(Z2, 2))
         iota = alg.fundamental_class()
         with pytest.raises(UnspecifiedComparisonError):
-            comparison_map(Z2, 2, 3, alg.sq(1, iota))
+            circle_row(Z2, 2).comparison_matrix(alg, 3, class_matrix(alg, alg.sq(1, iota)))
+
+    def test_image_outside_two_torsion_rejected(self):
+        alg = algebra_for(EmSpace.from_group(Z4, 2))
+        iota = alg.fundamental_class()
+        row = circle_row(Z4, 2)
+        row.comparison[2] = {"i2": (1,)}  # a generator of Z/4, not of order 2
+        with pytest.raises(ValueError, match="not 2-torsion"):
+            row.comparison_matrix(alg, 2, class_matrix(alg, iota))
 
 
 class TestOverrides:
@@ -128,7 +147,8 @@ class TestOverrides:
         row = circle_row(Z2, 2, ov)
         assert row.entry(5).is_zero
         assert row.comparison[5]["Sq2 Sq1(i2)"] is None
-        assert any("override" in n for n in ov.notes)
+        assert t.notes == ("override: spectrum SW degree 4 -> Z/2",)
+        assert any("override" in n for n in row.notes)
 
     def test_expr_parsing_variants(self, tmp_path):
         path = tmp_path / "overrides.json"
@@ -136,3 +156,20 @@ class TestOverrides:
         t = spectrum("SH", CoeffOverrides.load(str(path)))
         e = t.entry(3)
         assert e.circle_rank == 1 and str(e.finite) == "Z/2"
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps({"spectrm": {"SW": {"4": "Z/2"}}}))
+        with pytest.raises(ValueError, match="spectrm"):
+            CoeffOverrides.load(str(path))
+        path.write_text(json.dumps([["spectrum"]]))
+        with pytest.raises(ValueError, match="JSON object"):
+            CoeffOverrides.load(str(path))
+
+    def test_notes_do_not_accumulate(self, tmp_path):
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps({"circle_row": {"Z/2|2": {"5": "0"}}}))
+        ov = CoeffOverrides.load(str(path))
+        first, second = circle_row(Z2, 2, ov), circle_row(Z2, 2, ov)
+        assert first.notes == second.notes == ("override: circle row (Z/2, 2) degree 5 -> 0",)
+        assert circle_row(Z4, 2, ov).notes == ()

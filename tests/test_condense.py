@@ -3,12 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfcond.abelian import FinAbGroup, parse_group
+from surfcond.acceptance import orbit_count
 from surfcond.condense import (
     SkeletalCategory,
     condense_group_algebra,
     condense_phi,
     obstruction_verdict,
-    orbit_count,
     parse_descriptor,
     parse_subgroup,
 )

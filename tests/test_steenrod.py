@@ -9,7 +9,6 @@ from surfcond.steenrod import (
     SteenrodWord,
     adem_normalize,
     binom_mod2,
-    compose,
     excess,
     margolis_homology,
     parse_word,
@@ -76,17 +75,13 @@ class TestAdem:
         assert adem_normalize(normal) == normal
         assert _words_agree(word, normal)
 
-    def test_compose_renormalizes(self):
-        assert compose(SteenrodWord.sq(2), SteenrodWord.sq(2)) == parse_word("Sq3 Sq1")
-        assert compose(SteenrodWord.sq(1), SteenrodWord.sq(1)).is_zero
-        assert compose(SteenrodWord.sq(1), parse_word("Sq2 Sq1")) == parse_word("Sq3 Sq1")
-
 
 class TestBocksteinMarkers:
     def test_sq1_kills_marked_words(self):
-        marked = SteenrodWord.of(SteenrodMonomial((), bockstein=2))
-        assert compose(SteenrodWord.sq(1), marked).is_zero
-        assert not compose(SteenrodWord.sq(2), marked).is_zero
+        assert adem_normalize(SteenrodWord.of(SteenrodMonomial((1,), bockstein=2))).is_zero
+        assert adem_normalize(SteenrodWord.of(SteenrodMonomial((2, 1), bockstein=3))).is_zero
+        sq2_marked = SteenrodWord.of(SteenrodMonomial((2,), bockstein=2))
+        assert adem_normalize(sq2_marked) == sq2_marked
 
     def test_marker_is_innermost_in_syntax(self):
         word = parse_word("Sq2 b_3")
