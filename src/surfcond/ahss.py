@@ -56,6 +56,7 @@ class Page:
     log: list[dict] = field(default_factory=list)
     declarations: list[dict] = field(default_factory=list)
     computed_totals: frozenset[int] = frozenset()
+    previous: "Page | None" = None  # the page this one was turned from
 
     def entry(self, i: int, j: int) -> Entry:
         e = self.entries.get((i, j))
@@ -266,6 +267,7 @@ def apply_d2(page: Page, twisted: bool | None = None) -> Page:
         log,
         list(page.declarations),
         frozenset({N}),
+        page,
     )
 
 

@@ -19,8 +19,6 @@ import sys
 
 from .abelian import BudgetError, FinAbGroup, UnsupportedRangeError, parse_group
 from .ahss import (
-    apply_d2,
-    assemble_e2,
     page_to_dict,
     product_split,
     render_page_text,
@@ -206,10 +204,7 @@ def _cmd_ahss(args) -> tuple[dict, int]:
     result = report.to_dict()
     result["verdict"] = report.verdict
     if args.dump_pages:
-        e2 = assemble_e2(
-            EmSpace.from_group(E, args.space_degree), page.spectrum, args.total_degree, overrides
-        )
-        dumps = [page_to_dict(e2), page_to_dict(page)]
+        dumps = [page_to_dict(page.previous), page_to_dict(page)]
         with open(args.dump_pages, "w") as fh:
             json.dump(dumps, fh, indent=2)
         result["pages"] = dumps

@@ -278,9 +278,10 @@ class CoeffOverrides:
 
     Group values use the usual literal syntax; comparison images are
     coordinate lists in the entry's invariant factors (null = zero image).
-    An unknown section raises ValueError.  The tables built from an
-    override carry a note for each value it replaced (SpectrumTable.notes,
-    CircleRow.notes), and the E2 page logs those notes once each.
+    An unknown section, or a spectrum name outside SPECTRUM_NAMES, raises
+    ValueError.  The tables built from an override carry a note for each
+    value it replaced (SpectrumTable.notes, CircleRow.notes), and the E2
+    page logs those notes once each.
     """
 
     spectrum_overrides: dict[str, dict[int, GroupExpr]] = field(default_factory=dict)
@@ -298,6 +299,9 @@ class CoeffOverrides:
         unknown = sorted(set(raw) - {"spectrum", "circle_row", "comparison"})
         if unknown:
             raise ValueError(f"unknown override sections in {path}: {', '.join(unknown)}")
+        unknown = sorted(set(raw.get("spectrum", {})) - set(SPECTRUM_NAMES))
+        if unknown:
+            raise ValueError(f"unknown spectra in {path}: {', '.join(unknown)}")
         out = CoeffOverrides()
         for name, table in raw.get("spectrum", {}).items():
             out.spectrum_overrides[name] = {

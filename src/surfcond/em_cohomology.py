@@ -219,11 +219,13 @@ class EmAlgebra:
         self._gen_index = {
             (g.factor, g.word): i for i, g in enumerate(self.generators)
         }
+        self._gen_degrees: tuple[int, ...] = tuple(g.degree for g in self.generators)
         self._basis: dict[int, tuple[Monomial, ...]] = self._build_basis()
         self._basis_pos = {
             (d, m): i for d, ms in self._basis.items() for i, m in enumerate(ms)
         }
         self._sq_gen_cache: dict[tuple[int, int], frozenset[Monomial]] = {}
+        self._sq_mono_cache: dict[tuple[int, Monomial], frozenset[Monomial]] = {}
         self._sq_pow_cache: dict[tuple[int, int, int], frozenset[Monomial]] = {}
         self._sq_matrix_cache: dict[tuple[int, int], Gf2Matrix] = {}
 
@@ -233,9 +235,11 @@ class EmAlgebra:
         by_degree: dict[int, list[Monomial]] = {d: [] for d in range(self.cap + 1)}
         by_degree[0].append(())
 
+        degrees = self._gen_degrees
+
         def extend(partial: Monomial, deg: int, start: int):
-            for gi in range(start, len(self.generators)):
-                gdeg = self.generators[gi].degree
+            for gi in range(start, len(degrees)):
+                gdeg = degrees[gi]
                 e = 1
                 while deg + e * gdeg <= self.cap:
                     mono = partial + ((gi, e),)
@@ -265,7 +269,8 @@ class EmAlgebra:
         return PolyClass(self, self.monomial_degree(mono), frozenset({mono}))
 
     def monomial_degree(self, mono: Monomial) -> int:
-        return sum(self.generators[gi].degree * e for gi, e in mono)
+        degrees = self._gen_degrees
+        return sum(degrees[gi] * e for gi, e in mono)
 
     def generator_class(self, gi: int) -> PolyClass:
         return self.monomial_class(((gi, 1),))
@@ -327,22 +332,27 @@ class EmAlgebra:
         (gi, e), rest = mono[0], mono[1:]
         if not rest:
             return self._sq_genpower(i, gi, e)
-        head_deg = self.generators[gi].degree * e
+        key = (i, mono)
+        cached = self._sq_mono_cache.get(key)
+        if cached is not None:
+            return cached
+        head_deg = self._gen_degrees[gi] * e
+        rest_deg = self.monomial_degree(rest)
         out: set[Monomial] = set()
-        for j in range(0, i + 1):
-            if j > head_deg or (i - j) > self.monomial_degree(rest):
-                continue
+        for j in range(max(0, i - rest_deg), min(i, head_deg) + 1):
             for a in self._sq_genpower(j, gi, e):
                 for b in self._sq_monomial(i - j, rest):
                     out.symmetric_difference_update({_mul_monomials(a, b)})
-        return frozenset(out)
+        result = frozenset(out)
+        self._sq_mono_cache[key] = result
+        return result
 
     def _sq_genpower(self, i: int, gi: int, e: int) -> frozenset[Monomial]:
         key = (i, gi, e)
         cached = self._sq_pow_cache.get(key)
         if cached is not None:
             return cached
-        gdeg = self.generators[gi].degree
+        gdeg = self._gen_degrees[gi]
         if i == 0:
             result: frozenset[Monomial] = frozenset({((gi, e),)})
         elif i > gdeg * e:
@@ -351,9 +361,7 @@ class EmAlgebra:
             result = self._sq_generator(i, gi)
         else:
             out: set[Monomial] = set()
-            for j in range(0, min(i, gdeg) + 1):
-                if i - j > gdeg * (e - 1):
-                    continue
+            for j in range(max(0, i - gdeg * (e - 1)), min(i, gdeg) + 1):
                 for a in self._sq_genpower(j, gi, 1):
                     for b in self._sq_genpower(i - j, gi, e - 1):
                         out.symmetric_difference_update({_mul_monomials(a, b)})
@@ -367,7 +375,7 @@ class EmAlgebra:
         if cached is not None:
             return cached
         gen = self.generators[gi]
-        d = gen.degree
+        d = self._gen_degrees[gi]
         if i > d:
             result: frozenset[Monomial] = frozenset()
         elif i == d:
@@ -457,9 +465,8 @@ def poincare_series(space: EmSpace, cap: int) -> list[int]:
 
 
 def _side_degrees(alg: EmAlgebra, mono: Monomial, split: int) -> tuple[int, int]:
-    left = sum(
-        alg.generators[gi].degree * e for gi, e in mono if alg.generators[gi].factor < split
-    )
+    degrees, gens = alg._gen_degrees, alg.generators
+    left = sum(degrees[gi] * e for gi, e in mono if gens[gi].factor < split)
     return left, alg.monomial_degree(mono) - left
 
 

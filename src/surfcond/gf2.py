@@ -52,7 +52,8 @@ class Gf2Matrix:
         return Gf2Matrix(tuple(other.apply(r) for r in self.rows), other.ncols)
 
     def rank(self) -> int:
-        return len(_row_reduce(list(self.rows)))
+        span = Echelon()
+        return sum(span.add(row) for row in self.rows)
 
 
 class Echelon:
@@ -64,19 +65,25 @@ class Echelon:
 
     def __init__(self):
         self.vectors: list[int] = []
-        self._rows: list[tuple[int, int]] = []  # (reduced vector, combination)
+        # pivot (lowest set bit) -> (reduced vector, combination)
+        self._pivots: dict[int, tuple[int, int]] = {}
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
     def _reduce(self, vec: int) -> tuple[int, int]:
+        """Clear vec's lowest bit against the row with that pivot, until no
+        row has it.  The result is 0 iff vec lies in the span; otherwise its
+        lowest bit is a new pivot.  Also returns the combination mask of the
+        rows used."""
         comb = 0
-        for row, rcomb in self._rows:
-            low = row & -row
-            if vec & low:
-                vec ^= row
-                comb ^= rcomb
+        while vec:
+            hit = self._pivots.get(vec & -vec)
+            if hit is None:
+                break
+            vec ^= hit[0]
+            comb ^= hit[1]
         return vec, comb
 
     def add(self, vec: int) -> bool:
@@ -84,7 +91,7 @@ class Echelon:
         reduced, comb = self._reduce(vec)
         if not reduced:
             return False
-        self._rows.append((reduced, comb ^ (1 << len(self.vectors))))
+        self._pivots[reduced & -reduced] = (reduced, comb ^ (1 << len(self.vectors)))
         self.vectors.append(vec)
         return True
 
@@ -93,14 +100,3 @@ class Echelon:
         reduced, comb = self._reduce(vec)
         return None if reduced else comb
 
-
-def _row_reduce(rows: list[int]) -> list[int]:
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            low = b & -b
-            if row & low:
-                row ^= b
-        if row:
-            basis.append(row)
-    return basis

@@ -36,7 +36,7 @@ class SteenrodMonomial:
     bockstein: int = 0
 
     def __post_init__(self):
-        if any(i < 1 for i in self.squares):
+        if self.squares and min(self.squares) < 1:
             raise ValueError("Sq indices must be positive")
         if self.bockstein == 1:
             raise ValueError("beta_1 is Sq1; store it as a trailing index")
@@ -142,17 +142,21 @@ def adem_expand(a: int, b: int) -> frozenset[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _normalize_squares(squares: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """Rewrite a composite of squares as an F2-sum of admissible sequences."""
+def _normalize_squares(squares: tuple[int, ...]) -> frozenset[SteenrodMonomial]:
+    """Rewrite a composite of squares as an F2-sum of admissible monomials.
+
+    Each admissible monomial is built once, where its sequence is first
+    reached; the sums above it are XORs of these cached sets.
+    """
     for pos in range(len(squares) - 1):
         a, b = squares[pos], squares[pos + 1]
         if a < 2 * b:
-            out: set[tuple[int, ...]] = set()
+            out: set[SteenrodMonomial] = set()
             for repl in adem_expand(a, b):
                 rewritten = squares[:pos] + repl + squares[pos + 2 :]
                 out.symmetric_difference_update(_normalize_squares(rewritten))
             return frozenset(out)
-    return frozenset({squares})
+    return frozenset({SteenrodMonomial(squares)})
 
 
 def adem_normalize(word: SteenrodWord) -> SteenrodWord:
@@ -161,15 +165,17 @@ def adem_normalize(word: SteenrodWord) -> SteenrodWord:
     Monomials carrying a beta_k marker (k >= 2) whose admissible square part
     ends in Sq1 vanish (Sq1 beta_k = 0).
     """
-    out: set[SteenrodMonomial] = set()
+    out: frozenset[SteenrodMonomial] = frozenset()
     for mono in word.monomials:
-        for sq in _normalize_squares(mono.squares):
-            if mono.bockstein and sq and sq[-1] == 1:
-                continue
-            out.symmetric_difference_update(
-                {SteenrodMonomial(sq, mono.bockstein)}
+        terms = _normalize_squares(mono.squares)
+        if mono.bockstein:
+            terms = frozenset(
+                SteenrodMonomial(t.squares, mono.bockstein)
+                for t in terms
+                if t.squares[-1:] != (1,)
             )
-    return SteenrodWord(frozenset(out))
+        out = out ^ terms if out else terms
+    return SteenrodWord(out)
 
 
 # ---------------------------------------------------------------------------

@@ -209,3 +209,10 @@ class TestDumps:
         assert text.startswith("E3 page")
         assert "(twisted)" in text
         assert "SW" in text
+
+    def test_turned_page_keeps_its_e2_page(self):
+        page3, _ = run_ahss(Z2, 2, "SW", 5, twist=True, d5_zero=True)
+        e2 = page3.previous
+        assert e2.number == 2 and e2.previous is None
+        fresh = assemble_e2(EmSpace.from_group(Z2, 2), spectrum("SW_twisted_by_Z2F"), 5)
+        assert page_to_dict(e2) == page_to_dict(fresh)

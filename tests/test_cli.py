@@ -168,6 +168,23 @@ class TestExitContract:
         assert code == 2
         assert "unknown override sections" in err and "spectrm" in err
 
+    def test_unknown_override_spectrum(self, capsys, tmp_path):
+        path = tmp_path / "ov.json"
+        path.write_text(json.dumps({"spectrum": {"SWW": {"4": "0"}}}))
+        code, out, err = run(capsys, SW_Z2_DEG5 + ["--coeff-overrides", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "unknown spectra" in err and "SWW" in err
+
+    def test_dump_pages_assembles_e2_once(self, capsys, tmp_path, monkeypatch):
+        from surfcond import ahss
+
+        real, calls = ahss.circle_row, []
+        monkeypatch.setattr(ahss, "circle_row", lambda *a, **k: calls.append(a) or real(*a, **k))
+        code, _, _ = run(capsys, SW_Z2_DEG5 + ["--dump-pages", str(tmp_path / "pages.json")])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_dump_pages_log_each_override_once(self, capsys, tmp_path):
         ov = tmp_path / "ov.json"
         ov.write_text(json.dumps({

@@ -166,6 +166,17 @@ class TestOverrides:
         with pytest.raises(ValueError, match="JSON object"):
             CoeffOverrides.load(str(path))
 
+    def test_unknown_spectrum_rejected(self, tmp_path):
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps({"spectrum": {"SWW": {"4": "0"}, "SW": {"4": "0"}}}))
+        with pytest.raises(ValueError, match="unknown spectra .*: SWW$"):
+            CoeffOverrides.load(str(path))
+        path.write_text(json.dumps({"spectrum": {"SW_twisted_by_Z2F": {"4": "0"}}}))
+        ov = CoeffOverrides.load(str(path))
+        assert spectrum("SW_twisted_by_Z2F", ov).notes == (
+            "override: spectrum SW_twisted_by_Z2F degree 4 -> 0",
+        )
+
     def test_notes_do_not_accumulate(self, tmp_path):
         path = tmp_path / "overrides.json"
         path.write_text(json.dumps({"circle_row": {"Z/2|2": {"5": "0"}}}))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from surfcond.abelian import FinAbGroup, UnsupportedRangeError
 from surfcond.em_cohomology import (
     CapExceededError,
+    EmAlgebra,
     EmSpace,
     algebra_for,
     poincare_series,
@@ -120,6 +121,39 @@ class TestSteenrodAction:
             alg.sq(2, iota * iota)
         with pytest.raises(CapExceededError):
             _ = (iota * iota) * (iota * iota)
+
+
+class TestProductAlgebraAction:
+    """Sq on K(Z/2,2)^3, where most images go through the Cartan sub-products."""
+
+    SPACE = EmSpace(((2, 2),) * 3)
+
+    def test_adem_relations_as_matrices(self):
+        alg = EmAlgebra(self.SPACE, 14)
+        sq = alg.sq_matrix
+        nonzero = 0
+        for d in range(alg.cap - 1):
+            assert sq(1, d).then(sq(1, d + 1)).is_zero  # Sq1 Sq1 = 0
+            if d + 3 <= alg.cap:  # Sq1 Sq2 = Sq3
+                assert sq(2, d).then(sq(1, d + 2)) == sq(3, d)
+            if d + 4 <= alg.cap:  # Sq2 Sq2 = Sq3 Sq1
+                lhs = sq(2, d).then(sq(2, d + 2))
+                assert lhs == sq(1, d).then(sq(3, d + 1))
+                nonzero += not lhs.is_zero
+        assert nonzero >= 5
+
+    def test_images_do_not_depend_on_the_memo(self):
+        warm = EmAlgebra(self.SPACE, 14)
+        table = {
+            (i, m): warm.sq(i, warm.monomial_class(m)).monomials
+            for d in range(warm.cap + 1)
+            for m in warm.basis(d)
+            for i in range(1, warm.cap - d + 1)
+        }
+        keys = sorted(table)
+        for i, m in keys[:: len(keys) // 40]:
+            fresh = EmAlgebra(self.SPACE, 14)
+            assert fresh.sq(i, fresh.monomial_class(m)).monomials == table[(i, m)]
 
 
 class TestSmash:

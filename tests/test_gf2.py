@@ -13,6 +13,36 @@ matrices = st.builds(
 )
 
 
+# sparse rows up to 40 x 64: each row sets a few random bits
+sparse_matrices = st.integers(min_value=1, max_value=64).flatmap(
+    lambda ncols: st.builds(
+        lambda rows: Gf2Matrix.from_rows(rows, ncols),
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=ncols - 1), max_size=4).map(
+                lambda bits: sum(1 << b for b in set(bits))
+            ),
+            max_size=40,
+        ),
+    )
+)
+
+
+def dense_rank(m: Gf2Matrix) -> int:
+    """Gauss-Jordan elimination on explicit 0/1 lists, column by column."""
+    grid = [[(row >> c) & 1 for c in range(m.ncols)] for row in m.rows]
+    rank = 0
+    for c in range(m.ncols):
+        pivot = next((r for r in range(rank, len(grid)) if grid[r][c]), None)
+        if pivot is None:
+            continue
+        grid[rank], grid[pivot] = grid[pivot], grid[rank]
+        for r in range(len(grid)):
+            if r != rank and grid[r][c]:
+                grid[r] = [x ^ y for x, y in zip(grid[r], grid[rank])]
+        rank += 1
+    return rank
+
+
 def brute_rank(m: Gf2Matrix) -> int:
     images = {0}
     for vec in range(1 << m.nrows):
@@ -31,6 +61,13 @@ class TestGf2Matrix:
     @settings(max_examples=80)
     def test_rank_matches_image_size(self, m):
         assert m.rank() == brute_rank(m)
+
+    @given(sparse_matrices)
+    @settings(max_examples=80)
+    def test_rank_of_sparse_matrices_matches_dense_elimination(self, m):
+        assert m.rank() == dense_rank(m)
+        # stacking the rows twice, or in reverse order, keeps the rank
+        assert Gf2Matrix.from_rows(m.rows[::-1] + m.rows, m.ncols).rank() == m.rank()
 
     @given(matrices, matrices)
     @settings(max_examples=60)
@@ -76,3 +113,27 @@ class TestEchelon:
         outside = next((v for v in range(64) if v not in spanned), None)
         if outside is not None:
             assert e.express(outside) is None
+
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1, max_size=80),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60)
+    def test_many_wide_vectors(self, vecs, rnd):
+        # a low-rank family: the first eight vectors and sums of two of them
+        gens = vecs[:8]
+        family = gens + [
+            gens[rnd.randrange(len(gens))] ^ gens[rnd.randrange(len(gens))] for _ in range(40)
+        ]
+        e = Echelon()
+        grew = [e.add(v) for v in family]
+        assert e.dim == sum(grew) == dense_rank(Gf2Matrix.from_rows(gens, 64))
+        assert e.vectors == [v for v, g in zip(family, grew) if g]
+        for v in family + vecs:
+            comb = e.express(v)
+            in_span = dense_rank(Gf2Matrix.from_rows(e.vectors + [v], 64)) == e.dim
+            assert (comb is not None) == in_span
+            if comb is not None:
+                recombined = 0
+                for pos, w in enumerate(e.vectors):
+                    if (comb >> pos) & 1:
+                        recombined ^= w
+                assert recombined == v

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfcond.acceptance import _act_word
 from surfcond.gf2 import Gf2Matrix
 from surfcond.steenrod import (
     SqModule,
@@ -60,6 +61,8 @@ class TestAdem:
             ("Sq2 Sq3", "Sq4 Sq1 + Sq5"),
             ("Sq1 Sq3", "0"),
             ("Sq3 Sq3", "Sq5 Sq1"),
+            ("Sq2 Sq2 + Sq3 Sq1", "0"),
+            ("Sq2 Sq3 + Sq5", "Sq4 Sq1"),
         ],
     )
     def test_known_relations(self, word, expected):
@@ -76,12 +79,64 @@ class TestAdem:
         assert _words_agree(word, normal)
 
 
+    @given(st.lists(st.integers(min_value=1, max_value=9), min_size=3, max_size=4))
+    @settings(max_examples=100)
+    def test_long_words_agree_under_evaluation(self, indices):
+        normal = adem_normalize(SteenrodWord.sq(*indices))
+        assert all(m.is_admissible and m.degree == sum(indices) for m in normal.monomials)
+        for a in range(6):
+            for b in range(6):
+                seed = {(a, b): 1}
+                rhs: dict[tuple[int, int], int] = {}
+                for m in normal.monomials:
+                    for key in _act_word(m.squares, seed):
+                        rhs[key] = rhs.get(key, 0) ^ 1
+                assert _act_word(tuple(indices), seed) == {k: v for k, v in rhs.items() if v}
+
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=9), max_size=3),
+        st.lists(st.integers(min_value=1, max_value=9), max_size=3),
+    )
+    @settings(max_examples=80)
+    def test_normalization_is_additive(self, u, v):
+        u, v = SteenrodWord.sq(*u), SteenrodWord.sq(*v)
+        assert adem_normalize(u + v) == adem_normalize(u) + adem_normalize(v)
+
+
+class TestMonomialValidation:
+    @pytest.mark.parametrize(
+        "squares,bockstein,message",
+        [
+            ((0,), 0, "Sq indices must be positive"),
+            ((3, 2, -1), 0, "Sq indices must be positive"),
+            ((2,), 1, "beta_1 is Sq1"),
+            ((), -2, "bockstein marker must be >= 2"),
+        ],
+    )
+    def test_rejected(self, squares, bockstein, message):
+        with pytest.raises(ValueError, match=message):
+            SteenrodMonomial(squares, bockstein)
+
+
 class TestBocksteinMarkers:
     def test_sq1_kills_marked_words(self):
         assert adem_normalize(SteenrodWord.of(SteenrodMonomial((1,), bockstein=2))).is_zero
         assert adem_normalize(SteenrodWord.of(SteenrodMonomial((2, 1), bockstein=3))).is_zero
         sq2_marked = SteenrodWord.of(SteenrodMonomial((2,), bockstein=2))
         assert adem_normalize(sq2_marked) == sq2_marked
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=9), max_size=4),
+        st.integers(min_value=2, max_value=5),
+    )
+    @settings(max_examples=100)
+    def test_marked_words_lose_exactly_their_sq1_terms(self, squares, k):
+        plain = adem_normalize(SteenrodWord.sq(*squares))
+        marked = adem_normalize(SteenrodWord.of(SteenrodMonomial(tuple(squares), k)))
+        assert marked.monomials == {
+            SteenrodMonomial(m.squares, k) for m in plain.monomials if m.squares[-1:] != (1,)
+        }
 
     def test_marker_is_innermost_in_syntax(self):
         word = parse_word("Sq2 b_3")
