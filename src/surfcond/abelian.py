@@ -431,6 +431,17 @@ def quad_group_brute(E: FinAbGroup, target: str) -> FinAbGroup:
     are Z/m-linear conditions on the value vector (q(x))_{x != 0}; the
     solution group is the cokernel of the stacked relations together with
     m * identity.
+
+    Biadditivity is imposed on the generators of E only.  The cubic
+    difference q(x+y+z) - q(x+y) - q(x+z) - q(y+z) + q(x) + q(y) + q(z) is
+    b(x+y, z) - b(x, z) - b(y, z).  The set S of x for which it vanishes for
+    all y, z contains 0 (q(0) = 0), and x, x' in S gives x + x' in S
+    (expand b(x + (x'+y), z) twice), so S is a subgroup of the finite group
+    E and equals E once it holds the invariant-factor generators
+    e_1..e_r.  So the relations are q(-x) = q(x), the cubic difference for
+    x = e_i and nonzero y <= z (r * n(n+1)/2 rows for the n = |E| - 1
+    nonzero elements, against the C(n+2, 3) triples x <= y <= z), and
+    m * identity.
     """
     if E.is_trivial:
         return FinAbGroup.trivial()
@@ -453,19 +464,22 @@ def quad_group_brute(E: FinAbGroup, target: str) -> FinAbGroup:
         neg = index[E.neg(e)]
         if neg != i:
             rows.append(coords((1, i), (-1, neg)))
-    for x, y, z in itertools.combinations_with_replacement(range(1, n + 1), 3):
-        xy = add[x][y]
-        rows.append(
-            coords(
-                (1, add[xy][z]),
-                (-1, xy),
-                (-1, add[x][z]),
-                (-1, add[y][z]),
-                (1, x),
-                (1, y),
-                (1, z),
+    r = len(E.invariant_factors)
+    generators = [index[tuple(int(j == i) for j in range(r))] for i in range(r)]
+    for x in generators:
+        for y, z in itertools.combinations_with_replacement(range(1, n + 1), 2):
+            xy = add[x][y]
+            rows.append(
+                coords(
+                    (1, add[xy][z]),
+                    (-1, xy),
+                    (-1, add[x][z]),
+                    (-1, add[y][z]),
+                    (1, x),
+                    (1, y),
+                    (1, z),
+                )
             )
-        )
     for i in range(n):
         row = [0] * n
         row[i] = m

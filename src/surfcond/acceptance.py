@@ -30,7 +30,13 @@ from .condense import (
     parse_subgroup,
 )
 from .em_cohomology import EmSpace, algebra_for, poincare_series
-from .steenrod import SteenrodMonomial, SteenrodWord, adem_expand, adem_normalize
+from .steenrod import (
+    SteenrodMonomial,
+    SteenrodWord,
+    adem_expand,
+    adem_normalize,
+    binom_mod2,
+)
 
 
 @dataclass
@@ -188,8 +194,6 @@ def check_condensation_bookkeeping() -> tuple[bool, str]:
 
 def _sq_poly(i: int, mono: dict) -> dict:
     """Sq^i on a bivariate monomial {(e1, e2): 1} via the power rule only."""
-    from .steenrod import binom_mod2
-
     out: dict[tuple[int, int], int] = {}
     for (e1, e2), coeff in mono.items():
         for j in range(i + 1):
@@ -300,7 +304,7 @@ def check_functor_brute_force() -> tuple[bool, str]:
             count = 0
             for images in itertools.product(list(B.elements()), repeat=len(A.invariant_factors)):
                 if all(
-                    B.element_order(img) in _divisors(d)
+                    d % B.element_order(img) == 0
                     for img, d in zip(images, A.invariant_factors)
                 ):
                     count += 1
@@ -340,10 +344,6 @@ def _factor_tuples(order: int, smallest: int = 2):
         if order % d == 0:
             for rest in _factor_tuples(order // d, d):
                 yield (d,) + rest
-
-
-def _divisors(n: int) -> set[int]:
-    return {d for d in range(1, n + 1) if n % d == 0}
 
 
 def check_poincare_convolution() -> tuple[bool, str]:

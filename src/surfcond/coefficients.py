@@ -278,8 +278,11 @@ class CoeffOverrides:
 
     Group values use the usual literal syntax; comparison images are
     coordinate lists in the entry's invariant factors (null = zero image).
-    An unknown section, or a spectrum name outside SPECTRUM_NAMES, raises
-    ValueError.  The tables built from an override carry a note for each
+    An unknown section, a spectrum name outside SPECTRUM_NAMES, or a file of
+    another shape (a section or table that is not an object, a key not of
+    the form above, a degree key that is not an integer) raises ValueError
+    naming the section and the key; so does, when the row is built, a
+    comparison monomial name outside the basis of its degree.  The tables built from an override carry a note for each
     value it replaced (SpectrumTable.notes, CircleRow.notes), and the E2
     page logs those notes once each.
     """
@@ -296,27 +299,22 @@ class CoeffOverrides:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"overrides in {path} must be a JSON object")
-        unknown = sorted(set(raw) - {"spectrum", "circle_row", "comparison"})
+        unknown = sorted(set(raw) - set(_SECTIONS))
         if unknown:
             raise ValueError(f"unknown override sections in {path}: {', '.join(unknown)}")
-        unknown = sorted(set(raw.get("spectrum", {})) - set(SPECTRUM_NAMES))
+        sections = {name: _section(raw, name) for name in _SECTIONS}
+        unknown = sorted(set(sections["spectrum"]) - set(SPECTRUM_NAMES))
         if unknown:
             raise ValueError(f"unknown spectra in {path}: {', '.join(unknown)}")
         out = CoeffOverrides()
-        for name, table in raw.get("spectrum", {}).items():
-            out.spectrum_overrides[name] = {
-                int(j): _parse_expr(v) for j, v in table.items()
-            }
-        for key, table in raw.get("circle_row", {}).items():
-            group_text, n = key.rsplit("|", 1)
-            out.circle_overrides[(str(parse_group(group_text)), int(n))] = {
-                int(i): _parse_expr(v) for i, v in table.items()
-            }
-        for key, table in raw.get("comparison", {}).items():
-            group_text, n, i = key.rsplit("|", 2)
-            out.comparison_overrides[(str(parse_group(group_text)), int(n), int(i))] = {
-                name: (None if v is None else tuple(v)) for name, v in table.items()
-            }
+        for name, table in sections["spectrum"].items():
+            out.spectrum_overrides[name] = _expr_table("spectrum", name, table)
+        for key, table in sections["circle_row"].items():
+            group, n = _key("circle_row", key, "group|n")
+            out.circle_overrides[(group, n)] = _expr_table("circle_row", key, table)
+        for key, table in sections["comparison"].items():
+            group, n, i = _key("comparison", key, "group|n|degree")
+            out.comparison_overrides[(group, n, i)] = _image_table(key, table)
         return out
 
     def apply_spectrum(self, name, entries, provenance):
@@ -343,9 +341,76 @@ class CoeffOverrides:
             notes.append(f"override: circle row ({E}, {n}) degree {i} -> {expr}")
         for (g, nn, i), table in self.comparison_overrides.items():
             if g == str(E) and nn == n:
+                unknown = sorted(set(table) - set(_monomial_names(E, n, i)))
+                if unknown:
+                    raise ValueError(
+                        f"override comparison[{g}|{n}|{i}]: no basis monomial of "
+                        f"H^{i}(K({E},{n}); Z2) is named {', '.join(unknown)}"
+                    )
                 comparison.setdefault(i, {}).update(table)
                 notes.append(f"override: comparison data ({E}, {n}) degree {i}")
         return tuple(notes)
+
+
+_SECTIONS = ("spectrum", "circle_row", "comparison")
+
+
+def _section(raw: dict, name: str) -> dict[str, dict]:
+    """The tables of one override section, each checked to be a JSON object."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"override section {name!r} must be a JSON object")
+    for key, table in section.items():
+        if not isinstance(table, dict):
+            raise ValueError(f"override {name}[{key!r}] must be a JSON object")
+    return section
+
+
+def _key(section: str, key: str, shape: str) -> tuple:
+    """Split a `group|n` or `group|n|degree` key into (str(group), n[, degree])."""
+    parts = key.rsplit("|", shape.count("|"))
+    if len(parts) != shape.count("|") + 1:
+        raise ValueError(f"override {section} key {key!r} is not of the form {shape}")
+    try:
+        group = str(parse_group(parts[0]))
+        return (group, *(int(p) for p in parts[1:]))
+    except ValueError as exc:
+        raise ValueError(
+            f"override {section} key {key!r} is not of the form {shape}: {exc}"
+        ) from None
+
+
+def _image_table(key: str, table: dict) -> dict[str, tuple[int, ...] | None]:
+    out = {}
+    for name, v in table.items():
+        if v is not None and not (isinstance(v, list) and all(type(c) is int for c in v)):
+            raise ValueError(
+                f"override comparison[{key!r}][{name!r}]: image must be a list of "
+                f"integers or null, got {v!r}"
+            )
+        out[name] = None if v is None else tuple(v)
+    return out
+
+
+def _expr_table(section: str, key: str, table: dict) -> dict[int, GroupExpr]:
+    out = {}
+    for j, v in table.items():
+        if not isinstance(v, str):
+            raise ValueError(
+                f"override {section}[{key!r}][{j!r}]: value must be a group literal "
+                f"string, got {v!r}"
+            )
+        try:
+            degree = int(j)
+        except ValueError:
+            raise ValueError(
+                f"override {section}[{key!r}]: degree key {j!r} is not an integer"
+            ) from None
+        try:
+            out[degree] = _parse_expr(v)
+        except ValueError as exc:
+            raise ValueError(f"override {section}[{key!r}][{j!r}]: {exc}") from None
+    return out
 
 
 def _parse_expr(text: str) -> GroupExpr:

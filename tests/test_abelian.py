@@ -182,6 +182,35 @@ class TestFunctors:
         assert two_torsion(A).order == count
 
 
+def _quad_full_axioms(E, target):
+    """Quad(E, target) from every cubic difference x <= y <= z, not just x = e_i.
+
+    The reference for the generator lemma in quad_group_brute: the same
+    solver, with biadditivity imposed on all of E.
+    """
+    m = 2 * E.exponent if target == CIRCLE else 2
+    elems = list(E.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    n = len(elems) - 1
+
+    def row(*terms):
+        r = [0] * n
+        for sign, e in terms:
+            if index[e]:
+                r[index[e] - 1] += sign
+        return r
+
+    rows = [row((1, x), (-1, E.neg(x))) for x in elems[1:]]
+    for x, y, z in itertools.combinations_with_replacement(elems[1:], 3):
+        xy = E.add(x, y)
+        rows.append(
+            row((1, E.add(xy, z)), (-1, xy), (-1, E.add(x, z)), (-1, E.add(y, z)),
+                (1, x), (1, y), (1, z))
+        )
+    rows += [[m if j == i else 0 for j in range(n)] for i in range(n)]
+    return smith_normal_form([r for r in rows if any(r)])
+
+
 class TestQuadraticForms:
     def test_cyclic_closed_forms(self):
         assert quad_group(FinAbGroup((2,)), CIRCLE) == FinAbGroup((4,))
@@ -191,13 +220,28 @@ class TestQuadraticForms:
         assert quad_group(FinAbGroup((3,)), Z2_TARGET).is_trivial
 
     @pytest.mark.parametrize(
-        "factors", [(2, 2), (2, 4), (4, 4), (2, 8), (2, 2, 2), (3, 3), (4, 8), (2, 16)]
+        "factors",
+        [(2, 2), (2, 4), (4, 4), (2, 8), (2, 2, 2), (3, 3), (4, 8), (2, 16),
+         (3, 9), (3, 15), (2, 6), (2, 2, 4)],
     )
     def test_brute_force_agrees_with_closed_form(self, factors):
         E = FinAbGroup.from_factors(factors)
         for target in (CIRCLE, Z2_TARGET):
             assert quad_group_brute(E, target) == _quad_closed_form(E, target)
             assert quad_group(E, target) == _quad_closed_form(E, target)
+
+    def test_generators_suffice_for_biadditivity(self):
+        # every divisibility chain d_1 | ... | d_r with r >= 2 and product <= 16
+        groups = {
+            FinAbGroup(chain)
+            for r in (2, 3, 4)
+            for chain in itertools.product(range(2, 9), repeat=r)
+            if math.prod(chain) <= 16 and all(b % a == 0 for a, b in zip(chain, chain[1:]))
+        }
+        assert len(groups) == 9
+        for E in groups:
+            for target in (CIRCLE, Z2_TARGET):
+                assert quad_group_brute(E, target) == _quad_full_axioms(E, target), (E, target)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):

@@ -176,6 +176,30 @@ class TestExitContract:
         assert out == ""
         assert "unknown spectra" in err and "SWW" in err
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"spectrum": {"SW": ["4"]}}, "override spectrum['SW'] must be a JSON object"),
+            ({"circle_row": {"Z/2": {"5": "0"}}}, "circle_row key 'Z/2' is not of the form group|n"),
+            ({"comparison": {"Z/2|5": {"i2": None}}}, "comparison key 'Z/2|5' is not of the form"),
+            ({"spectrum": {"SW": {"four": "0"}}}, "spectrum['SW']: degree key 'four'"),
+            # a monomial name that no basis has used to log as applied and change nothing
+            ({"comparison": {"Z/2|2|5": {"Sq2 Sq1(i9)": None}}}, "is named Sq2 Sq1(i9)"),
+        ],
+        ids=[
+            "table-list", "row-key-no-n", "comparison-key-no-degree", "degree-word",
+            "unknown-monomial"
+        ],
+    )
+    def test_malformed_overrides_exit_2(self, capsys, tmp_path, raw, message):
+        path = tmp_path / "ov.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, SW_Z2_DEG5 + ["--coeff-overrides", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: override ") and message in err
+        assert "Traceback" not in err
+
     def test_dump_pages_assembles_e2_once(self, capsys, tmp_path, monkeypatch):
         from surfcond import ahss
 
@@ -203,3 +227,23 @@ class TestExitContract:
                 "override: circle row (Z/2, 2) degree 5 -> Z/2",
                 "override: comparison data (Z/2, 2) degree 5",
             ]
+
+
+class TestSelftest:
+    def test_all_checks_pass(self, capsys):
+        code, out, _ = run(capsys, ["selftest", "--json"])
+        assert code == 0
+        checks = json.loads(out)["result"]["checks"]
+        assert checks and all(c["ok"] for c in checks)
+
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        from surfcond import acceptance
+
+        (name, _), *rest = acceptance.CHECKS
+        monkeypatch.setattr(acceptance, "CHECKS", [(name, lambda: (False, "forced"))] + rest)
+        code, out, _ = run(capsys, ["selftest", "--json"])
+        assert code == 1
+        result = json.loads(out)["result"]
+        assert result["verdict"] == "FAILURES"
+        assert [c["ok"] for c in result["checks"]] == [False] + [True] * len(rest)
+        assert result["checks"][0]["detail"] == "forced"

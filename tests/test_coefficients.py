@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -184,3 +185,39 @@ class TestOverrides:
         first, second = circle_row(Z2, 2, ov), circle_row(Z2, 2, ov)
         assert first.notes == second.notes == ("override: circle row (Z/2, 2) degree 5 -> 0",)
         assert circle_row(Z4, 2, ov).notes == ()
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"spectrum": {"SW": ["4"]}}, "override spectrum['SW'] must be a JSON object"),
+            ({"circle_row": ["Z/2|2"]}, "override section 'circle_row' must be a JSON object"),
+            ({"comparison": {"Z/2|2|5": "i2"}}, "override comparison['Z/2|2|5'] must be"),
+            ({"circle_row": {"Z/2": {"5": "0"}}}, "circle_row key 'Z/2' is not of the form group|n"),
+            ({"circle_row": {"Z/2|two": {"5": "0"}}}, "circle_row key 'Z/2|two' is not of"),
+            ({"comparison": {"Z/2|2": {"i2": None}}}, "comparison key 'Z/2|2' is not of the form"),
+            ({"comparison": {"Z/2|2|five": {}}}, "comparison key 'Z/2|2|five' is not of"),
+            ({"spectrum": {"SW": {"four": "0"}}}, "spectrum['SW']: degree key 'four' is not"),
+            ({"circle_row": {"Z/2|2": {"5.5": "0"}}}, "circle_row['Z/2|2']: degree key '5.5'"),
+            ({"spectrum": {"SW": {"4": 0}}}, "spectrum['SW']['4']: value must be"),
+            ({"circle_row": {"Z/2|2": {"5": "Z/x"}}}, "circle_row['Z/2|2']['5']: cannot parse"),
+            ({"comparison": {"Z/2|2|5": {"i2": 1}}}, "comparison['Z/2|2|5']['i2']: image must"),
+        ],
+        ids=[
+            "table-list", "section-list", "comparison-table-string", "row-key-no-n",
+            "row-key-bad-n", "comparison-key-no-degree", "comparison-key-bad-degree",
+            "degree-word", "degree-float", "value-int", "value-literal", "image-int"
+        ],
+    )
+    def test_malformed_shape_names_section_and_key(self, tmp_path, raw, message):
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CoeffOverrides.load(str(path))
+
+    def test_unknown_comparison_monomial_rejected(self, tmp_path):
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps({"comparison": {"Z/2|2|5": {"Sq2 Sq1(i9)": None}}}))
+        ov = CoeffOverrides.load(str(path))
+        with pytest.raises(ValueError, match=re.escape("H^5(K(Z/2,2); Z2) is named Sq2 Sq1(i9)")):
+            circle_row(Z2, 2, ov)
+        assert circle_row(Z4, 2, ov).notes == ()  # the override is for Z/2 only
