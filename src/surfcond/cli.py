@@ -6,15 +6,16 @@ so a --json dump re-rendered through the same functions reproduces the text
 output byte for byte.
 
 Exit codes: 0 success, 1 selftest FAILURES, 2 parse error (including a
-negative degree argument), 3 unsupported range or missing table data, 4
-inconclusive (undetermined differential), 5 internal invariant failure (an
-engine self-check such as d2 o d2 = 0 did not hold).
+negative degree or order argument), 3 unsupported range or missing table
+data, 4 inconclusive (undetermined differential), 5 internal invariant
+failure (an engine self-check such as d2 o d2 = 0 did not hold).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .abelian import BudgetError, FinAbGroup, UnsupportedRangeError, parse_group
@@ -116,6 +117,15 @@ def render_condense(payload: dict) -> str:
     )
 
 
+def render_survey(payload: dict) -> str:
+    inputs, rows = payload["inputs"], payload["result"]["rows"]
+    width = max((len(r["group"]) for r in rows), default=0)
+    lines = [f"{inputs['level']} / {inputs['statistic']}"]
+    for r in rows:
+        lines.append(f"  {r['group']:<{width}}  [{r['branch']}]  {r['verdict']}")
+    return "\n".join(lines)
+
+
 def render_selftest(payload: dict) -> str:
     lines = []
     for c in payload["result"]["checks"]:
@@ -131,6 +141,7 @@ RENDERERS = {
     "ahss": render_ahss,
     "obstruction": render_obstruction,
     "condense": render_condense,
+    "survey": render_survey,
     "selftest": render_selftest,
 }
 
@@ -202,7 +213,6 @@ def _cmd_ahss(args) -> tuple[dict, int]:
         twist=twist, d5_zero=d5_zero, overrides=overrides,
     )
     result = report.to_dict()
-    result["verdict"] = report.verdict
     if args.dump_pages:
         dumps = [page_to_dict(page.previous), page_to_dict(page)]
         with open(args.dump_pages, "w") as fh:
@@ -221,12 +231,12 @@ def _cmd_obstruction(args) -> tuple[dict, int]:
 
 
 def _cmd_condense(args) -> tuple[dict, int]:
+    pi0 = parse_group(args.pi0) if args.pi0 else None
     if args.descriptor:
         cat = parse_descriptor(args.descriptor)
     else:
-        pi0 = parse_group(args.pi0) if args.pi0 else None
         cat = SkeletalCategory(
-            args.level, "bosonic", args.id if args.phi else "2Vec", pi0=pi0
+            args.level, "bosonic", args.id if args.phi else "2Vec", pi0 or FinAbGroup.trivial()
         )
     if args.phi:
         after = condense_phi(cat)
@@ -243,7 +253,7 @@ def _cmd_condense(args) -> tuple[dict, int]:
         "components": after.n_components,
     }
     inputs = {
-        "pi0": args.pi0,
+        "pi0": None if pi0 is None else str(pi0),
         "algebra": args.algebra,
         "phi": args.phi,
         "descriptor": args.descriptor,
@@ -251,6 +261,28 @@ def _cmd_condense(args) -> tuple[dict, int]:
         "id": args.id,
     }
     return _payload("condense", inputs, prov, result), EXIT_OK
+
+
+def _survey_groups(max_order: int) -> list[FinAbGroup]:
+    """Every group of rank <= 2 and order 2..max_order, by order, then by
+    invariant factors: the cyclic Z/d and the chains Z/a x Z/b with a | b."""
+    chains = [(d,) for d in range(2, max_order + 1)]
+    chains += [
+        (a, b)
+        for a in range(2, math.isqrt(max_order) + 1)
+        for b in range(a, max_order // a + 1, a)
+    ]
+    return [FinAbGroup(f) for f in sorted(chains, key=lambda f: (math.prod(f), f))]
+
+
+def _cmd_survey(args) -> tuple[dict, int]:
+    rows, prov = [], []
+    for E in _survey_groups(args.max_order):
+        v = obstruction_verdict(E, args.statistic, args.level)
+        rows.append({"group": str(E), "branch": v.branch, "verdict": v.verdict})
+        prov += [p for p in v.provenance if p not in prov]
+    inputs = {"max_order": args.max_order, "statistic": args.statistic, "level": args.level}
+    return _payload("survey", inputs, prov, {"rows": rows}), EXIT_OK
 
 
 def _cmd_selftest(args) -> tuple[dict, int]:
@@ -313,6 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--id", default="2Rep(G)")
     c.add_argument("--json", action="store_true")
 
+    v = sub.add_parser("survey", help="obstruction verdicts for every group of rank <= 2")
+    v.add_argument("--max-order", type=int, default=8)
+    v.add_argument("--statistic", default="fermionic", choices=["bosonic", "fermionic"])
+    v.add_argument("--level", default="braided", choices=["braided", "symmetric"])
+    v.add_argument("--json", action="store_true")
+
     t = sub.add_parser("selftest", help="run the acceptance suite")
     t.add_argument("--json", action="store_true")
     return p
@@ -324,6 +362,7 @@ COMMANDS = {
     "ahss": _cmd_ahss,
     "obstruction": _cmd_obstruction,
     "condense": _cmd_condense,
+    "survey": _cmd_survey,
     "selftest": _cmd_selftest,
 }
 
@@ -331,7 +370,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name in ("space_degree", "total_degree", "max_degree"):
+    for name in ("space_degree", "total_degree", "max_degree", "max_order"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             print(f"error: --{name.replace('_', '-')} must be >= 0, got {value}", file=sys.stderr)

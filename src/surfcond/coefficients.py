@@ -23,15 +23,12 @@ from .abelian import (
     quad_group,
     two_torsion,
 )
-from .em_cohomology import _two_part
+from .em_cohomology import DEFAULT_CAP, _two_part
 from .gf2 import Gf2Matrix
 
 
 class UnspecifiedComparisonError(LookupError):
     """No declared image for a mod-2 class under the (-1)^X comparison map."""
-
-
-SPECTRUM_NAMES = ("SH", "SW", "Spin", "SW_twisted_by_Z2F")
 
 
 @dataclass(frozen=True)
@@ -65,6 +62,14 @@ _SW = GroupExpr.symbol("SW")
 _SW2 = GroupExpr.symbol("SW2")
 
 
+_SPECTRA = {
+    "SH": (_CX, _Z2, _Z2, _0, _0, _0, _0, _0, _0),
+    "SW": (_CX, _Z2, _Z2, _0, _SW, _0, _0, _0, _0),
+    "Spin": (_CX, _Z2, _Z2, _0, _CX, _0, _0, _0),
+}
+_SPECTRA["SW_twisted_by_Z2F"] = _SPECTRA["SW"]
+
+
 def spectrum(name: str, overrides: "CoeffOverrides | None" = None) -> SpectrumTable:
     """Built-in coefficient spectra.
 
@@ -74,21 +79,14 @@ def spectrum(name: str, overrides: "CoeffOverrides | None" = None) -> SpectrumTa
     identical point coefficients; the twist flag only changes which d2 rule
     the page engine applies.
     """
-    twisted = False
-    if name == "SH":
-        entries = (_CX, _Z2, _Z2, _0, _0, _0, _0, _0, _0)
-    elif name in ("SW", "SW_twisted_by_Z2F"):
-        entries = (_CX, _Z2, _Z2, _0, _SW, _0, _0, _0, _0)
-        twisted = name == "SW_twisted_by_Z2F"
-    elif name == "Spin":
-        entries = (_CX, _Z2, _Z2, _0, _CX, _0, _0, _0)
-    else:
+    if name not in _SPECTRA:
         raise UnsupportedRangeError(f"unknown spectrum {name!r}")
+    entries = _SPECTRA[name]
     provenance = tuple(f"{name}^{j}(pt) = {e} [known value]" for j, e in enumerate(entries))
     notes: tuple[str, ...] = ()
     if overrides:
         entries, provenance, notes = overrides.apply_spectrum(name, entries, provenance)
-    return SpectrumTable(name, entries, provenance, twisted, notes)
+    return SpectrumTable(name, entries, provenance, name == "SW_twisted_by_Z2F", notes)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +276,16 @@ class CoeffOverrides:
 
     Group values use the usual literal syntax; comparison images are
     coordinate lists in the entry's invariant factors (null = zero image).
-    An unknown section, a spectrum name outside SPECTRUM_NAMES, or a file of
-    another shape (a section or table that is not an object, a key not of
+    An unknown section, a spectrum name without a built-in table, or a file
+    of another shape (a section or table that is not an object, a key not of
     the form above, a degree key that is not an integer) raises ValueError
-    naming the section and the key; so does, when the row is built, a
-    comparison monomial name outside the basis of its degree.  The tables built from an override carry a note for each
-    value it replaced (SpectrumTable.notes, CircleRow.notes), and the E2
-    page logs those notes once each.
+    naming the section and the key.  So does a degree outside the table it
+    overrides: above the built-in spectrum's top degree, or above the mod-2
+    algebra cap DEFAULT_CAP for circle rows and comparison data, or
+    negative; and, when the row is built, a comparison monomial name outside
+    the basis of its degree.  The tables built from an override carry a note
+    for each value it replaced (SpectrumTable.notes, CircleRow.notes), and
+    the E2 page logs those notes once each.
     """
 
     spectrum_overrides: dict[str, dict[int, GroupExpr]] = field(default_factory=dict)
@@ -303,17 +304,22 @@ class CoeffOverrides:
         if unknown:
             raise ValueError(f"unknown override sections in {path}: {', '.join(unknown)}")
         sections = {name: _section(raw, name) for name in _SECTIONS}
-        unknown = sorted(set(sections["spectrum"]) - set(SPECTRUM_NAMES))
+        unknown = sorted(set(sections["spectrum"]) - set(_SPECTRA))
         if unknown:
             raise ValueError(f"unknown spectra in {path}: {', '.join(unknown)}")
         out = CoeffOverrides()
         for name, table in sections["spectrum"].items():
-            out.spectrum_overrides[name] = _expr_table("spectrum", name, table)
+            top = len(_SPECTRA[name]) - 1
+            out.spectrum_overrides[name] = _expr_table("spectrum", name, table, top)
         for key, table in sections["circle_row"].items():
             group, n = _key("circle_row", key, "group|n")
-            out.circle_overrides[(group, n)] = _expr_table("circle_row", key, table)
+            out.circle_overrides[(group, n)] = _expr_table("circle_row", key, table, DEFAULT_CAP)
         for key, table in sections["comparison"].items():
             group, n, i = _key("comparison", key, "group|n|degree")
+            if not 0 <= i <= DEFAULT_CAP:
+                raise ValueError(
+                    f"override comparison key {key!r}: degree {i} is outside 0..{DEFAULT_CAP}"
+                )
             out.comparison_overrides[(group, n, i)] = _image_table(key, table)
         return out
 
@@ -325,9 +331,6 @@ class CoeffOverrides:
         provenance = list(provenance)
         notes = []
         for j, expr in table.items():
-            while j >= len(entries):
-                entries.append(_0)
-                provenance.append("")
             entries[j] = expr
             provenance[j] = f"{name}^{j}(pt) = {expr} [override]"
             notes.append(f"override: spectrum {name} degree {j} -> {expr}")
@@ -392,7 +395,7 @@ def _image_table(key: str, table: dict) -> dict[str, tuple[int, ...] | None]:
     return out
 
 
-def _expr_table(section: str, key: str, table: dict) -> dict[int, GroupExpr]:
+def _expr_table(section: str, key: str, table: dict, top: int) -> dict[int, GroupExpr]:
     out = {}
     for j, v in table.items():
         if not isinstance(v, str):
@@ -406,6 +409,8 @@ def _expr_table(section: str, key: str, table: dict) -> dict[int, GroupExpr]:
             raise ValueError(
                 f"override {section}[{key!r}]: degree key {j!r} is not an integer"
             ) from None
+        if not 0 <= degree <= top:
+            raise ValueError(f"override {section}[{key!r}]: degree {degree} is outside 0..{top}")
         try:
             out[degree] = _parse_expr(v)
         except ValueError as exc:

@@ -1,12 +1,12 @@
 """Component-level condensation bookkeeping and obstruction verdicts.
 
 A fusion 2-category is tracked only through the invariants the obstruction
-computations consume: its set of connected components (a finite abelian
-group in the grouplike case), the identity component tag, the statistic,
-and how much of the monoidal structure is present (fusion, braided,
-sylleptic, symmetric).  Condensing a group algebra quotients the
-components; condensing the canonical symmetric algebra of functions turns a
-2Rep identity component into 2Vec or 2SVec.
+computations consume: its group of connected components pi0 (a finite
+abelian group: the categories here have grouplike fusion rules), the
+identity component tag, the statistic, and how much of the monoidal
+structure is present (fusion, braided, sylleptic, symmetric).  Condensing a
+group algebra quotients the components; condensing the canonical symmetric
+algebra of functions turns a 2Rep identity component into 2Vec or 2SVec.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from .coefficients import circle_row
 
 LEVELS = ("fusion", "braided", "sylleptic", "symmetric")
 STATISTICS = ("bosonic", "fermionic")
-IDENTITY_TAGS = ("2Vec", "2SVec", "2Rep(G)", "2Rep(G,z)")
-
-# orders of the named groups accepted in identity tags like 2Rep(S3)
-_NAMED_GROUP_ORDERS = {"S3": 6, "S4": 24, "S5": 120, "Q8": 8, "D4": 8, "A4": 12, "A5": 60}
 
 
 @dataclass(frozen=True)
@@ -32,19 +28,17 @@ class SkeletalCategory:
     level: str
     statistic: str
     identity: str  # 2Vec | 2SVec | 2Rep(<name>) | 2Rep(<name>,z)
-    identity_group_order: int = 1
-    pi0: FinAbGroup | None = None  # group of components when grouplike
-    components: tuple[str, ...] = ()  # labels otherwise
+    pi0: FinAbGroup = field(default_factory=FinAbGroup.trivial)
 
     def __post_init__(self):
         if self.level not in LEVELS:
             raise ValueError(f"unknown level {self.level!r}")
         if self.statistic not in STATISTICS:
             raise ValueError(f"unknown statistic {self.statistic!r}")
-
-    @property
-    def grouplike(self) -> bool:
-        return self.pi0 is not None
+        rep = self.identity.startswith("2Rep(") and self.identity.endswith(")")
+        name = self.identity[5:-1].removesuffix(",z") if rep else ""
+        if self.identity not in ("2Vec", "2SVec") and not name:
+            raise ValueError(f"unknown identity component tag {self.identity!r}")
 
     @property
     def strongly_fusion(self) -> bool:
@@ -52,11 +46,10 @@ class SkeletalCategory:
 
     @property
     def n_components(self) -> int:
-        return self.pi0.order if self.pi0 is not None else len(self.components)
+        return self.pi0.order
 
     def describe(self) -> str:
-        pi0 = str(self.pi0) if self.grouplike else f"{{{', '.join(self.components)}}}"
-        return f"{self.level}; pi0={pi0}; id={self.identity}; fermionic=" + (
+        return f"{self.level}; pi0={self.pi0}; id={self.identity}; fermionic=" + (
             "yes" if self.statistic == "fermionic" else "no"
         )
 
@@ -64,7 +57,7 @@ class SkeletalCategory:
 def parse_descriptor(text: str) -> SkeletalCategory:
     """Parse compact descriptors like "braided; pi0=Z/4; id=2Rep(S3); fermionic=no"."""
     level = "fusion"
-    pi0: FinAbGroup | None = None
+    pi0 = FinAbGroup.trivial()
     identity = "2Vec"
     statistic = "bosonic"
     for part in text.split(";"):
@@ -85,26 +78,9 @@ def parse_descriptor(text: str) -> SkeletalCategory:
             statistic = "fermionic" if val.lower() in ("yes", "true", "1") else "bosonic"
         else:
             raise ValueError(f"unknown descriptor key {key!r}")
-    order = _identity_order(identity)
     if identity in ("2SVec", "2Rep(G,z)") or identity.endswith(",z)"):
         statistic = "fermionic"
-    return SkeletalCategory(level, statistic, identity, order, pi0=pi0)
-
-
-def _identity_order(identity: str) -> int:
-    if identity in ("2Vec", "2SVec"):
-        return 1
-    if identity.startswith("2Rep(") and identity.endswith(")"):
-        inner = identity[5:-1]
-        if inner.endswith(",z"):
-            inner = inner[:-2]
-        if inner in _NAMED_GROUP_ORDERS:
-            return _NAMED_GROUP_ORDERS[inner]
-        try:
-            return parse_group(inner).order
-        except ValueError:
-            return 0  # named group of unrecorded order
-    raise ValueError(f"unknown identity component tag {identity!r}")
+    return SkeletalCategory(level, statistic, identity, pi0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +135,8 @@ def condense_group_algebra(
     """Condense the group algebra of a subgroup acting by translation.
 
     subgroup is a generator list (or a literal handled by parse_subgroup).
-    Components become the orbit set; for grouplike components that is the
-    quotient group.
+    Components become the orbit set, that is, the quotient group.
     """
-    if not cat.grouplike:
-        raise ValueError("group-algebra condensation needs grouplike components")
     gens = (
         parse_subgroup(cat.pi0, subgroup) if isinstance(subgroup, str) else
         [tuple(g) for g in subgroup]
@@ -187,7 +160,7 @@ def condense_phi(cat: SkeletalCategory) -> SkeletalCategory:
     algebra sits in the symmetric center, so sylleptic and symmetric inputs
     keep their level.
     """
-    if not (cat.identity.startswith("2Rep(") and cat.identity.endswith(")")):
+    if cat.strongly_fusion:
         raise ValueError(f"condense_phi needs a 2Rep identity component, got {cat.identity}")
     fermionic = cat.identity.endswith(",z)") or cat.statistic == "fermionic"
     new_identity = "2SVec" if fermionic else "2Vec"
@@ -195,7 +168,6 @@ def condense_phi(cat: SkeletalCategory) -> SkeletalCategory:
     return replace(
         cat,
         identity=new_identity,
-        identity_group_order=1,
         level=new_level,
         statistic="fermionic" if fermionic else cat.statistic,
     )

@@ -1,8 +1,19 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from surfcond.cli import main, render_payload
+from surfcond.abelian import BudgetError, FinAbGroup, UnsupportedRangeError, _factorize
+from surfcond.acceptance import CheckResult
+from surfcond.ahss import product_split, run_ahss
+from surfcond.cli import COMMANDS, main, render_payload
+from surfcond.coefficients import UnspecifiedComparisonError, _parse_expr
 
 
 def run(capsys, argv):
@@ -153,6 +164,7 @@ class TestExitContract:
               "--total-degree", "3"], "--space-degree"),
             (["emcoh", "--group", "Z/2", "--space-degree", "2", "--max-degree", "-3"],
              "--max-degree"),
+            (["survey", "--max-order", "-1"], "--max-order"),
         ],
     )
     def test_negative_degrees_rejected(self, capsys, argv, flag):
@@ -185,10 +197,17 @@ class TestExitContract:
             ({"spectrum": {"SW": {"four": "0"}}}, "spectrum['SW']: degree key 'four'"),
             # a monomial name that no basis has used to log as applied and change nothing
             ({"comparison": {"Z/2|2|5": {"Sq2 Sq1(i9)": None}}}, "is named Sq2 Sq1(i9)"),
+            # above the algebra cap this exited 3 with a message naming no key
+            ({"comparison": {"Z/2|2|13": {"x": None}}},
+             "comparison key 'Z/2|2|13': degree 13 is outside 0..12"),
+            ({"circle_row": {"Z/2|2": {"13": "Z/2"}}},
+             "circle_row['Z/2|2']: degree 13 is outside 0..12"),
+            # above the built-in table this was padded with zeros and never read
+            ({"spectrum": {"SW": {"10": "Z/2"}}}, "spectrum['SW']: degree 10 is outside 0..8"),
         ],
         ids=[
             "table-list", "row-key-no-n", "comparison-key-no-degree", "degree-word",
-            "unknown-monomial"
+            "unknown-monomial", "comparison-above-cap", "row-above-cap", "spectrum-above-table",
         ],
     )
     def test_malformed_overrides_exit_2(self, capsys, tmp_path, raw, message):
@@ -247,3 +266,190 @@ class TestSelftest:
         assert result["verdict"] == "FAILURES"
         assert [c["ok"] for c in result["checks"]] == [False] + [True] * len(rest)
         assert result["checks"][0]["detail"] == "forced"
+
+
+class TestSurvey:
+    def test_empty_survey_prints_the_header(self, capsys):
+        code, out, err = run(capsys, ["survey", "--max-order", "1"])
+        assert (code, out, err) == (0, "braided / fermionic\n", "")
+
+    def test_brute_force_budget_is_unsupported(self, capsys):
+        code, out, err = run(capsys, ["survey", "--max-order", "80", "--statistic",
+                                      "fermionic", "--level", "braided"])
+        assert code == 3
+        assert out == ""
+        assert err == "unsupported: quad_group brute force needs |E| <= 64, got 75\n"
+
+    def test_groups_are_the_rank_two_chains(self, capsys):
+        code, out, _ = run(capsys, ["survey", "--max-order", "16", "--json"])
+        assert code == 0
+        groups = [row["group"] for row in json.loads(out)["result"]["rows"]]
+        expected = sorted(
+            {FinAbGroup.from_factors((a, b)) for a in range(1, 17) for b in range(2, 17)
+             if a * b <= 16},
+            key=lambda G: (G.order, G.invariant_factors),
+        )
+        assert groups == [str(G) for G in expected]
+
+
+def test_condense_without_pi0_has_one_component(capsys):
+    code, out, _ = run(capsys, ["condense", "--phi", "--id", "2Rep(S3)"])
+    assert code == 0
+    assert out == (
+        "before: fusion; pi0=0; id=2Rep(S3); fermionic=no\n"
+        "after:  fusion; pi0=0; id=2Vec; fermionic=no\n"
+        "components: 1\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic properties
+
+
+def capture(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def literal(factors) -> str:
+    return " x ".join(f"Z/{m}" for m in factors) or "0"
+
+
+cyclic_orders = st.lists(st.sampled_from([2, 3, 4, 5, 6]), max_size=2)
+group_literals = cyclic_orders.map(literal)
+statistics = st.sampled_from(["bosonic", "fermionic"])
+levels = st.sampled_from(["braided", "symmetric"])
+
+
+def _ahss_argv(spectrum, group, n, N, twist, d5):
+    return (["ahss", "--spectrum", spectrum, "--group", group, "--space-degree", str(n),
+             "--total-degree", str(N)]
+            + (["--twist", "fermion-parity"] if twist else []) + (["--d5", "zero"] if d5 else []))
+
+
+def _condense_argv(pi0, algebra, phi, identity, level):
+    return (["condense", "--level", level]
+            + (["--pi0", pi0] if pi0 is not None else [])
+            + (["--algebra", algebra] if algebra is not None else [])
+            + (["--phi", "--id", identity] if phi else []))
+
+
+# one strategy per subcommand, each a grid over its arguments
+ARGV = {
+    "emcoh": st.builds(
+        lambda g, n, d: ["emcoh", "--group", g, "--space-degree", str(n), "--max-degree", str(d)],
+        group_literals, st.integers(1, 4), st.integers(0, 8)),
+    "steenrod": st.lists(st.integers(0, 6), min_size=1, max_size=4).map(
+        lambda word: ["steenrod", "--word", " ".join(f"Sq{i}" for i in word)]),
+    "ahss": st.builds(
+        _ahss_argv, st.sampled_from(["SH", "SW", "Spin"]), group_literals,
+        st.integers(2, 4), st.integers(-1, 8), st.booleans(), st.booleans()),
+    "obstruction": st.builds(
+        lambda g, s, l: ["obstruction", "--group", g, "--statistic", s, "--level", l],
+        group_literals, statistics, levels),
+    "condense": st.builds(
+        _condense_argv, st.none() | group_literals,
+        st.sampled_from([None, "1", "Z/2", "Z/3", "Z/2 diag"]), st.booleans(),
+        st.sampled_from(["2Rep(G)", "2Rep(S3,z)", "2Vec"]),
+        st.sampled_from(["fusion", "braided", "sylleptic", "symmetric", "weird"])),
+    "survey": st.builds(
+        lambda m, s, l: ["survey", "--max-order", str(m), "--statistic", s, "--level", l],
+        st.integers(0, 12), statistics, levels),
+    "selftest": st.just(["selftest"]),
+}
+
+fake_checks = st.lists(
+    st.builds(CheckResult, st.text(max_size=12), st.booleans(), st.text(max_size=20),
+              st.floats(0, 100, allow_nan=False)),
+    max_size=4,
+)
+
+
+def test_every_subcommand_has_a_grid():
+    assert sorted(ARGV) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(ARGV))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), checks=fake_checks)
+def test_text_is_the_render_of_the_json_over_a_grid(command, data, checks):
+    argv = data.draw(ARGV[command])
+    # selftest times its checks, so two real runs never print the same seconds
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch("surfcond.acceptance.run_all", lambda: checks):
+        if command == "ahss" and data.draw(st.booleans()):
+            argv += ["--dump-pages", str(Path(tmp) / "pages.json")]
+        text = capture(argv)
+        blob = capture(argv + ["--json"])
+    assert text[0] == blob[0]
+    assert text[2] == blob[2]
+    if blob[1]:
+        assert render_payload(json.loads(blob[1])) + "\n" == text[1]
+    else:
+        assert text[1] == ""
+
+
+GROUP = "<group>"  # placeholder for the literal under test
+
+# subcommands that read a group literal, with the literal left open
+ISO_ARGV = {
+    "emcoh": st.just(["emcoh", "--group", GROUP, "--space-degree", "2", "--max-degree", "6"]),
+    "ahss": st.builds(lambda s, N: _ahss_argv(s, GROUP, 2, N, False, True),
+                      st.sampled_from(["SH", "SW"]), st.integers(2, 5)),
+    "obstruction": st.builds(
+        lambda s, l: ["obstruction", "--group", GROUP, "--statistic", s, "--level", l],
+        statistics, levels),
+    "condense": st.sampled_from(["1", "Z/2"]).map(
+        lambda a: _condense_argv(GROUP, a, False, "2Vec", "braided")),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from([2, 3, 4, 6, 10, 12]), min_size=1, max_size=2),
+    st.sampled_from(sorted(ISO_ARGV)),
+    st.randoms(use_true_random=False),
+    st.data(),
+)
+def test_isomorphic_literals_give_identical_payloads(factors, command, rnd, data):
+    # Z/6, Z/2 x Z/3 and Z/3 x Z/2 name one group
+    prime_powers = [p**e for m in factors for p, e in _factorize(m).items()]
+    rnd.shuffle(prime_powers)
+    argv = data.draw(ISO_ARGV[command])
+    literals = (literal(factors), literal(prime_powers), str(FinAbGroup.from_factors(factors)))
+    runs = {capture([g if a == GROUP else a for a in argv] + ["--json"]) for g in literals}
+    assert len(runs) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([3, 5, 9]), max_size=1),
+    st.sampled_from([2, 4, 6, 8, 10, 12, 24]),
+    st.sampled_from(["SH", "SW", "Spin"]),
+    st.sampled_from([2, 4]),
+    st.integers(0, 8),
+)
+def test_product_split_agrees_with_the_direct_run(odd, even, spectrum, n, N):
+    # the CLI routes E through product_split only with two even factors; with
+    # one, both paths apply and must give the same direct sum in degree N
+    E = FinAbGroup.from_factors(odd + [even])
+    assert sum(d % 2 == 0 for d in E.invariant_factors) == 1
+    try:
+        split = product_split(E, spectrum, n, N)
+        _page, report = run_ahss(E, n, spectrum, N, d5_zero=True)
+    except (UnsupportedRangeError, UnspecifiedComparisonError, BudgetError, ValueError):
+        assume(False)
+    assume(not report.inconclusive)
+    assume(all(s["status"] == "computed" for s in split["summands"]))
+    assert _direct_sum(s["group"] for s in split["summands"]) == _direct_sum(
+        g for _i, _j, g in report.entries
+    )
+
+
+def _direct_sum(groups) -> tuple:
+    exprs = [_parse_expr(g) for g in groups]
+    finite = [d for e in exprs for d in e.finite.invariant_factors]
+    return (FinAbGroup.from_factors(finite), sum(e.circle_rank for e in exprs),
+            sorted(s for e in exprs for s in e.opaque))

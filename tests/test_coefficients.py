@@ -201,11 +201,20 @@ class TestOverrides:
             ({"spectrum": {"SW": {"4": 0}}}, "spectrum['SW']['4']: value must be"),
             ({"circle_row": {"Z/2|2": {"5": "Z/x"}}}, "circle_row['Z/2|2']['5']: cannot parse"),
             ({"comparison": {"Z/2|2|5": {"i2": 1}}}, "comparison['Z/2|2|5']['i2']: image must"),
+            # degrees outside the table used to be padded with zeros or never read
+            ({"spectrum": {"SW": {"10": "Z/2"}}}, "spectrum['SW']: degree 10 is outside 0..8"),
+            ({"spectrum": {"Spin": {"8": "Z/2"}}}, "spectrum['Spin']: degree 8 is outside 0..7"),
+            ({"spectrum": {"SH": {"-1": "Z/2"}}}, "spectrum['SH']: degree -1 is outside 0..8"),
+            ({"circle_row": {"Z/2|2": {"13": "0"}}}, "circle_row['Z/2|2']: degree 13 is outside"),
+            ({"comparison": {"Z/2|2|13": {"x": None}}}, "key 'Z/2|2|13': degree 13 is outside"),
+            ({"comparison": {"Z/2|2|-1": {}}}, "key 'Z/2|2|-1': degree -1 is outside 0..12"),
         ],
         ids=[
             "table-list", "section-list", "comparison-table-string", "row-key-no-n",
             "row-key-bad-n", "comparison-key-no-degree", "comparison-key-bad-degree",
-            "degree-word", "degree-float", "value-int", "value-literal", "image-int"
+            "degree-word", "degree-float", "value-int", "value-literal", "image-int",
+            "spectrum-above-table", "spin-above-table", "spectrum-negative",
+            "row-above-cap", "comparison-above-cap", "comparison-negative",
         ],
     )
     def test_malformed_shape_names_section_and_key(self, tmp_path, raw, message):
@@ -213,6 +222,18 @@ class TestOverrides:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=re.escape(message)):
             CoeffOverrides.load(str(path))
+
+    def test_degrees_at_the_table_edge_accepted(self, tmp_path):
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps({
+            "spectrum": {"SW": {"8": "Z/2"}, "Spin": {"0": "C^x"}},
+            "circle_row": {"Z/2|2": {"12": "0"}},
+            "comparison": {"Z/2|2|12": {}},
+        }))
+        ov = CoeffOverrides.load(str(path))
+        assert str(spectrum("SW", ov).entry(8)) == "Z/2"
+        assert spectrum("SW", ov).max_degree == 8
+        assert circle_row(Z2, 2, ov).entry(12).is_zero
 
     def test_unknown_comparison_monomial_rejected(self, tmp_path):
         path = tmp_path / "overrides.json"

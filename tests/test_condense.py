@@ -23,7 +23,6 @@ class TestDescriptors:
         cat = parse_descriptor("braided; pi0=Z/4; id=2Rep(S3); fermionic=no")
         assert cat.level == "braided"
         assert cat.pi0 == FinAbGroup((4,))
-        assert cat.identity_group_order == 6
         assert not cat.strongly_fusion
         assert cat.describe() == "braided; pi0=Z/4; id=2Rep(S3); fermionic=no"
 
@@ -39,6 +38,20 @@ class TestDescriptors:
             parse_descriptor("braided; color=red")
         with pytest.raises(ValueError):
             SkeletalCategory("fusion", "anyonic", "2Vec")
+
+    @pytest.mark.parametrize("tag", ["garbage", "2Rep()", "2Rep(,z)", "2Rep(S3", "Rep(S3)"])
+    def test_unknown_identity_tag_rejected(self, tag):
+        with pytest.raises(ValueError, match="unknown identity component tag"):
+            SkeletalCategory("fusion", "bosonic", tag)
+        with pytest.raises(ValueError, match="unknown identity component tag"):
+            parse_descriptor(f"fusion; id={tag}")
+
+    def test_components_default_to_the_trivial_group(self):
+        cat = SkeletalCategory("fusion", "bosonic", "2Rep(S3)")
+        assert cat.pi0 == FinAbGroup.trivial()
+        assert cat.n_components == 1
+        assert cat.describe() == "fusion; pi0=0; id=2Rep(S3); fermionic=no"
+        assert condense_phi(cat).n_components == 1
 
 
 class TestSubgroups:
@@ -100,11 +113,6 @@ class TestGroupAlgebraCondensation:
         cat = SkeletalCategory("sylleptic", "bosonic", "2Vec", pi0=FinAbGroup((4,)))
         assert condense_group_algebra(cat, "Z/2", central=True).level == "sylleptic"
         assert condense_group_algebra(cat, "Z/2").level == "braided"
-
-    def test_needs_grouplike_components(self):
-        cat = SkeletalCategory("fusion", "bosonic", "2Vec", components=("a", "b"))
-        with pytest.raises(ValueError):
-            condense_group_algebra(cat, "Z/2")
 
 
 class TestPhiCondensation:

@@ -3,7 +3,7 @@
 Each case runs `surfcond <argv> --json` and compares stdout with
 tests/golden/<name>.json.  The cases are the README examples plus
 --dump-pages runs that cover every d2 rule (sq2, sq2_twisted, exp_sq2,
-exp_sq2_twisted) and a degree-4 base.  After an intended output change,
+exp_sq2_twisted), a degree-4 base, and the four survey branches.  After an intended output change,
 rewrite the files with `PYTHONPATH=src python tests/test_golden.py`.
 """
 
@@ -63,6 +63,13 @@ CASES = {
     "split_sh_z2xz6": (
         ["ahss", "--spectrum", "SH", "--group", "Z/2 x Z/6", "--space-degree", "2",
          "--total-degree", "5"], 0),
+    # every statistic/level branch of the survey up to order 8
+    **{
+        f"survey_{statistic}_{level}": (
+            ["survey", "--max-order", "8", "--statistic", statistic, "--level", level], 0)
+        for statistic in ("bosonic", "fermionic")
+        for level in ("braided", "symmetric")
+    },
 }
 
 
