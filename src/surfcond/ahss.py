@@ -116,7 +116,7 @@ def assemble_e2(
         raise UnsupportedRangeError(
             f"{spec_table.name} coefficients stop below degree {max_total_degree}"
         )
-    algebra = algebra_for(space, max_total_degree + 2)
+    algebra = algebra_for(space, max(max_total_degree + 2, n))
     circle = circle_row(E, n, overrides)
     entries: dict[tuple[int, int], Entry] = {}
     log: list[dict] = []

@@ -231,12 +231,20 @@ def _cmd_obstruction(args) -> tuple[dict, int]:
 
 
 def _cmd_condense(args) -> tuple[dict, int]:
+    if args.descriptor:
+        for flag in ("pi0", "level", "id"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} cannot be combined with --descriptor")
+    if args.id is not None and not args.phi:
+        raise ValueError("--id needs --phi")
+    level = "fusion" if args.level is None else args.level
+    identity = "2Rep(G)" if args.id is None else args.id
     pi0 = parse_group(args.pi0) if args.pi0 else None
     if args.descriptor:
         cat = parse_descriptor(args.descriptor)
     else:
         cat = SkeletalCategory(
-            args.level, "bosonic", args.id if args.phi else "2Vec", pi0 or FinAbGroup.trivial()
+            level, "bosonic", identity if args.phi else "2Vec", pi0 or FinAbGroup.trivial()
         )
     if args.phi:
         after = condense_phi(cat)
@@ -257,8 +265,8 @@ def _cmd_condense(args) -> tuple[dict, int]:
         "algebra": args.algebra,
         "phi": args.phi,
         "descriptor": args.descriptor,
-        "level": args.level,
-        "id": args.id,
+        "level": level,
+        "id": identity,
     }
     return _payload("condense", inputs, prov, result), EXIT_OK
 
@@ -341,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--algebra")
     c.add_argument("--phi", action="store_true")
     c.add_argument("--descriptor")
-    c.add_argument("--level", default="fusion")
-    c.add_argument("--id", default="2Rep(G)")
+    c.add_argument("--level", help="default: fusion")
+    c.add_argument("--id", help="identity tag for --phi (default: 2Rep(G))")
     c.add_argument("--json", action="store_true")
 
     v = sub.add_parser("survey", help="obstruction verdicts for every group of rank <= 2")

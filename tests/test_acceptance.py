@@ -1,7 +1,10 @@
 """Acceptance gate: one test per end-to-end criterion, printing one
 PASS/FAIL line each so the run log doubles as a checklist."""
 
+from surfcond import abelian, acceptance
+from surfcond.abelian import FinAbGroup, parse_group
 from surfcond.acceptance import CHECKS, _check
+from surfcond.steenrod import SteenrodMonomial, SteenrodWord
 
 CHECK_MAP = dict(CHECKS)
 
@@ -53,3 +56,57 @@ def test_every_criterion_is_covered():
         "property suites",
     }
     assert tested == set(CHECK_MAP)
+
+
+# ---------------------------------------------------------------------------
+# Each oracle sub-check can fail: a wrong answer under test is caught.
+
+
+def test_functor_check_catches_a_wrong_quad_brute_force(monkeypatch):
+    real = abelian.quad_group_brute
+    bad = parse_group("Z/2 x Z/4")
+
+    def wrong(E, target):
+        q = real(E, target)
+        return FinAbGroup.from_factors(q.invariant_factors + (2,)) if E == bad else q
+
+    # the brute force is wrong wherever the check can reach it, so comparing
+    # it with quad_group (which answers Z/2 x Z/4 by brute force) cannot tell
+    monkeypatch.setattr(abelian, "quad_group_brute", wrong)
+    monkeypatch.setattr(acceptance, "quad_group_brute", wrong)
+    ok, detail = acceptance.check_functor_brute_force()
+    assert not ok
+    assert detail.startswith("Quad(Z/2 x Z/4, ")
+
+
+def test_functor_check_catches_a_wrong_hom_order(monkeypatch):
+    real = acceptance.hom_group
+    monkeypatch.setattr(
+        acceptance, "hom_group", lambda A, B: FinAbGroup.cyclic(real(A, B).order + 1)
+    )
+    ok, detail = acceptance.check_functor_brute_force()
+    assert not ok
+    assert detail.startswith("hom(")
+
+
+def test_adem_oracle_catches_a_term_dropped_consistently(monkeypatch):
+    # Sq2 Sq3 = Sq4 Sq1 + Sq5; drop Sq5 from both the expansion and the
+    # normalization, so only the evaluation on F2[x, y] can see it
+    real_expand, real_normalize = acceptance.adem_expand, acceptance.adem_normalize
+    dropped = SteenrodMonomial((5,))
+
+    def expand(a, b):
+        terms = real_expand(a, b)
+        return terms - {dropped.squares} if (a, b) == (2, 3) else terms
+
+    def normalize(word):
+        normal = real_normalize(word)
+        if word == SteenrodWord.sq(2, 3):
+            return SteenrodWord(normal.monomials - {dropped})
+        return normal
+
+    monkeypatch.setattr(acceptance, "adem_expand", expand)
+    monkeypatch.setattr(acceptance, "adem_normalize", normalize)
+    ok, detail = acceptance.check_adem_oracle()
+    assert not ok
+    assert detail.startswith("evaluation mismatch at (2,3)")

@@ -248,6 +248,29 @@ class TestExitContract:
             ]
 
 
+class TestLowTotalDegrees:
+    @pytest.mark.parametrize("N, verdict", [(0, "C^x"), (1, "Z/2")])
+    def test_below_the_space_degree(self, capsys, N, verdict):
+        # H~^i(K(Z/2, 4)) vanishes for i < 4, so only the point entry survives
+        code, out, err = run(
+            capsys, ["ahss", "--spectrum", "SH", "--group", "Z/2", "--space-degree", "4",
+                     "--total-degree", str(N), "--json"]
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["verdict"] == verdict
+
+    @pytest.mark.parametrize("spectrum", ["SH", "SW", "Spin"])
+    @pytest.mark.parametrize("group", ["Z/2", "Z/4", "Z/6", "Z/3"])
+    def test_every_degree_below_n_minus_2_exits_0(self, capsys, spectrum, group):
+        n = 4
+        for N in range(n - 2):
+            code, _, err = run(
+                capsys, ["ahss", "--spectrum", spectrum, "--group", group,
+                         "--space-degree", str(n), "--total-degree", str(N)]
+            )
+            assert (code, err) == (0, ""), (N, err)
+
+
 class TestSelftest:
     def test_all_checks_pass(self, capsys):
         code, out, _ = run(capsys, ["selftest", "--json"])
@@ -300,6 +323,29 @@ def test_condense_without_pi0_has_one_component(capsys):
         "after:  fusion; pi0=0; id=2Vec; fermionic=no\n"
         "components: 1\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--descriptor", "braided; pi0=Z/2", "--pi0", "Z/4"], "--pi0"),
+        (["--descriptor", "braided; pi0=Z/2", "--level", "symmetric"], "--level"),
+        (["--descriptor", "braided; pi0=Z/2; id=2Rep(S3)", "--phi", "--id", "2Vec"], "--id"),
+        (["--pi0", "Z/4", "--id", "2Rep(S3)", "--algebra", "Z/2"], "--id"),
+    ],
+)
+def test_condense_rejects_a_flag_it_would_ignore(capsys, argv, flag):
+    code, out, err = run(capsys, ["condense"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
+
+
+def test_condense_records_the_defaults(capsys):
+    code, out, _ = run(capsys, ["condense", "--descriptor", "braided; pi0=Z/2", "--json"])
+    assert code == 0
+    inputs = json.loads(out)["inputs"]
+    assert (inputs["level"], inputs["id"], inputs["pi0"]) == ("fusion", "2Rep(G)", None)
 
 
 # ---------------------------------------------------------------------------

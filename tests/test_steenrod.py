@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfcond import acceptance
 from surfcond.acceptance import _act_word
 from surfcond.gf2 import Gf2Matrix
 from surfcond.steenrod import (
@@ -102,6 +105,37 @@ class TestAdem:
     def test_normalization_is_additive(self, u, v):
         u, v = SteenrodWord.sq(*u), SteenrodWord.sq(*v)
         assert adem_normalize(u + v) == adem_normalize(u) + adem_normalize(v)
+
+
+class TestPolynomialOracle:
+    """The acceptance check's evaluation on F2[x, y] against this file's own."""
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=12), max_size=3),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=150)
+    def test_act_word_matches_the_power_rule(self, indices, a, b):
+        expected = {(a, b): 1}
+        for i in reversed(indices):
+            expected = _sq_poly(i, expected)
+        assert _act_word(indices, {(a, b): 1}) == expected
+
+    def test_pascal_table_of_the_check(self, monkeypatch):
+        built = []
+
+        class Recording(acceptance._SqOnPolynomials):
+            def __init__(self, top):
+                super().__init__(top)
+                built.append(self)
+
+        monkeypatch.setattr(acceptance, "_SqOnPolynomials", Recording)
+        assert acceptance.check_adem_oracle()[0]
+        (oracle,) = built
+        assert oracle.pascal
+        for n, row in enumerate(oracle.pascal):
+            assert row == [math.comb(n, k) % 2 for k in range(n + 1)]
 
 
 class TestMonomialValidation:
