@@ -415,7 +415,11 @@ def run_ahss(
 ) -> tuple[Page, TotalDegreeReport]:
     """Assemble, turn, declare, and report in one call."""
     name = spectrum_name
-    if twist and spectrum_name == "SW":
+    if twist:
+        if spectrum_name != "SW":
+            raise UnsupportedRangeError(
+                f"twist fermion-parity is tabulated for SW only, not {spectrum_name}"
+            )
         name = "SW_twisted_by_Z2F"
     spec_table = spectrum(name, overrides)
     page = assemble_e2(EmSpace.from_group(E, n), spec_table, N, overrides)

@@ -204,6 +204,13 @@ def _cmd_ahss(args) -> tuple[dict, int]:
     }
     even = sum(1 for d in E.invariant_factors if d % 2 == 0)
     if even > 1:
+        for flag, value in (("--twist", args.twist), ("--dump-pages", args.dump_pages)):
+            if value:
+                raise UnsupportedRangeError(
+                    f"{flag} with {E}: a group with two even factors is answered by "
+                    "the product split, which runs untwisted sequences on its summands "
+                    "and has no single pair of pages"
+                )
         split = product_split(E, args.spectrum, args.space_degree, args.total_degree, overrides)
         prov = ["assembled from point, reduced-factor, and smash summands [computed]"]
         code = EXIT_OK if split["verdict"] not in ("inconclusive",) else EXIT_INCONCLUSIVE

@@ -2,6 +2,14 @@
 products thereof, presented as truncated polynomial algebras on admissible
 Steenrod words applied to the fundamental classes (excess below n).
 
+The cohomology of a single factor K(Z_{2^k}, n) is built from its Serre
+generators, and Sq acts on it through instability, the Cartan formula and
+Adem normalization.  A product with two or more even factors is the tensor
+product of its factors' algebras (Kunneth); its Sq action is assembled from
+their Sq matrices by Kronecker blocks, in a tensor order of the basis that
+`EmAlgebra` maps to the sorted monomial order once per matrix (see
+`EmAlgebra`).
+
 Odd-cyclic factors are carried along but contribute the unit algebra.
 """
 
@@ -11,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import FinAbGroup, UnsupportedRangeError
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, bits
 from .steenrod import (
     SteenrodMonomial,
     SteenrodWord,
@@ -141,6 +149,16 @@ def serre_generators(modulus: int, n: int, cap: int) -> list[tuple[SteenrodMonom
 Monomial = tuple[tuple[int, int], ...]
 
 
+def _spread(vec: int, width: int) -> int:
+    """vec with bit b moved to bit b * width.  Multiplying a row of fewer
+    than `width` bits by the result places one copy of the row per set bit
+    of vec, without carries: the Kronecker product of two rows."""
+    out = 0
+    for b in bits(vec):
+        out |= 1 << (b * width)
+    return out
+
+
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     exps: dict[int, int] = dict(a)
     for gi, e in b:
@@ -203,16 +221,39 @@ class PolyClass:
 class EmAlgebra:
     """Truncated polynomial algebra on the Serre generators of an EmSpace.
 
+    A space with at most one factor of even order is the base case (an odd
+    factor contributes the unit algebra): its Sq action comes from
+    instability on generators, the Cartan formula on products and Adem
+    normalization for compositions.  A product of r factors, two or more of
+    them even, is the tensor product A_0 (x) ... (x) A_{r-1} of its factor
+    algebras (one `algebra_for` per factor, so equal factors share one), and
+    its Sq action is the Kronecker sum Sq^i(x (x) y) = sum_j Sq^j x (x)
+    Sq^(i-j) y of their Sq matrices.
+
+    Two orders of a degree's basis exist for a product.  The tensor order
+    (`_tensor_basis`) is the one the Kronecker blocks produce: by the degree
+    of the head factor, then head index, then the tail's tensor order.  The
+    public order (`basis`, `coordinates`, `sq_matrix`) is the sorted list of
+    monomials on the global generator order, as in the base case;
+    `_to_basis` maps the first to the second, and only `sq_matrix` and `sq`
+    cross between them.
+
     Immutable after construction; memo tables are per-instance.
     """
 
     def __init__(self, space: EmSpace, cap: int = DEFAULT_CAP):
         self.space = space
         self.cap = cap
+        self._factors: tuple[EmAlgebra, ...] | None = None
         self.generators: list[Generator] = []
-        for fi, (modulus, n) in enumerate(space.factors):
-            for word, _deg in serre_generators(modulus, n, cap):
-                self.generators.append(Generator(fi, word, n))
+        if sum(1 for modulus, _n in space.factors if modulus % 2 == 0) > 1:
+            self._factors = tuple(algebra_for(EmSpace((f,)), cap) for f in space.factors)
+            for fi, alg in enumerate(self._factors):
+                self.generators += [Generator(fi, g.word, g.space_degree) for g in alg.generators]
+        else:
+            for fi, (modulus, n) in enumerate(space.factors):
+                for word, _deg in serre_generators(modulus, n, cap):
+                    self.generators.append(Generator(fi, word, n))
         self.generators.sort(
             key=lambda g: (g.degree, g.factor, g.word.squares, g.word.bockstein)
         )
@@ -220,7 +261,10 @@ class EmAlgebra:
             (g.factor, g.word): i for i, g in enumerate(self.generators)
         }
         self._gen_degrees: tuple[int, ...] = tuple(g.degree for g in self.generators)
-        self._basis: dict[int, tuple[Monomial, ...]] = self._build_basis()
+        if self._factors is None:
+            self._basis: dict[int, tuple[Monomial, ...]] = self._build_basis()
+        else:
+            self._basis = self._build_tensor_layout()
         self._basis_pos = {
             (d, m): i for d, ms in self._basis.items() for i, m in enumerate(ms)
         }
@@ -228,6 +272,7 @@ class EmAlgebra:
         self._sq_mono_cache: dict[tuple[int, Monomial], frozenset[Monomial]] = {}
         self._sq_pow_cache: dict[tuple[int, int, int], frozenset[Monomial]] = {}
         self._sq_matrix_cache: dict[tuple[int, int], Gf2Matrix] = {}
+        self._tensor_sq_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -249,6 +294,56 @@ class EmAlgebra:
 
         extend((), 0, 0)
         return {d: tuple(sorted(ms)) for d, ms in by_degree.items()}
+
+    def _build_tensor_layout(self) -> dict[int, tuple[Monomial, ...]]:
+        """Tensor-ordered bases of the tails T_k = A_k (x) ... (x) A_{r-1},
+        built from the last factor up; returns the sorted basis of T_0.
+
+        Sets `_dims[k][D]` (dimension of T_k in degree D), `_offsets[k][D][a]`
+        (where the block A_k^a (x) T_{k+1}^(D-a) starts in degree D, for
+        k < r-1), `_tensor_basis[D]` (the monomials of T_0 in tensor order,
+        renumbered to the global generator order) and the two permutations
+        between tensor and basis positions, `_to_basis[D]` and `_to_tensor[D]`."""
+        r = len(self._factors)
+        self._dims: list[list[int]] = [[] for _ in range(r)]
+        self._offsets: list[list[list[int]]] = [[] for _ in range(r)]
+        tails: list[list[Monomial]] = []
+        for k in reversed(range(r)):
+            alg = self._factors[k]
+            glob = [self._gen_index[(k, g.word)] for g in alg.generators]
+            heads = [
+                [tuple([(glob[gi], e) for gi, e in m]) for m in alg.basis(a)]
+                for a in range(self.cap + 1)
+            ]
+            if k == r - 1:
+                level = heads
+            else:
+                level = []
+                for D in range(self.cap + 1):
+                    out: list[Monomial] = []
+                    offsets = []
+                    for a in range(D + 1):
+                        offsets.append(len(out))
+                        out += [h + t for h in heads[a] for t in tails[D - a]]
+                    level.append(out)
+                    self._offsets[k].append(offsets)
+            self._dims[k] = [len(ms) for ms in level]
+            tails = level
+        self._tensor_basis: dict[int, tuple[Monomial, ...]] = {}
+        self._to_tensor: dict[int, list[int]] = {}
+        self._to_basis: dict[int, list[int]] = {}
+        basis = {}
+        for D, level_monos in enumerate(tails):
+            monos = tuple(tuple(sorted(m)) for m in level_monos)
+            order = sorted(range(len(monos)), key=monos.__getitem__)
+            to_basis = [0] * len(order)
+            for p, t in enumerate(order):
+                to_basis[t] = p
+            self._tensor_basis[D] = monos
+            self._to_tensor[D] = order
+            self._to_basis[D] = to_basis
+            basis[D] = tuple(monos[t] for t in order)
+        return basis
 
     # -- basic queries ------------------------------------------------
 
@@ -302,27 +397,96 @@ class EmAlgebra:
         key = (i, degree)
         mat = self._sq_matrix_cache.get(key)
         if mat is None:
-            rows = [
-                self.coordinates(self.sq(i, self.monomial_class(m))) for m in self.basis(degree)
-            ]
+            domain = self.basis(degree)
+            if self._factors is None or not domain or i <= 0 or degree + i > self.cap:
+                # the base case, and the arguments that sq answers or rejects itself
+                rows = [self.coordinates(self.sq(i, self.monomial_class(m))) for m in domain]
+            else:
+                tensor = self._tensor_sq(0, i, degree)
+                to_basis = self._to_basis[degree + i]
+                rows = [
+                    sum(1 << to_basis[b] for b in bits(tensor[t]))
+                    for t in self._to_tensor[degree]
+                ]
             mat = Gf2Matrix.from_rows(rows, self.dimension(degree + i))
             self._sq_matrix_cache[key] = mat
         return mat
 
     def sq(self, i: int, cls: PolyClass) -> PolyClass:
-        """Sq^i on a homogeneous class: instability on generators, Cartan
-        formula on products, Adem normalization for compositions."""
+        """Sq^i on a homogeneous class: the base-case recursion, or rows of
+        the Kronecker-built action on a product."""
         if i < 0:
             raise ValueError("negative Steenrod index")
         if i == 0:
             return cls
-        degree = cls.degree + i
+        d = cls.degree
+        degree = d + i
         if degree > self.cap:
             raise CapExceededError(f"Sq{i} image degree {degree} above cap {self.cap}")
-        out: set[Monomial] = set()
+        if self._factors is None:
+            out: set[Monomial] = set()
+            for mono in cls.monomials:
+                out.symmetric_difference_update(self._sq_monomial(i, mono))
+            return PolyClass(self, degree, frozenset(out))
+        rows = self._tensor_sq_cache.get((0, i, d)) or self._tensor_sq(0, i, d)
+        to_tensor, pos = self._to_tensor[d], self._basis_pos
+        vec = 0
         for mono in cls.monomials:
-            out.symmetric_difference_update(self._sq_monomial(i, mono))
-        return PolyClass(self, degree, frozenset(out))
+            vec ^= rows[to_tensor[pos[(d, mono)]]]
+        # the set-bit walk of gf2.bits, inlined: on this path its call frame
+        # costs more than the decoding
+        monos = self._tensor_basis[degree]
+        out_monos = []
+        while vec:
+            low = vec & -vec
+            out_monos.append(monos[low.bit_length() - 1])
+            vec ^= low
+        return PolyClass(self, degree, frozenset(out_monos))
+
+    def _tensor_sq(self, k: int, i: int, degree: int) -> tuple[int, ...]:
+        """Rows of Sq^i on the tail T_k in `degree`, in tensor order, cached.
+
+        For each bidegree block (a, degree - a) of A_k (x) T_{k+1}, the row of
+        h (x) t is the sum over j of Sq^j h (x) Sq^(i-j) t: the tail row is
+        shifted into place once for each set bit of the head row, which is
+        one integer product with the head row spread to the tail's width and
+        moved to the target block's offset."""
+        key = (k, i, degree)
+        rows = self._tensor_sq_cache.get(key)
+        if rows is not None:
+            return rows
+        head = self._factors[k]
+        if i == 0:
+            rows = tuple(1 << t for t in range(self._dims[k][degree]))
+        elif k == len(self._factors) - 1:
+            rows = head.sq_matrix(i, degree).rows
+        else:
+            tail_dims = self._dims[k + 1]
+            target_offsets = self._offsets[k][degree + i]
+            out: list[int] = []
+            for a in range(degree + 1):
+                b = degree - a
+                if not head.dimension(a) or not tail_dims[b]:
+                    continue
+                parts = [
+                    (head.sq_matrix(j, a).rows, self._tensor_sq(k + 1, i - j, b),
+                     target_offsets[a + j], tail_dims[b + i - j])
+                    for j in range(max(0, i - b), min(i, a) + 1)
+                ]
+                for h in range(head.dimension(a)):
+                    spread = [
+                        (tail, _spread(head_rows[h], width) << offset)
+                        for head_rows, tail, offset, width in parts
+                        if head_rows[h]
+                    ]
+                    for t in range(tail_dims[b]):
+                        row = 0
+                        for tail, mask in spread:
+                            row ^= tail[t] * mask
+                        out.append(row)
+            rows = tuple(out)
+        self._tensor_sq_cache[key] = rows
+        return rows
 
     def _sq_monomial(self, i: int, mono: Monomial) -> frozenset[Monomial]:
         if not mono:

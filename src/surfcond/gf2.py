@@ -5,6 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def bits(vec: int) -> list[int]:
+    """Indices of the set bits of a non-negative vec, lowest first."""
+    out = []
+    while vec:
+        low = vec & -vec
+        out.append(low.bit_length() - 1)
+        vec ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class Gf2Matrix:
     """Matrix over GF(2); rows[i] is an int bitmask of row i (nrows x ncols).
@@ -38,11 +48,14 @@ class Gf2Matrix:
         return Gf2Matrix(tuple(a ^ b for a, b in zip(self.rows, other.rows)), self.ncols)
 
     def apply(self, vec: int) -> int:
-        """Image of a domain vector (bitmask over rows)."""
+        """Image of a domain vector (bitmask over rows), in time proportional
+        to its weight."""
+        if vec < 0 or vec >> self.nrows:
+            raise ValueError(f"vector {vec:#x} is not a bitmask over {self.nrows} rows")
         out = 0
-        for i, row in enumerate(self.rows):
-            if (vec >> i) & 1:
-                out ^= row
+        rows = self.rows
+        for i in bits(vec):
+            out ^= rows[i]
         return out
 
     def then(self, other: "Gf2Matrix") -> "Gf2Matrix":

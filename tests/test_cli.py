@@ -97,6 +97,32 @@ class TestRouting:
         assert "product split" in out
         assert "verdict: 0" in out
 
+    def test_twist_outside_sw_is_unsupported(self, capsys, tmp_path):
+        path = tmp_path / "pages.json"
+        code, out, err = run(
+            capsys, ["ahss", "--spectrum", "SH", "--group", "Z/2",
+                     "--space-degree", "2", "--total-degree", "4",
+                     "--twist", "fermion-parity", "--dump-pages", str(path), "--json"]
+        )
+        assert (code, out) == (3, "")
+        assert err == "unsupported: twist fermion-parity is tabulated for SW only, not SH\n"
+        assert not path.exists()
+        with pytest.raises(UnsupportedRangeError, match="SW only, not Spin"):
+            run_ahss(FinAbGroup.cyclic(2), 2, "Spin", 4, twist=True)
+
+    @pytest.mark.parametrize("flag", [["--twist", "fermion-parity"], ["--dump-pages", "PAGES"]])
+    def test_product_split_refuses_twist_and_dump_pages(self, capsys, tmp_path, flag):
+        path = tmp_path / "pages.json"
+        flag = [str(path) if a == "PAGES" else a for a in flag]
+        code, out, err = run(
+            capsys, ["ahss", "--spectrum", "SW", "--group", "Z/2 x Z/4",
+                     "--space-degree", "2", "--total-degree", "5", "--json"] + flag
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith(f"unsupported: {flag[0]} with Z/2 x Z/4: ")
+        assert "product split" in err
+        assert not path.exists()
+
     def test_dump_pages_written(self, capsys, tmp_path):
         path = tmp_path / "pages.json"
         code, out, _ = run(

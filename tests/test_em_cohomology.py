@@ -12,7 +12,8 @@ from surfcond.em_cohomology import (
     reduced_smash_basis,
     serre_generators,
 )
-from surfcond.steenrod import SteenrodMonomial
+from surfcond.gf2 import Gf2Matrix
+from surfcond.steenrod import SteenrodMonomial, adem_expand
 
 
 class TestSerreGenerators:
@@ -154,6 +155,68 @@ class TestProductAlgebraAction:
         for i, m in keys[:: len(keys) // 40]:
             fresh = EmAlgebra(self.SPACE, 14)
             assert fresh.sq(i, fresh.monomial_class(m)).monomials == table[(i, m)]
+
+
+KRONECKER_CASES = {
+    # power-Bockstein generators on unequal factors: an offset or ordering
+    # slip between blocks of different sizes shows here
+    "z4_2-z2_3-z8_4": (EmSpace(((4, 2), (2, 3), (8, 4))), 16),
+    "z2_2-cubed": (EmSpace(((2, 2),) * 3), 12),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(KRONECKER_CASES))
+def product_algebra(request):
+    return EmAlgebra(*KRONECKER_CASES[request.param])
+
+
+class TestKroneckerProducts:
+    """Identities the product's Sq action must satisfy whatever way it is
+    built from the factors' Sq matrices."""
+
+    def test_every_adem_relation_as_matrices(self, product_algebra):
+        alg = product_algebra
+        sq = alg.sq_matrix
+
+        def word(squares, d):  # Sq^{s_1} ... Sq^{s_k} from degree d, Sq^{s_k} first
+            *rest, last = squares
+            mat, d = sq(last, d), d + last
+            for s in reversed(rest):
+                mat, d = mat.then(sq(s, d)), d + s
+            return mat
+
+        relations = 0
+        for b in range(1, alg.cap + 1):
+            for a in range(1, min(2 * b, alg.cap - b + 1)):
+                for d in range(alg.cap - a - b + 1):
+                    rhs = Gf2Matrix.zero(alg.dimension(d), alg.dimension(d + a + b))
+                    for term in adem_expand(a, b):
+                        rhs = rhs + word(term, d)
+                    assert word((a, b), d) == rhs, (a, b, d)
+                    relations += not rhs.is_zero
+        assert relations > 25  # 31 on K(Z/2,2)^3, 88 on the unequal factors
+
+    def test_instability_on_every_monomial(self, product_algebra):
+        alg = product_algebra
+        for d in range(1, alg.cap + 1):
+            for mono in alg.basis(d):
+                x = alg.monomial_class(mono)
+                if 2 * d <= alg.cap:
+                    assert alg.sq(d, x) == x * x
+                for i in range(d + 1, alg.cap - d + 1):
+                    assert alg.sq(i, x).is_zero
+
+    def test_basis_is_every_exponent_vector(self, product_algebra):
+        alg = product_algebra
+        by_degree = {0: [()]}
+        for gi, gen in enumerate(alg.generators):
+            grown = {d: list(ms) for d, ms in by_degree.items()}
+            for d, ms in by_degree.items():
+                for e in range(1, (alg.cap - d) // gen.degree + 1):
+                    grown.setdefault(d + e * gen.degree, []).extend(m + ((gi, e),) for m in ms)
+            by_degree = grown
+        for d in range(alg.cap + 1):
+            assert alg.basis(d) == tuple(sorted(by_degree.get(d, [])))
 
 
 class TestSmash:

@@ -78,6 +78,24 @@ class TestGf2Matrix:
         for vec in range(1 << min(a.nrows, 6)):
             assert c.apply(vec) == b.apply(a.apply(vec))
 
+    @given(sparse_matrices, st.data())
+    @settings(max_examples=80)
+    def test_apply_is_the_sum_of_the_selected_rows(self, m, data):
+        vec = data.draw(st.integers(min_value=0, max_value=(1 << m.nrows) - 1))
+        expected = 0
+        for i in range(m.nrows):
+            if (vec >> i) & 1:
+                expected ^= m.rows[i]
+        assert m.apply(vec) == expected
+
+    def test_apply_rejects_bits_outside_the_rows(self):
+        m = Gf2Matrix.from_rows([0b01, 0b11], 2)
+        for vec in (0b100, 0b101, 1 << 70, -1):
+            with pytest.raises(ValueError, match="not a bitmask over 2 rows"):
+                m.apply(vec)
+        with pytest.raises(ValueError):
+            Gf2Matrix.zero(0, 3).apply(1)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Gf2Matrix.zero(2, 3).then(Gf2Matrix.zero(2, 3))
