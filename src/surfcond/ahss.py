@@ -14,6 +14,7 @@ and must be declared, otherwise the report is inconclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .abelian import (
     FinAbGroup,
@@ -85,29 +86,22 @@ def _row_kind(spec_table: SpectrumTable, j: int) -> str:
     raise UnsupportedRangeError(f"coefficient row {coeff} has no differential rule")
 
 
-def _space_group_degree(space: EmSpace) -> tuple[FinAbGroup, int]:
-    degrees = {n for _m, n in space.factors}
-    if len(degrees) > 1:
-        raise UnsupportedRangeError("mixed space degrees; use product_split")
-    n = degrees.pop() if degrees else 2
-    E = FinAbGroup.from_factors([m for m, _n in space.factors])
-    return E, n
-
-
 def assemble_e2(
-    space: EmSpace,
+    E: FinAbGroup,
+    n: int,
     spec_table: SpectrumTable,
     max_total_degree: int,
     overrides: CoeffOverrides | None = None,
 ) -> Page:
-    """E2 page H^i(X; h^j(pt)) for i + j <= max_total_degree.
+    """E2 page H^i(X; h^j(pt)) over X = K(E, n) for i + j <= max_total_degree.
 
     Mod-2 rows carry computed monomial bases; the circle row comes from the
     known-value tables; opaque rows carry the symbol at i = 0 and its
     hom(-, Z2) companion at i = 2.  Bases with more than one 2-primary
-    factor are out of scope here (product_split handles them).
+    factor are out of scope here (product_split handles them).  The circle
+    row is the one of degree n even when E is trivial and X is a point.
     """
-    E, n = _space_group_degree(space)
+    space = EmSpace.from_group(E, n)
     if sum(1 for m, _n in space.factors if m % 2 == 0) > 1:
         raise UnsupportedRangeError(
             "more than one 2-primary factor; decompose via product_split"
@@ -322,14 +316,21 @@ def _shrink_elementary(entry: Entry, rank: int) -> Entry:
 # Reports
 
 
-@dataclass
+@dataclass(frozen=True)
 class TotalDegreeReport:
+    """What one spectral-sequence run says about total degree N.
+
+    Immutable, so that ahss_report can hand the same instance to every
+    caller: entries are (i, j, group) triples, and blockers and provenance
+    are tuples of notes.  to_dict emits lists.
+    """
+
     N: int
-    entries: list[tuple[int, int, str]]
+    entries: tuple[tuple[int, int, str], ...]
     verdict: str
     group: GroupExpr | None
-    blockers: list[str]
-    provenance: list[str]
+    blockers: tuple[str, ...]
+    provenance: tuple[str, ...]
 
     @property
     def inconclusive(self) -> bool:
@@ -383,25 +384,24 @@ def total_degree_report(page: Page, N: int) -> TotalDegreeReport:
             for r in range(3, j + 2):
                 if (r, (i, j)) not in declared:
                     blockers.append(f"d{r} out of opaque ({i},{j}) undeclared")
-    provenance = [
+    provenance = tuple(
         f"declared d{d['r']} from ({d['source'][0]},{d['source'][1]}) rank {d['rank']}"
         for d in page.declarations
-    ]
-    provenance.append(
+    ) + (
         "differentials of length >= 3 between computed rows are outside the model"
-        " and taken to vanish"
+        " and taken to vanish",
     )
-    entries_str = [(i, j, str(expr)) for i, j, expr in survivors]
+    entries_str = tuple((i, j, str(expr)) for i, j, expr in survivors)
     nonzero = [(i, j, expr) for i, j, expr in survivors if not expr.is_zero]
     if blockers:
-        return TotalDegreeReport(N, entries_str, "inconclusive", None, blockers, provenance)
+        return TotalDegreeReport(N, entries_str, "inconclusive", None, tuple(blockers), provenance)
     if not nonzero:
-        return TotalDegreeReport(N, entries_str, "0", GroupExpr.zero(), [], provenance)
+        return TotalDegreeReport(N, entries_str, "0", GroupExpr.zero(), (), provenance)
     if len(nonzero) == 1:
         expr = nonzero[0][2]
-        return TotalDegreeReport(N, entries_str, str(expr), expr, [], provenance)
+        return TotalDegreeReport(N, entries_str, str(expr), expr, (), provenance)
     graded = " ; ".join(f"({i},{j}): {expr}" for i, j, expr in nonzero)
-    return TotalDegreeReport(N, entries_str, f"associated graded: {graded}", None, [], provenance)
+    return TotalDegreeReport(N, entries_str, f"associated graded: {graded}", None, (), provenance)
 
 
 def run_ahss(
@@ -413,7 +413,12 @@ def run_ahss(
     d5_zero: bool = False,
     overrides: CoeffOverrides | None = None,
 ) -> tuple[Page, TotalDegreeReport]:
-    """Assemble, turn, declare, and report in one call."""
+    """Assemble, turn, declare, and report in one call.
+
+    The pages are built afresh on every call, so a caller may declare
+    differentials on them or dump them; callers that read only the report
+    use ahss_report.
+    """
     name = spectrum_name
     if twist:
         if spectrum_name != "SW":
@@ -422,7 +427,7 @@ def run_ahss(
             )
         name = "SW_twisted_by_Z2F"
     spec_table = spectrum(name, overrides)
-    page = assemble_e2(EmSpace.from_group(E, n), spec_table, N, overrides)
+    page = assemble_e2(E, n, spec_table, N, overrides)
     page3 = apply_d2(page)
     if d5_zero and N >= 4:
         src = page3.entry(0, 4)
@@ -430,6 +435,25 @@ def run_ahss(
             declare_higher_differential(page3, 5, (0, 4), 0)
     report = total_degree_report(page3, N)
     return page3, report
+
+
+@lru_cache(maxsize=None)
+def ahss_report(
+    E: FinAbGroup,
+    n: int,
+    spectrum_name: str,
+    N: int,
+    twist: bool = False,
+    d5_zero: bool = False,
+    overrides: CoeffOverrides | None = None,
+) -> TotalDegreeReport:
+    """The report of run_ahss with these arguments, computed once per process.
+
+    Keyed by every argument, overrides included (CoeffOverrides hash by
+    identity); a run that raises is not cached, so it raises again.  The
+    report is immutable and shared by every caller with the same key.
+    """
+    return run_ahss(E, n, spectrum_name, N, twist, d5_zero, overrides)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +553,7 @@ def product_split(
     else:
         summands.append({"summand": "point", "status": "unknown", "group": None})
     for idx, F in enumerate(factors):
-        _page, report = run_ahss(F, n, spectrum_name, N, d5_zero=True, overrides=overrides)
+        report = ahss_report(F, n, spectrum_name, N, d5_zero=True, overrides=overrides)
         reduced = [(i, j, g) for i, j, g in report.entries if i > 0]
         nonzero = [t for t in reduced if t[2] != "0"]
         if report.inconclusive:

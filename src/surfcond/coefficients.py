@@ -262,7 +262,7 @@ def circle_row(
 # Overrides
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoeffOverrides:
     """Optional replacements for spectrum or circle-row table entries.
 
@@ -285,7 +285,8 @@ class CoeffOverrides:
     negative; and, when the row is built, a comparison monomial name outside
     the basis of its degree.  The tables built from an override carry a note
     for each value it replaced (SpectrumTable.notes, CircleRow.notes), and
-    the E2 page logs those notes once each.
+    the E2 page logs those notes once each.  Instances compare and hash by
+    identity, so a loaded file can key a cache (ahss.ahss_report).
     """
 
     spectrum_overrides: dict[str, dict[int, GroupExpr]] = field(default_factory=dict)

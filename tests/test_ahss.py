@@ -26,7 +26,7 @@ def d2_log(page):
 
 class TestAssembly:
     def test_e2_entries_for_superwitt(self):
-        page = assemble_e2(EmSpace.from_group(Z2, 2), spectrum("SW"), 6)
+        page = assemble_e2(Z2, 2, spectrum("SW"), 6)
         assert page.entry(4, 1).basis == ("i2^2",)
         assert page.entry(0, 4).expr.opaque == ("SW",)
         assert page.entry(2, 4).expr.opaque == ("SW2",)
@@ -36,15 +36,15 @@ class TestAssembly:
 
     def test_two_even_factors_rejected(self):
         with pytest.raises(UnsupportedRangeError):
-            assemble_e2(EmSpace.from_group(FinAbGroup((2, 2)), 2), spectrum("SW"), 5)
+            assemble_e2(FinAbGroup((2, 2)), 2, spectrum("SW"), 5)
 
     def test_short_spectrum_rejected(self):
         with pytest.raises(UnsupportedRangeError):
-            assemble_e2(EmSpace.from_group(Z2, 2), spectrum("Spin"), 9)
+            assemble_e2(Z2, 2, spectrum("Spin"), 9)
 
     def test_missing_circle_data_raises(self):
         with pytest.raises(UnsupportedRangeError):
-            assemble_e2(EmSpace.from_group(Z4, 2), spectrum("SW"), 6)
+            assemble_e2(Z4, 2, spectrum("SW"), 6)
 
 
 class TestD2:
@@ -81,7 +81,7 @@ class TestD2:
         assert checks and checks[0]["chains_checked"] > 0
 
     def test_dimensions_never_grow(self):
-        e2 = assemble_e2(EmSpace.from_group(Z2, 2), spectrum("SW"), 5)
+        e2 = assemble_e2(Z2, 2, spectrum("SW"), 5)
         e3 = apply_d2(e2)
         for i in range(6):
             j = 5 - i
@@ -214,5 +214,5 @@ class TestDumps:
         page3, _ = run_ahss(Z2, 2, "SW", 5, twist=True, d5_zero=True)
         e2 = page3.previous
         assert e2.number == 2 and e2.previous is None
-        fresh = assemble_e2(EmSpace.from_group(Z2, 2), spectrum("SW_twisted_by_Z2F"), 5)
+        fresh = assemble_e2(Z2, 2, spectrum("SW_twisted_by_Z2F"), 5)
         assert page_to_dict(e2) == page_to_dict(fresh)

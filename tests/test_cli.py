@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import surfcond
 from surfcond.abelian import BudgetError, FinAbGroup, UnsupportedRangeError, _factorize
 from surfcond.acceptance import CheckResult
 from surfcond.ahss import product_split, run_ahss
@@ -156,6 +160,29 @@ class TestRouting:
         payload = json.loads(out)
         assert payload["result"]["verdict"] == "0"
 
+    def test_overrides_on_the_product_path(self, capsys, tmp_path):
+        # the factor reports are cached per process, keyed by the overrides
+        # too: no answer may leak from one query into the next
+        path = tmp_path / "ov.json"
+        path.write_text(json.dumps({"comparison": {"Z/2|4|7": {"Sq2 Sq1(i4)": None}}}))
+        plain = ["ahss", "--spectrum", "SH", "--group", "Z/2 x Z/2",
+                 "--space-degree", "4", "--total-degree", "7", "--json"]
+        with_ov = plain + ["--coeff-overrides", str(path)]
+        env = {**os.environ, "PYTHONPATH": str(Path(surfcond.__file__).resolve().parents[1])}
+        fresh = {}
+        for argv in (plain, with_ov):
+            proc = subprocess.run([sys.executable, "-m", "surfcond.cli", *argv],
+                                  capture_output=True, text=True, env=env, check=True)
+            fresh[tuple(argv)] = json.loads(proc.stdout)
+        for argv in (with_ov, plain, with_ov):
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, "")
+            assert json.loads(out) == fresh[tuple(argv)]
+        factors = [s for s in fresh[tuple(with_ov)]["result"]["summands"]
+                   if s["summand"].startswith("reduced factor")]
+        assert [s["group"] for s in factors] == ["Z/2", "Z/2"]
+        assert fresh[tuple(plain)]["result"]["verdict"] == "0"
+
 
 SW_Z2_DEG5 = ["ahss", "--spectrum", "SW", "--group", "Z/2", "--space-degree", "2",
               "--total-degree", "5"]
@@ -284,6 +311,19 @@ class TestLowTotalDegrees:
         )
         assert (code, err) == (0, "")
         assert json.loads(out)["result"]["verdict"] == verdict
+
+    @pytest.mark.parametrize("N", [6, 7])
+    @pytest.mark.parametrize("group", ["0", "Z/1"])
+    def test_trivial_group_keeps_its_space_degree(self, capsys, tmp_path, group, N):
+        # K(0, 4) is a point: SH^N(pt) = 0, read from the n = 4 circle row
+        path = tmp_path / "pages.json"
+        code, out, err = run(
+            capsys, ["ahss", "--spectrum", "SH", "--group", group, "--space-degree", "4",
+                     "--total-degree", str(N), "--dump-pages", str(path), "--json"]
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["verdict"] == "0"
+        assert [d["space_degree"] for d in json.loads(path.read_text())] == [4, 4]
 
     @pytest.mark.parametrize("spectrum", ["SH", "SW", "Spin"])
     @pytest.mark.parametrize("group", ["Z/2", "Z/4", "Z/6", "Z/3"])

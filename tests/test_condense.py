@@ -1,10 +1,16 @@
+import dataclasses
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfcond.abelian import FinAbGroup, parse_group
 from surfcond.acceptance import orbit_count
+from surfcond.ahss import ahss_report
+from surfcond.cli import _survey_groups
 from surfcond.condense import (
+    STATISTICS,
     SkeletalCategory,
     condense_group_algebra,
     condense_phi,
@@ -174,3 +180,37 @@ class TestObstructionVerdicts:
             obstruction_verdict(parse_group("Z/2"), "anyonic", "braided")
         with pytest.raises(ValueError):
             obstruction_verdict(parse_group("Z/2"), "bosonic", "fusion")
+
+
+def clear_package_caches() -> None:
+    """Empty every lru_cache of the package, as a fresh process finds them."""
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] != "surfcond":
+            continue
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == key:
+                value.cache_clear()
+
+
+class TestReportCache:
+    @given(st.lists(
+        st.tuples(st.sampled_from(_survey_groups(32)),
+                  st.sampled_from(STATISTICS),
+                  st.sampled_from(["braided", "symmetric"])),
+        min_size=1, max_size=4,
+    ).map(lambda queries: queries + queries[:1]))
+    @settings(max_examples=40, deadline=None)
+    def test_warm_verdicts_equal_cold_ones(self, queries):
+        warm = [obstruction_verdict(*q).to_dict() for q in queries]
+        for q, payload in zip(queries, warm):
+            clear_package_caches()
+            assert obstruction_verdict(*q).to_dict() == payload, q
+
+    def test_reports_are_shared_and_frozen(self):
+        args = (FinAbGroup.cyclic(2), 2, "SW", 5)
+        report = ahss_report(*args, twist=True, d5_zero=True)
+        assert ahss_report(*args, twist=True, d5_zero=True) is report
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.verdict = "0"
+        clear_package_caches()
+        assert ahss_report(*args, twist=True, d5_zero=True) is not report
