@@ -187,8 +187,9 @@ def circle_row(
     """Known circle-coefficient cohomology of K(E, n) for n in {2, 4}.
 
     The n = 2 row is [C^x, 0, dual(E), 0, Quad(E, C^x), ...]; the n = 4 row
-    has dual(two_torsion(E)) in degree 7.  Entries beyond the tabulated
-    range raise on access.
+    has dual(two_torsion(E)) in degree 7.  For trivial E, K(E, n) is a
+    point, and every untabulated degree through DEFAULT_CAP is 0.  Entries
+    beyond the tabulated range raise on access.
     """
     if n not in (2, 4):
         raise UnsupportedRangeError(f"circle rows only tabulated for n in {{2, 4}}, not {n}")
@@ -253,6 +254,11 @@ def circle_row(
             comparison[8] = {name: None for name in _monomial_names(E, 4, 8)}
         elif cyclic:
             put(6, _0, "odd torsion: no even classes")
+
+    if E.is_trivial:
+        for i in range(1, DEFAULT_CAP + 1):
+            if i not in entries:
+                put(i, _0, "K(0, n) is a point")
 
     notes = overrides.apply_circle_row(E, n, entries, prov, comparison) if overrides else ()
     return CircleRow(E, n, entries, prov, comparison, notes)

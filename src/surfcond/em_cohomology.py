@@ -5,10 +5,9 @@ Steenrod words applied to the fundamental classes (excess below n).
 The cohomology of a single factor K(Z_{2^k}, n) is built from its Serre
 generators, and Sq acts on it through instability, the Cartan formula and
 Adem normalization.  A product with two or more even factors is the tensor
-product of its factors' algebras (Kunneth); its Sq action is assembled from
-their Sq matrices by Kronecker blocks, in a tensor order of the basis that
-`EmAlgebra` maps to the sorted monomial order once per matrix (see
-`EmAlgebra`).
+product H (x) T of its first factor's algebra and the algebra of the rest
+(Kunneth); its basis is listed in that tensor order, and its Sq action is
+assembled from their Sq matrices by Kronecker blocks (see `EmAlgebra`).
 
 Odd-cyclic factors are carried along but contribute the unit algebra.
 """
@@ -222,21 +221,16 @@ class EmAlgebra:
     """Truncated polynomial algebra on the Serre generators of an EmSpace.
 
     A space with at most one factor of even order is the base case (an odd
-    factor contributes the unit algebra): its Sq action comes from
-    instability on generators, the Cartan formula on products and Adem
-    normalization for compositions.  A product of r factors, two or more of
-    them even, is the tensor product A_0 (x) ... (x) A_{r-1} of its factor
-    algebras (one `algebra_for` per factor, so equal factors share one), and
-    its Sq action is the Kronecker sum Sq^i(x (x) y) = sum_j Sq^j x (x)
-    Sq^(i-j) y of their Sq matrices.
-
-    Two orders of a degree's basis exist for a product.  The tensor order
-    (`_tensor_basis`) is the one the Kronecker blocks produce: by the degree
-    of the head factor, then head index, then the tail's tensor order.  The
-    public order (`basis`, `coordinates`, `sq_matrix`) is the sorted list of
-    monomials on the global generator order, as in the base case;
-    `_to_basis` maps the first to the second, and only `sq_matrix` and `sq`
-    cross between them.
+    factor contributes the unit algebra): its basis in each degree is the
+    sorted list of monomials, and Sq acts through instability on
+    generators, the Cartan formula on products and Adem normalization for
+    compositions.  A space with two or more even factors is the tensor
+    product H (x) T of two algebras (Kunneth): the head H of its first
+    factor and the tail T of the rest, each from `algebra_for`, so equal
+    factors share one.  Its basis in degree D is listed in tensor order, by
+    the head's degree a, then head position, then tail position, and Sq
+    acts by the Kronecker sum Sq^i(h (x) t) = sum_j Sq^j h (x) Sq^(i-j) t of
+    the two algebras' Sq matrices.
 
     Immutable after construction; memo tables are per-instance.
     """
@@ -244,12 +238,15 @@ class EmAlgebra:
     def __init__(self, space: EmSpace, cap: int = DEFAULT_CAP):
         self.space = space
         self.cap = cap
-        self._factors: tuple[EmAlgebra, ...] | None = None
+        self._head: EmAlgebra | None = None
+        self._tail: EmAlgebra | None = None
         self.generators: list[Generator] = []
         if sum(1 for modulus, _n in space.factors if modulus % 2 == 0) > 1:
-            self._factors = tuple(algebra_for(EmSpace((f,)), cap) for f in space.factors)
-            for fi, alg in enumerate(self._factors):
-                self.generators += [Generator(fi, g.word, g.space_degree) for g in alg.generators]
+            self._head = algebra_for(EmSpace(space.factors[:1]), cap)
+            self._tail = algebra_for(EmSpace(space.factors[1:]), cap)
+            self.generators = list(self._head.generators) + [
+                Generator(g.factor + 1, g.word, g.space_degree) for g in self._tail.generators
+            ]
         else:
             for fi, (modulus, n) in enumerate(space.factors):
                 for word, _deg in serre_generators(modulus, n, cap):
@@ -261,18 +258,15 @@ class EmAlgebra:
             (g.factor, g.word): i for i, g in enumerate(self.generators)
         }
         self._gen_degrees: tuple[int, ...] = tuple(g.degree for g in self.generators)
-        if self._factors is None:
+        if self._head is None:
             self._basis: dict[int, tuple[Monomial, ...]] = self._build_basis()
         else:
-            self._basis = self._build_tensor_layout()
+            self._basis = self._build_tensor_basis()
         self._basis_pos = {
             (d, m): i for d, ms in self._basis.items() for i, m in enumerate(ms)
         }
-        self._sq_gen_cache: dict[tuple[int, int], frozenset[Monomial]] = {}
         self._sq_mono_cache: dict[tuple[int, Monomial], frozenset[Monomial]] = {}
-        self._sq_pow_cache: dict[tuple[int, int, int], frozenset[Monomial]] = {}
         self._sq_matrix_cache: dict[tuple[int, int], Gf2Matrix] = {}
-        self._tensor_sq_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -295,54 +289,29 @@ class EmAlgebra:
         extend((), 0, 0)
         return {d: tuple(sorted(ms)) for d, ms in by_degree.items()}
 
-    def _build_tensor_layout(self) -> dict[int, tuple[Monomial, ...]]:
-        """Tensor-ordered bases of the tails T_k = A_k (x) ... (x) A_{r-1},
-        built from the last factor up; returns the sorted basis of T_0.
+    def _build_tensor_basis(self) -> dict[int, tuple[Monomial, ...]]:
+        """Bases of H (x) T in tensor order, renumbered to this algebra's
+        generators.  Sets `_offsets[D][a]`, the position in degree D where
+        the block H^a (x) T^(D-a) starts."""
 
-        Sets `_dims[k][D]` (dimension of T_k in degree D), `_offsets[k][D][a]`
-        (where the block A_k^a (x) T_{k+1}^(D-a) starts in degree D, for
-        k < r-1), `_tensor_basis[D]` (the monomials of T_0 in tensor order,
-        renumbered to the global generator order) and the two permutations
-        between tensor and basis positions, `_to_basis[D]` and `_to_tensor[D]`."""
-        r = len(self._factors)
-        self._dims: list[list[int]] = [[] for _ in range(r)]
-        self._offsets: list[list[list[int]]] = [[] for _ in range(r)]
-        tails: list[list[Monomial]] = []
-        for k in reversed(range(r)):
-            alg = self._factors[k]
-            glob = [self._gen_index[(k, g.word)] for g in alg.generators]
-            heads = [
-                [tuple([(glob[gi], e) for gi, e in m]) for m in alg.basis(a)]
-                for a in range(self.cap + 1)
+        def embedded(alg: EmAlgebra, shift: int) -> list[list[Monomial]]:
+            index = [self._gen_index[(g.factor + shift, g.word)] for g in alg.generators]
+            return [
+                [tuple((index[gi], e) for gi, e in m) for m in alg.basis(d)]
+                for d in range(self.cap + 1)
             ]
-            if k == r - 1:
-                level = heads
-            else:
-                level = []
-                for D in range(self.cap + 1):
-                    out: list[Monomial] = []
-                    offsets = []
-                    for a in range(D + 1):
-                        offsets.append(len(out))
-                        out += [h + t for h in heads[a] for t in tails[D - a]]
-                    level.append(out)
-                    self._offsets[k].append(offsets)
-            self._dims[k] = [len(ms) for ms in level]
-            tails = level
-        self._tensor_basis: dict[int, tuple[Monomial, ...]] = {}
-        self._to_tensor: dict[int, list[int]] = {}
-        self._to_basis: dict[int, list[int]] = {}
+
+        heads, tails = embedded(self._head, 0), embedded(self._tail, 1)
+        self._offsets: list[list[int]] = []
         basis = {}
-        for D, level_monos in enumerate(tails):
-            monos = tuple(tuple(sorted(m)) for m in level_monos)
-            order = sorted(range(len(monos)), key=monos.__getitem__)
-            to_basis = [0] * len(order)
-            for p, t in enumerate(order):
-                to_basis[t] = p
-            self._tensor_basis[D] = monos
-            self._to_tensor[D] = order
-            self._to_basis[D] = to_basis
-            basis[D] = tuple(monos[t] for t in order)
+        for D in range(self.cap + 1):
+            out: list[Monomial] = []
+            offsets = []
+            for a in range(D + 1):
+                offsets.append(len(out))
+                out += [tuple(sorted(h + t)) for h in heads[a] for t in tails[D - a]]
+            self._offsets.append(offsets)
+            basis[D] = tuple(out)
         return basis
 
     # -- basic queries ------------------------------------------------
@@ -379,7 +348,7 @@ class EmAlgebra:
         return self.generator_class(gi)
 
     def coordinates(self, cls: PolyClass) -> int:
-        """Bitmask of cls in the canonical basis of its degree."""
+        """Bitmask of cls in the basis of its degree."""
         out = 0
         for m in cls.monomials:
             out |= 1 << self._basis_pos[(cls.degree, m)]
@@ -393,171 +362,127 @@ class EmAlgebra:
     # -- Steenrod action ----------------------------------------------
 
     def sq_matrix(self, i: int, degree: int) -> Gf2Matrix:
-        """Sq^i from degree to degree + i in the monomial bases, cached."""
+        """Sq^i from degree to degree + i in the bases of `basis`, cached."""
         key = (i, degree)
         mat = self._sq_matrix_cache.get(key)
         if mat is None:
-            domain = self.basis(degree)
-            if self._factors is None or not domain or i <= 0 or degree + i > self.cap:
-                # the base case, and the arguments that sq answers or rejects itself
-                rows = [self.coordinates(self.sq(i, self.monomial_class(m))) for m in domain]
-            else:
-                tensor = self._tensor_sq(0, i, degree)
-                to_basis = self._to_basis[degree + i]
+            if i < 0:
+                raise ValueError("negative Steenrod index")
+            target = degree + i
+            if target > self.cap:
+                raise CapExceededError(f"Sq{i} image degree {target} above cap {self.cap}")
+            if self._head is None:
+                pos = self._basis_pos
                 rows = [
-                    sum(1 << to_basis[b] for b in bits(tensor[t]))
-                    for t in self._to_tensor[degree]
+                    sum(1 << pos[(target, m)] for m in self._sq_monomial(i, mono))
+                    for mono in self.basis(degree)
                 ]
-            mat = Gf2Matrix.from_rows(rows, self.dimension(degree + i))
+            else:
+                rows = self._kronecker_sq(i, degree)
+            mat = Gf2Matrix.from_rows(rows, self.dimension(target))
             self._sq_matrix_cache[key] = mat
         return mat
 
     def sq(self, i: int, cls: PolyClass) -> PolyClass:
-        """Sq^i on a homogeneous class: the base-case recursion, or rows of
-        the Kronecker-built action on a product."""
-        if i < 0:
-            raise ValueError("negative Steenrod index")
+        """Sq^i on a homogeneous class: the sum of its monomials' rows of
+        `sq_matrix`, read back as monomials."""
         if i == 0:
             return cls
         d = cls.degree
-        degree = d + i
-        if degree > self.cap:
-            raise CapExceededError(f"Sq{i} image degree {degree} above cap {self.cap}")
-        if self._factors is None:
-            out: set[Monomial] = set()
-            for mono in cls.monomials:
-                out.symmetric_difference_update(self._sq_monomial(i, mono))
-            return PolyClass(self, degree, frozenset(out))
-        rows = self._tensor_sq_cache.get((0, i, d)) or self._tensor_sq(0, i, d)
-        to_tensor, pos = self._to_tensor[d], self._basis_pos
+        rows = self.sq_matrix(i, d).rows
+        pos = self._basis_pos
         vec = 0
         for mono in cls.monomials:
-            vec ^= rows[to_tensor[pos[(d, mono)]]]
+            vec ^= rows[pos[(d, mono)]]
         # the set-bit walk of gf2.bits, inlined: on this path its call frame
         # costs more than the decoding
-        monos = self._tensor_basis[degree]
-        out_monos = []
+        monos = self._basis[d + i]
+        out = []
         while vec:
             low = vec & -vec
-            out_monos.append(monos[low.bit_length() - 1])
+            out.append(monos[low.bit_length() - 1])
             vec ^= low
-        return PolyClass(self, degree, frozenset(out_monos))
+        return PolyClass(self, d + i, frozenset(out))
 
-    def _tensor_sq(self, k: int, i: int, degree: int) -> tuple[int, ...]:
-        """Rows of Sq^i on the tail T_k in `degree`, in tensor order, cached.
+    def _kronecker_sq(self, i: int, degree: int) -> list[int]:
+        """Rows of Sq^i on H (x) T in `degree`, from the Sq matrices of H and T.
 
-        For each bidegree block (a, degree - a) of A_k (x) T_{k+1}, the row of
-        h (x) t is the sum over j of Sq^j h (x) Sq^(i-j) t: the tail row is
-        shifted into place once for each set bit of the head row, which is
-        one integer product with the head row spread to the tail's width and
-        moved to the target block's offset."""
-        key = (k, i, degree)
-        rows = self._tensor_sq_cache.get(key)
-        if rows is not None:
-            return rows
-        head = self._factors[k]
-        if i == 0:
-            rows = tuple(1 << t for t in range(self._dims[k][degree]))
-        elif k == len(self._factors) - 1:
-            rows = head.sq_matrix(i, degree).rows
-        else:
-            tail_dims = self._dims[k + 1]
-            target_offsets = self._offsets[k][degree + i]
-            out: list[int] = []
-            for a in range(degree + 1):
-                b = degree - a
-                if not head.dimension(a) or not tail_dims[b]:
-                    continue
-                parts = [
-                    (head.sq_matrix(j, a).rows, self._tensor_sq(k + 1, i - j, b),
-                     target_offsets[a + j], tail_dims[b + i - j])
-                    for j in range(max(0, i - b), min(i, a) + 1)
+        For each bidegree block (a, degree - a), the row of h (x) t is the
+        sum over j of Sq^j h (x) Sq^(i-j) t: the tail row is shifted into
+        place once for each set bit of the head row, which is one integer
+        product with the head row spread to the tail's width and moved to
+        the target block's offset."""
+        head, tail = self._head, self._tail
+        target_offsets = self._offsets[degree + i]
+        out: list[int] = []
+        for a in range(degree + 1):
+            b = degree - a
+            head_dim, tail_dim = head.dimension(a), tail.dimension(b)
+            if not head_dim or not tail_dim:
+                continue
+            parts = [
+                (head.sq_matrix(j, a).rows, tail.sq_matrix(i - j, b).rows,
+                 target_offsets[a + j], tail.dimension(b + i - j))
+                for j in range(max(0, i - b), min(i, a) + 1)
+            ]
+            for h in range(head_dim):
+                spread = [
+                    (tail_rows, _spread(head_rows[h], width) << offset)
+                    for head_rows, tail_rows, offset, width in parts
+                    if head_rows[h]
                 ]
-                for h in range(head.dimension(a)):
-                    spread = [
-                        (tail, _spread(head_rows[h], width) << offset)
-                        for head_rows, tail, offset, width in parts
-                        if head_rows[h]
-                    ]
-                    for t in range(tail_dims[b]):
-                        row = 0
-                        for tail, mask in spread:
-                            row ^= tail[t] * mask
-                        out.append(row)
-            rows = tuple(out)
-        self._tensor_sq_cache[key] = rows
-        return rows
+                for t in range(tail_dim):
+                    row = 0
+                    for tail_rows, mask in spread:
+                        row ^= tail_rows[t] * mask
+                    out.append(row)
+        return out
 
     def _sq_monomial(self, i: int, mono: Monomial) -> frozenset[Monomial]:
-        if not mono:
-            return frozenset() if i else frozenset({()})
+        """Sq^i of a basis monomial, cached.  The Cartan formula splits off
+        one generator g: Sq^i(g r) = sum_j Sq^j(g) Sq^(i-j)(r)."""
         if i == 0:
             return frozenset({mono})
-        (gi, e), rest = mono[0], mono[1:]
-        if not rest:
-            return self._sq_genpower(i, gi, e)
+        if not mono:
+            return frozenset()
         key = (i, mono)
         cached = self._sq_mono_cache.get(key)
         if cached is not None:
             return cached
-        head_deg = self._gen_degrees[gi] * e
-        rest_deg = self.monomial_degree(rest)
-        out: set[Monomial] = set()
-        for j in range(max(0, i - rest_deg), min(i, head_deg) + 1):
-            for a in self._sq_genpower(j, gi, e):
-                for b in self._sq_monomial(i - j, rest):
-                    out.symmetric_difference_update({_mul_monomials(a, b)})
-        result = frozenset(out)
+        (gi, e), rest = mono[0], mono[1:]
+        if e == 1 and not rest:
+            result = self._sq_generator(i, gi)
+        else:
+            if e > 1:
+                rest = ((gi, e - 1),) + rest
+            rest_deg = self.monomial_degree(rest)
+            out: set[Monomial] = set()
+            for j in range(max(0, i - rest_deg), min(i, self._gen_degrees[gi]) + 1):
+                for a in self._sq_monomial(j, ((gi, 1),)):
+                    for b in self._sq_monomial(i - j, rest):
+                        out.symmetric_difference_update({_mul_monomials(a, b)})
+            result = frozenset(out)
         self._sq_mono_cache[key] = result
         return result
 
-    def _sq_genpower(self, i: int, gi: int, e: int) -> frozenset[Monomial]:
-        key = (i, gi, e)
-        cached = self._sq_pow_cache.get(key)
-        if cached is not None:
-            return cached
-        gdeg = self._gen_degrees[gi]
-        if i == 0:
-            result: frozenset[Monomial] = frozenset({((gi, e),)})
-        elif i > gdeg * e:
-            result = frozenset()
-        elif e == 1:
-            result = self._sq_generator(i, gi)
-        else:
-            out: set[Monomial] = set()
-            for j in range(max(0, i - gdeg * (e - 1)), min(i, gdeg) + 1):
-                for a in self._sq_genpower(j, gi, 1):
-                    for b in self._sq_genpower(i - j, gi, e - 1):
-                        out.symmetric_difference_update({_mul_monomials(a, b)})
-            result = frozenset(out)
-        self._sq_pow_cache[key] = result
-        return result
-
     def _sq_generator(self, i: int, gi: int) -> frozenset[Monomial]:
-        key = (i, gi)
-        cached = self._sq_gen_cache.get(key)
-        if cached is not None:
-            return cached
+        """Sq^i of one generator: instability, else Adem normalization of
+        the composed word, each term resolved on the fundamental class."""
         gen = self.generators[gi]
         d = self._gen_degrees[gi]
         if i > d:
-            result: frozenset[Monomial] = frozenset()
-        elif i == d:
-            result = frozenset({((gi, 2),)})
-        else:
-            composed = adem_normalize(
-                SteenrodWord.of(
-                    SteenrodMonomial((i,) + gen.word.squares, gen.word.bockstein)
-                )
-            )
-            out: set[Monomial] = set()
-            for word in composed.monomials:
-                resolved = self._resolve_on_iota(word, gen.factor)
-                if resolved is not None:
-                    out.symmetric_difference_update({resolved})
-            result = frozenset(out)
-        self._sq_gen_cache[key] = result
-        return result
+            return frozenset()
+        if i == d:
+            return frozenset({((gi, 2),)})
+        composed = adem_normalize(
+            SteenrodWord.of(SteenrodMonomial((i,) + gen.word.squares, gen.word.bockstein))
+        )
+        out: set[Monomial] = set()
+        for word in composed.monomials:
+            resolved = self._resolve_on_iota(word, gen.factor)
+            if resolved is not None:
+                out.symmetric_difference_update({resolved})
+        return frozenset(out)
 
     def _resolve_on_iota(self, word: SteenrodMonomial, factor: int):
         """Admissible word applied to a fundamental class, as a basis monomial.
@@ -641,7 +566,7 @@ def reduced_smash_basis(X: EmSpace, Y: EmSpace, degree: int, cap: int = DEFAULT_
     alg = algebra_for(space, cap)
     split = len(X.factors)
     out = []
-    for mono in alg.basis(degree):
+    for mono in sorted(alg.basis(degree)):
         dl, dr = _side_degrees(alg, mono, split)
         if dl > 0 and dr > 0:
             out.append(alg.monomial_class(mono))

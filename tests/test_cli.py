@@ -325,6 +325,17 @@ class TestLowTotalDegrees:
         assert json.loads(out)["result"]["verdict"] == "0"
         assert [d["space_degree"] for d in json.loads(path.read_text())] == [4, 4]
 
+    @pytest.mark.parametrize("N", [6, 7, 8])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_trivial_group_circle_row_vanishes_above_the_table(self, capsys, n, N):
+        # K(0, n) is a point: its circle row is 0 in every positive degree
+        code, out, err = run(
+            capsys, ["ahss", "--spectrum", "SH", "--group", "0", "--space-degree", str(n),
+                     "--total-degree", str(N), "--json"]
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["verdict"] == "0"
+
     @pytest.mark.parametrize("spectrum", ["SH", "SW", "Spin"])
     @pytest.mark.parametrize("group", ["Z/2", "Z/4", "Z/6", "Z/3"])
     def test_every_degree_below_n_minus_2_exits_0(self, capsys, spectrum, group):

@@ -216,10 +216,77 @@ class TestKroneckerProducts:
                     grown.setdefault(d + e * gen.degree, []).extend(m + ((gi, e),) for m in ms)
             by_degree = grown
         for d in range(alg.cap + 1):
-            assert alg.basis(d) == tuple(sorted(by_degree.get(d, [])))
+            basis = alg.basis(d)
+            assert len(set(basis)) == len(basis)
+            assert sorted(basis) == sorted(by_degree.get(d, []))
+
+
+EVEN_OR_ODD_FACTOR = st.tuples(st.sampled_from([2, 4, 8, 3]), st.sampled_from([2, 3, 4]))
+
+
+@given(
+    st.lists(EVEN_OR_ODD_FACTOR, min_size=2, max_size=3).filter(
+        lambda fs: sum(m % 2 == 0 for m, _n in fs) >= 2
+    ),
+    st.integers(min_value=4, max_value=10),
+)
+@settings(max_examples=30, deadline=None)
+def test_product_sq_is_the_cartan_sum_over_single_factors(factors, cap):
+    """Sq^i of every basis monomial of a product equals the sum over
+    j_1 + ... + j_r = i of the products of its factor parts' images, each
+    computed in that factor's own algebra and embedded by (factor, word)."""
+    alg = EmAlgebra(EmSpace(tuple(factors)), cap)
+    index = {(g.factor, g.word): gi for gi, g in enumerate(alg.generators)}
+    singles = [algebra_for(EmSpace((f,)), cap) for f in factors]
+    local = [{g.word: gi for gi, g in enumerate(s.generators)} for s in singles]
+
+    def part(mono, f):
+        gens = alg.generators
+        return tuple(sorted((local[f][gens[gi].word], e) for gi, e in mono if gens[gi].factor == f))
+
+    def images(f, mono, i):  # Sq^i of a factor part, embedded in the product
+        single = singles[f]
+        if single.monomial_degree(mono) + i > cap:
+            return set()
+        img = single.sq(i, single.monomial_class(mono))
+        return {tuple((index[(f, single.generators[gi].word)], e) for gi, e in m)
+                for m in img.monomials}
+
+    def cartan_sum(parts, i):
+        if not parts:
+            return {()} if i == 0 else set()
+        (f, mono), rest = parts[0], parts[1:]
+        out: set = set()
+        for j in range(i + 1):
+            for a in images(f, mono, j):
+                for b in cartan_sum(rest, i - j):
+                    out ^= {tuple(sorted(a + b))}
+        return out
+
+    for d in range(cap + 1):
+        for mono in alg.basis(d):
+            parts = [(f, part(mono, f)) for f in range(len(factors))]
+            for i in range(1, cap - d + 1):
+                assert set(alg.sq(i, alg.monomial_class(mono)).monomials) == cartan_sum(parts, i)
 
 
 class TestSmash:
+    def test_classes_in_sorted_monomial_order(self):
+        # the certificate order of smash_freeness_check, whatever order the
+        # product algebra lists its basis in
+        X, Y = EmSpace.single(2, 2), EmSpace.single(4, 2)
+        names = {
+            5: ["i2*b2(i2')", "i2'*Sq1(i2)"],
+            6: ["i2*i2'^2", "i2^2*i2'", "Sq1(i2)*b2(i2')"],
+            7: ["i2*i2'*Sq1(i2)", "i2*i2'*b2(i2')", "i2*Sq2 b2(i2')", "i2^2*b2(i2')",
+                "i2'*Sq2 Sq1(i2)", "i2'^2*Sq1(i2)"],
+        }
+        for degree, expected in names.items():
+            classes = reduced_smash_basis(X, Y, degree)
+            monos = [m for c in classes for m in c.monomials]
+            assert monos == sorted(monos) and len(monos) == len(classes)
+            assert [str(c) for c in classes] == expected
+
     def test_reduced_smash_degree_five(self):
         X = EmSpace.single(2, 2)
         classes = reduced_smash_basis(X, X, 5, cap=9)
