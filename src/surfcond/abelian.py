@@ -15,10 +15,6 @@ import re
 from dataclasses import dataclass, field
 
 
-class BudgetError(ValueError):
-    """Brute-force enumeration would exceed the configured budget."""
-
-
 class UnsupportedRangeError(ValueError):
     """A table or functor was queried outside its supported range."""
 
@@ -373,8 +369,6 @@ def two_torsion(A: FinAbGroup) -> FinAbGroup:
 # ---------------------------------------------------------------------------
 # Quadratic forms
 
-QUAD_BUDGET = 64
-
 CIRCLE = "circle"
 Z2_TARGET = "Z2"
 
@@ -387,31 +381,16 @@ def quad_group(E: FinAbGroup, target: str) -> FinAbGroup:
     functions take values in the (2 * exponent)-th roots of unity, so the
     circle target is modelled exactly by Z/(2e).
 
-    The trivial group, cyclic groups and elementary-abelian groups (Z/p)^r
-    use the closed form.  Every other group goes to the brute-force
-    enumeration, which answers every such group with |E| <= QUAD_BUDGET and
-    raises BudgetError above it.
+    Quad splits over E = Z/d_1 + ... + Z/d_r (Eilenberg-MacLane): q is its
+    restrictions to the factors plus the pairing b on each pair of them.  So
+    Quad(E, C^x) is Quad(Z/d_i, C^x) (Z/2d for even d, Z/d for odd d) per
+    factor plus hom(Z/d_i (x) Z/d_j, C^x) = Z/gcd(d_i, d_j) per pair i < j,
+    and Quad(E, Z/2) is Z/gcd(d_i, 2) per factor plus Z/gcd(d_i, d_j, 2) per
+    pair.  quad_group_brute, which solves the axioms element by element, is
+    the independent oracle for this splitting.
     """
     if target not in (CIRCLE, Z2_TARGET):
         raise ValueError(f"unknown quad target {target!r}")
-    elementary = all(d == E.invariant_factors[0] for d in E.invariant_factors) and (
-        not E.invariant_factors or _is_prime(E.invariant_factors[0])
-    )
-    if len(E.invariant_factors) <= 1 or elementary:
-        return _quad_closed_form(E, target)
-    if E.order > QUAD_BUDGET:
-        raise BudgetError(
-            f"quad_group brute force needs |E| <= {QUAD_BUDGET}, got {E.order}"
-        )
-    return quad_group_brute(E, target)
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-
-def _quad_closed_form(E: FinAbGroup, target: str) -> FinAbGroup:
-    """Quad splits as per-factor quadratic parts plus cross bilinear parts."""
     factors = []
     for d in E.invariant_factors:
         if target == CIRCLE:

@@ -19,7 +19,6 @@ from .abelian import (
     quad_group_brute,
     smith_normal_form,
     two_torsion,
-    _quad_closed_form,
 )
 from .ahss import product_split, run_ahss, smash_freeness_check
 from .condense import (
@@ -356,7 +355,7 @@ def check_functor_brute_force() -> tuple[bool, str]:
         if not (2 <= E.order <= 16) or len(E.invariant_factors) < 2:
             continue
         for target in (CIRCLE, Z2_TARGET):
-            if quad_group_brute(E, target) != _quad_closed_form(E, target):
+            if quad_group_brute(E, target) != quad_group(E, target):
                 return False, f"Quad({E}, {target}) brute force disagrees with the closed form"
             quads += 1
     return True, (

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from .abelian import BudgetError, FinAbGroup, UnsupportedRangeError, parse_group
+from .abelian import FinAbGroup, UnsupportedRangeError, parse_group
 from .ahss import (
     page_to_dict,
     product_split,
@@ -392,7 +392,7 @@ def main(argv=None) -> int:
             return EXIT_PARSE
     try:
         payload, code = COMMANDS[args.command](args)
-    except (UnsupportedRangeError, UnspecifiedComparisonError, CapExceededError, BudgetError) as exc:
+    except (UnsupportedRangeError, UnspecifiedComparisonError, CapExceededError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (ValueError, OSError, json.JSONDecodeError) as exc:

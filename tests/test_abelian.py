@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from surfcond.abelian import (
     CIRCLE,
     Z2_TARGET,
-    BudgetError,
-    _quad_closed_form,
     FinAbGroup,
     GroupExpr,
     dual,
@@ -182,6 +180,19 @@ class TestFunctors:
         assert two_torsion(A).order == count
 
 
+def _chains(limit, least=1):
+    """Divisibility chains least | d_1 | d_2 | ... (d_1 >= 2) with product <= limit."""
+    yield ()
+    for d in range(max(least, 2), limit + 1):
+        if d % least == 0:
+            for rest in _chains(limit // d, d):
+                yield (d,) + rest
+
+
+# invariant factors of every non-cyclic abelian group of order <= 32
+NON_CYCLIC_UP_TO_32 = [c for c in _chains(32) if len(c) >= 2]
+
+
 def _quad_full_axioms(E, target):
     """Quad(E, target) from every cubic difference x <= y <= z, not just x = e_i.
 
@@ -219,33 +230,24 @@ class TestQuadraticForms:
         assert quad_group(FinAbGroup((2,)), Z2_TARGET) == FinAbGroup((2,))
         assert quad_group(FinAbGroup((3,)), Z2_TARGET).is_trivial
 
-    @pytest.mark.parametrize(
-        "factors",
-        [(2, 2), (2, 4), (4, 4), (2, 8), (2, 2, 2), (3, 3), (4, 8), (2, 16),
-         (3, 9), (3, 15), (2, 6), (2, 2, 4)],
-    )
+    @pytest.mark.parametrize("factors", NON_CYCLIC_UP_TO_32)
     def test_brute_force_agrees_with_closed_form(self, factors):
-        E = FinAbGroup.from_factors(factors)
+        E = FinAbGroup(factors)
         for target in (CIRCLE, Z2_TARGET):
-            assert quad_group_brute(E, target) == _quad_closed_form(E, target)
-            assert quad_group(E, target) == _quad_closed_form(E, target)
+            assert quad_group_brute(E, target) == quad_group(E, target)
 
     def test_generators_suffice_for_biadditivity(self):
         # every divisibility chain d_1 | ... | d_r with r >= 2 and product <= 16
-        groups = {
-            FinAbGroup(chain)
-            for r in (2, 3, 4)
-            for chain in itertools.product(range(2, 9), repeat=r)
-            if math.prod(chain) <= 16 and all(b % a == 0 for a, b in zip(chain, chain[1:]))
-        }
+        groups = {FinAbGroup(chain) for chain in _chains(16) if len(chain) >= 2}
         assert len(groups) == 9
         for E in groups:
             for target in (CIRCLE, Z2_TARGET):
                 assert quad_group_brute(E, target) == _quad_full_axioms(E, target), (E, target)
 
-    def test_budget_guard(self):
-        with pytest.raises(BudgetError):
-            quad_group(FinAbGroup((4, 4, 8)), CIRCLE)
+    def test_rank_three_splitting_by_hand(self):
+        # Z/8, Z/8, Z/16 from the factors 4, 4, 8 and Z/4 from each of the
+        # pairs gcd(4, 4), gcd(4, 8), gcd(4, 8)
+        assert quad_group(FinAbGroup((4, 4, 8)), CIRCLE) == FinAbGroup((4, 4, 4, 8, 8, 16))
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError):

@@ -70,8 +70,8 @@ def test_functor_check_catches_a_wrong_quad_brute_force(monkeypatch):
         q = real(E, target)
         return FinAbGroup.from_factors(q.invariant_factors + (2,)) if E == bad else q
 
-    # the brute force is wrong wherever the check can reach it, so comparing
-    # it with quad_group (which answers Z/2 x Z/4 by brute force) cannot tell
+    # the brute force is wrong wherever the check can reach it; quad_group is
+    # the closed form and never calls it, so the comparison must catch it
     monkeypatch.setattr(abelian, "quad_group_brute", wrong)
     monkeypatch.setattr(acceptance, "quad_group_brute", wrong)
     ok, detail = acceptance.check_functor_brute_force()

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import surfcond
-from surfcond.abelian import BudgetError, FinAbGroup, UnsupportedRangeError, _factorize
+from surfcond.abelian import CIRCLE, FinAbGroup, UnsupportedRangeError, _factorize, quad_group
 from surfcond.acceptance import CheckResult
 from surfcond.ahss import product_split, run_ahss
 from surfcond.cli import COMMANDS, main, render_payload
@@ -373,12 +373,20 @@ class TestSurvey:
         code, out, err = run(capsys, ["survey", "--max-order", "1"])
         assert (code, out, err) == (0, "braided / fermionic\n", "")
 
-    def test_brute_force_budget_is_unsupported(self, capsys):
+    def test_orders_above_64_are_served(self, capsys):
+        # the survey reaches Z/5 x Z/15 (order 75).  Only exit codes and the
+        # Quad entry are locked: the degree-5 circle entry of a non-cyclic E
+        # is still wrong, so the survey's verdict text is not
         code, out, err = run(capsys, ["survey", "--max-order", "80", "--statistic",
-                                      "fermionic", "--level", "braided"])
-        assert code == 3
-        assert out == ""
-        assert err == "unsupported: quad_group brute force needs |E| <= 64, got 75\n"
+                                      "fermionic", "--level", "braided", "--json"])
+        assert (code, err) == (0, "")
+        groups = [row["group"] for row in json.loads(out)["result"]["rows"]]
+        assert "Z/5 x Z/15" in groups
+        code, out, err = run(capsys, ["ahss", "--spectrum", "SH", "--group", "Z/3 x Z/27",
+                                      "--space-degree", "2", "--total-degree", "4", "--json"])
+        assert (code, err) == (0, "")
+        entries = {(e["i"], e["j"]): e["group"] for e in json.loads(out)["result"]["entries"]}
+        assert entries[(4, 0)] == str(quad_group(FinAbGroup((3, 27)), CIRCLE))
 
     def test_groups_are_the_rank_two_chains(self, capsys):
         code, out, _ = run(capsys, ["survey", "--max-order", "16", "--json"])
@@ -562,7 +570,7 @@ def test_product_split_agrees_with_the_direct_run(odd, even, spectrum, n, N):
     try:
         split = product_split(E, spectrum, n, N)
         _page, report = run_ahss(E, n, spectrum, N, d5_zero=True)
-    except (UnsupportedRangeError, UnspecifiedComparisonError, BudgetError, ValueError):
+    except (UnsupportedRangeError, UnspecifiedComparisonError, ValueError):
         assume(False)
     assume(not report.inconclusive)
     assume(all(s["status"] == "computed" for s in split["summands"]))
