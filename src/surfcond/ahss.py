@@ -13,8 +13,10 @@ and must be declared, otherwise the report is inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 from .abelian import (
     FinAbGroup,
@@ -43,21 +45,31 @@ class Entry:
         return "?" if self.expr is None else str(self.expr)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Page:
+    """One page of a run, read-only so that run_ahss can share it.
+
+    entries is a read-only mapping, log and declarations are tuples;
+    apply_d2 and declare_higher_differential return new pages.
+    """
+
     number: int
     space: EmSpace
     E: FinAbGroup
     n: int
     spectrum: SpectrumTable
     max_total: int
-    entries: dict[tuple[int, int], Entry]
+    entries: Mapping[tuple[int, int], Entry]
     circle: CircleRow
     algebra: object
-    log: list[dict] = field(default_factory=list)
-    declarations: list[dict] = field(default_factory=list)
-    computed_totals: frozenset[int] = frozenset()
+    log: tuple[dict, ...] = ()
+    declarations: tuple[dict, ...] = ()
     previous: "Page | None" = None  # the page this one was turned from
+
+    @property
+    def computed_totals(self) -> frozenset[int]:
+        """Total degrees whose entries are final: max_total once turned."""
+        return frozenset({self.max_total}) if self.number >= 3 else frozenset()
 
     def entry(self, i: int, j: int) -> Entry:
         e = self.entries.get((i, j))
@@ -139,7 +151,10 @@ def assemble_e2(
             log.append({"kind": "circle_row", "i": i, "note": circle.provenance[i]})
     for note in spec_table.notes + circle.notes:
         log.append({"kind": "override", "note": note})
-    return Page(2, space, E, n, spec_table, max_total_degree, entries, circle, algebra, log)
+    return Page(
+        2, space, E, n, spec_table, max_total_degree, MappingProxyType(entries), circle, algebra,
+        tuple(log),
+    )
 
 
 def _opaque_entry(i: int, j: int, spec_table: SpectrumTable, algebra) -> Entry:
@@ -159,8 +174,8 @@ def _opaque_entry(i: int, j: int, spec_table: SpectrumTable, algebra) -> Entry:
 # d2 and the E3 page
 
 
-def apply_d2(page: Page, twisted: bool | None = None) -> Page:
-    """Turn the page once: E3 entries in the target total degree.
+def apply_d2(page: Page) -> Page:
+    """Turn the page once: a new E3 page, final in the target total degree.
 
     Differentials with source in total degrees max_total - 1 and max_total
     are evaluated; that is exactly what the report in degree max_total
@@ -171,7 +186,7 @@ def apply_d2(page: Page, twisted: bool | None = None) -> Page:
     """
     if page.number != 2:
         raise ValueError("apply_d2 expects an E2 page")
-    tw = page.spectrum.twisted if twisted is None else twisted
+    tw = page.spectrum.twisted
     alg = page.algebra
     N = page.max_total
     if tw and page.n != 2:
@@ -248,20 +263,8 @@ def apply_d2(page: Page, twisted: bool | None = None) -> Page:
         basis = old.basis if new_dim == dim else ()
         entries[(i, j)] = Entry(i, j, GroupExpr.of(FinAbGroup((2,) * new_dim)), basis)
     log.append({"kind": "d2_squared", "chains_checked": checked_chains})
-    return Page(
-        3,
-        page.space,
-        page.E,
-        page.n,
-        page.spectrum,
-        N,
-        entries,
-        page.circle,
-        alg,
-        log,
-        list(page.declarations),
-        frozenset({N}),
-        page,
+    return replace(
+        page, number=3, entries=MappingProxyType(entries), log=tuple(log), previous=page
     )
 
 
@@ -270,34 +273,38 @@ def apply_d2(page: Page, twisted: bool | None = None) -> Page:
 
 
 def declare_higher_differential(page: Page, r: int, source: tuple[int, int], rank_or_zero) -> Page:
-    """Record a differential the engine cannot compute.
+    """A new page with a differential the engine cannot compute declared.
 
     rank_or_zero is 0 / "zero" for a declared-zero differential (the only
     option for opaque sources), or a positive rank applied to elementary
-    2-group entries on both ends.
+    2-group entries on both ends; a negative rank raises ValueError.  The
+    returned page has both ends shrunk by the rank and the declaration in
+    its log and declarations; out of a zero entry only its log records the
+    no-op.  The page passed in is left as it was.
     """
     if r < 3:
         raise ValueError("declared differentials start at r = 3")
     i, j = source
     src = page.entry(i, j)
     rank = 0 if rank_or_zero in (0, "zero") else int(rank_or_zero)
+    if rank < 0:
+        raise ValueError(f"declared rank {rank} is negative")
+    record = {"r": r, "source": [i, j], "rank": rank}
     if src.expr is not None and src.expr.is_zero:
-        page.log.append(
-            {"kind": "declaration", "r": r, "source": [i, j], "rank": rank, "note": "no-op on zero entry"}
-        )
-        return page
+        note = {"kind": "declaration", **record, "note": "no-op on zero entry"}
+        return replace(page, log=page.log + (note,))
     if src.expr is not None and src.expr.is_opaque and rank != 0:
         raise ValueError("opaque entries admit only declared-zero differentials")
+    entries = dict(page.entries)
     if rank:
         ti, tj = i + r, j - r + 1
-        tgt = page.entry(ti, tj)
-        new_src = _shrink_elementary(src, rank)
-        new_tgt = _shrink_elementary(tgt, rank)
-        page.entries[(i, j)] = new_src
-        page.entries[(ti, tj)] = new_tgt
-    page.declarations.append({"r": r, "source": [i, j], "rank": rank})
-    page.log.append({"kind": "declaration", "r": r, "source": [i, j], "rank": rank})
-    return page
+        entries[(i, j)] = _shrink_elementary(src, rank)
+        entries[(ti, tj)] = _shrink_elementary(page.entry(ti, tj), rank)
+    log = page.log + ({"kind": "declaration", **record},)
+    return replace(
+        page, entries=MappingProxyType(entries), log=log,
+        declarations=page.declarations + (record,),
+    )
 
 
 def _shrink_elementary(entry: Entry, rank: int) -> Entry:
@@ -320,9 +327,11 @@ def _shrink_elementary(entry: Entry, rank: int) -> Entry:
 class TotalDegreeReport:
     """What one spectral-sequence run says about total degree N.
 
-    Immutable, so that ahss_report can hand the same instance to every
-    caller: entries are (i, j, group) triples, and blockers and provenance
-    are tuples of notes.  to_dict emits lists.
+    Immutable, so that run_ahss can hand the same instance to every
+    caller: entries are the (i, j, group) triples of the degree-N diagonal,
+    verdict is "0", one group, an associated graded list or "inconclusive",
+    group is the one surviving group (None unless exactly determined), and
+    blockers and provenance are tuples of notes.  to_dict emits lists.
     """
 
     N: int
@@ -413,12 +422,21 @@ def run_ahss(
     d5_zero: bool = False,
     overrides: CoeffOverrides | None = None,
 ) -> tuple[Page, TotalDegreeReport]:
-    """Assemble, turn, declare, and report in one call.
+    """The E3 page and the total-degree-N report of one query.
 
-    The pages are built afresh on every call, so a caller may declare
-    differentials on them or dump them; callers that read only the report
-    use ahss_report.
+    Assembles the E2 page (the E3 page's previous), turns it, declares
+    d5 = 0 out of a nonzero (0,4) entry when d5_zero asks, and reports.
+    Computed once per process for each query, however its arguments are
+    spelled; overrides hash by identity.  Pages and report are frozen and
+    shared by every caller, and a run that raises is not kept, so it
+    raises again.
     """
+    return _run_ahss(E, n, spectrum_name, N, twist, d5_zero, overrides)
+
+
+# keyed by positional arguments only, so every spelling of a query shares one entry
+@lru_cache(maxsize=None)
+def _run_ahss(E, n, spectrum_name, N, twist, d5_zero, overrides):
     name = spectrum_name
     if twist:
         if spectrum_name != "SW":
@@ -432,28 +450,8 @@ def run_ahss(
     if d5_zero and N >= 4:
         src = page3.entry(0, 4)
         if src.expr is not None and not src.expr.is_zero:
-            declare_higher_differential(page3, 5, (0, 4), 0)
-    report = total_degree_report(page3, N)
-    return page3, report
-
-
-@lru_cache(maxsize=None)
-def ahss_report(
-    E: FinAbGroup,
-    n: int,
-    spectrum_name: str,
-    N: int,
-    twist: bool = False,
-    d5_zero: bool = False,
-    overrides: CoeffOverrides | None = None,
-) -> TotalDegreeReport:
-    """The report of run_ahss with these arguments, computed once per process.
-
-    Keyed by every argument, overrides included (CoeffOverrides hash by
-    identity); a run that raises is not cached, so it raises again.  The
-    report is immutable and shared by every caller with the same key.
-    """
-    return run_ahss(E, n, spectrum_name, N, twist, d5_zero, overrides)[1]
+            page3 = declare_higher_differential(page3, 5, (0, 4), 0)
+    return page3, total_degree_report(page3, N)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +551,7 @@ def product_split(
     else:
         summands.append({"summand": "point", "status": "unknown", "group": None})
     for idx, F in enumerate(factors):
-        report = ahss_report(F, n, spectrum_name, N, d5_zero=True, overrides=overrides)
+        report = run_ahss(F, n, spectrum_name, N, d5_zero=True, overrides=overrides)[1]
         reduced = [(i, j, g) for i, j, g in report.entries if i > 0]
         nonzero = [t for t in reduced if t[2] != "0"]
         if report.inconclusive:

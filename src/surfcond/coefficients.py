@@ -292,7 +292,7 @@ class CoeffOverrides:
     the basis of its degree.  The tables built from an override carry a note
     for each value it replaced (SpectrumTable.notes, CircleRow.notes), and
     the E2 page logs those notes once each.  Instances compare and hash by
-    identity, so a loaded file can key a cache (ahss.ahss_report).
+    identity, so a loaded file can key a cache (ahss.run_ahss).
     """
 
     spectrum_overrides: dict[str, dict[int, GroupExpr]] = field(default_factory=dict)

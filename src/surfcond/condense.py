@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .abelian import FinAbGroup, GroupExpr, parse_group, quotient_by_subgroup_image
-from .ahss import ahss_report, product_split
+from .ahss import product_split, run_ahss
 from .coefficients import circle_row
 
 LEVELS = ("fusion", "braided", "sylleptic", "symmetric")
@@ -259,7 +259,7 @@ def obstruction_verdict(E: FinAbGroup, statistic: str, level: str) -> Verdict:
             {"split": ps},
         )
     # braided / bosonic
-    rep = ahss_report(FinAbGroup.cyclic(2), 2, "SW", 5, twist=True, d5_zero=True)
+    rep = run_ahss(FinAbGroup.cyclic(2), 2, "SW", 5, twist=True, d5_zero=True)[1]
     return Verdict(
         "braided/bosonic",
         "W^5(E[2]) splits as W^5(pt) + reduced SW^5(E[2]) + reduced"

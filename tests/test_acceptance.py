@@ -1,7 +1,7 @@
 """Acceptance gate: one test per end-to-end criterion, printing one
 PASS/FAIL line each so the run log doubles as a checklist."""
 
-from surfcond import abelian, acceptance
+from surfcond import abelian, acceptance, ahss
 from surfcond.abelian import FinAbGroup, parse_group
 from surfcond.acceptance import CHECKS, _check
 from surfcond.steenrod import SteenrodMonomial, SteenrodWord
@@ -56,6 +56,16 @@ def test_every_criterion_is_covered():
         "property suites",
     }
     assert tested == set(CHECK_MAP)
+
+
+def test_selftest_runs_each_query_once(monkeypatch):
+    # 9 distinct spectral-sequence queries, some asked under several spellings
+    # (twist=False spelled out or left to its default) and by several checks
+    ahss._run_ahss.cache_clear()
+    real, calls = ahss.assemble_e2, []
+    monkeypatch.setattr(ahss, "assemble_e2", lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert all(result.ok for result in acceptance.run_all())
+    assert len(calls) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from surfcond.abelian import FinAbGroup, UnsupportedRangeError
@@ -130,16 +132,23 @@ class TestDeclarations:
         # killing (2,2) against the surviving circle-row class makes every
         # total-degree-5 entry zero, so no opaque blocker remains
         page3, _ = run_ahss(Z2, 2, "SW", 5, twist=True)
-        declare_higher_differential(page3, 3, (2, 2), 1)
-        report = total_degree_report(page3, 5)
+        declared = declare_higher_differential(page3, 3, (2, 2), 1)
+        report = total_degree_report(declared, 5)
         assert report.verdict == "0"
         assert not report.inconclusive
 
     def test_zero_entry_is_a_no_op(self):
         page3, _ = run_ahss(Z2, 2, "SW", 5)
-        before = dict(page3.entries)
-        declare_higher_differential(page3, 3, (1, 4), 1)
-        assert page3.entries == before
+        declared = declare_higher_differential(page3, 3, (1, 4), 1)
+        assert dict(declared.entries) == dict(page3.entries)
+        assert declared.declarations == page3.declarations
+        assert declared.log[-1]["note"] == "no-op on zero entry"
+
+    def test_negative_rank_rejected(self):
+        # a negative rank would grow both ends: (2,2) and (5,0) into Z/2 x Z/2
+        page3, _ = run_ahss(Z2, 2, "SW", 5, twist=True)
+        with pytest.raises(ValueError, match="negative"):
+            declare_higher_differential(page3, 3, (2, 2), -1)
 
     def test_opaque_source_only_declared_zero(self):
         page3, _ = run_ahss(Z2, 2, "SW", 5)
@@ -155,6 +164,39 @@ class TestDeclarations:
         page3, _ = run_ahss(Z2, 2, "SW", 5)
         with pytest.raises(ValueError):
             declare_higher_differential(page3, 2, (0, 4), 0)
+
+
+class TestFrozenRun:
+    def test_page_attributes_are_frozen(self):
+        page3, _ = run_ahss(Z2, 2, "SW", 5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            page3.number = 4
+
+    def test_page_entries_are_read_only(self):
+        page3, _ = run_ahss(Z2, 2, "SW", 5)
+        with pytest.raises(TypeError):
+            page3.entries[(2, 2)] = page3.entry(0, 0)
+
+    def test_every_spelling_of_a_query_shares_one_run(self):
+        page3, report = run_ahss(Z4, 2, "SW", 5, d5_zero=True)
+        for spelled in (
+            run_ahss(Z4, 2, "SW", 5, d5_zero=True),
+            run_ahss(Z4, 2, "SW", 5, twist=False, d5_zero=True),
+            run_ahss(Z4, 2, "SW", 5, d5_zero=True, twist=False, overrides=None),
+            run_ahss(Z4, 2, "SW", 5, False, True),
+            run_ahss(E=Z4, n=2, spectrum_name="SW", N=5, d5_zero=True),
+        ):
+            assert spelled[0] is page3 and spelled[1] is report
+
+    def test_declaring_on_a_shared_page_leaves_the_run_unchanged(self):
+        page3, report = run_ahss(Z2, 2, "SW", 5, twist=True)
+        before = (page_to_dict(page3), report.to_dict())
+        declared = declare_higher_differential(page3, 3, (2, 2), 1)
+        assert total_degree_report(declared, 5).verdict == "0"
+        again_page, again_report = run_ahss(Z2, 2, "SW", 5, twist=True)
+        assert again_page is page3 and again_report is report
+        assert (page_to_dict(again_page), again_report.to_dict()) == before
+        assert report.verdict != "0"
 
 
 class TestProductSplit:

@@ -275,11 +275,15 @@ class TestExitContract:
     def test_dump_pages_assembles_e2_once(self, capsys, tmp_path, monkeypatch):
         from surfcond import ahss
 
+        # on a cold memo; the second dump reads the memoized pair of pages
+        ahss._run_ahss.cache_clear()
         real, calls = ahss.circle_row, []
         monkeypatch.setattr(ahss, "circle_row", lambda *a, **k: calls.append(a) or real(*a, **k))
-        code, _, _ = run(capsys, SW_Z2_DEG5 + ["--dump-pages", str(tmp_path / "pages.json")])
-        assert code == 0
+        for name in ("pages.json", "again.json"):
+            code, _, _ = run(capsys, SW_Z2_DEG5 + ["--dump-pages", str(tmp_path / name)])
+            assert code == 0
         assert len(calls) == 1
+        assert (tmp_path / "pages.json").read_text() == (tmp_path / "again.json").read_text()
 
     def test_dump_pages_log_each_override_once(self, capsys, tmp_path):
         ov = tmp_path / "ov.json"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from surfcond.abelian import FinAbGroup, parse_group
 from surfcond.acceptance import orbit_count
-from surfcond.ahss import ahss_report
+from surfcond.ahss import run_ahss
 from surfcond.cli import _survey_groups
 from surfcond.condense import (
     STATISTICS,
@@ -208,9 +208,9 @@ class TestReportCache:
 
     def test_reports_are_shared_and_frozen(self):
         args = (FinAbGroup.cyclic(2), 2, "SW", 5)
-        report = ahss_report(*args, twist=True, d5_zero=True)
-        assert ahss_report(*args, twist=True, d5_zero=True) is report
+        report = run_ahss(*args, twist=True, d5_zero=True)[1]
+        assert run_ahss(*args, twist=True, d5_zero=True)[1] is report
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.verdict = "0"
         clear_package_caches()
-        assert ahss_report(*args, twist=True, d5_zero=True) is not report
+        assert run_ahss(*args, twist=True, d5_zero=True)[1] is not report
