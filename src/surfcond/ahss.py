@@ -27,7 +27,7 @@ from .abelian import (
 from .coefficients import CircleRow, CoeffOverrides, SpectrumTable, circle_row, spectrum
 from .em_cohomology import EmSpace, algebra_for, reduced_smash_basis
 from .gf2 import Echelon, Gf2Matrix
-from .steenrod import SqModule, margolis_homology
+from .steenrod import margolis_homology
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Entry:
 class Page:
     """One page of a run, read-only so that run_ahss can share it.
 
-    entries is a read-only mapping, log and declarations are tuples;
+    entries, log and declarations are read-only, down to each record;
     apply_d2 and declare_higher_differential return new pages.
     """
 
@@ -62,8 +62,8 @@ class Page:
     entries: Mapping[tuple[int, int], Entry]
     circle: CircleRow
     algebra: object
-    log: tuple[dict, ...] = ()
-    declarations: tuple[dict, ...] = ()
+    log: tuple[Mapping, ...] = ()
+    declarations: tuple[Mapping, ...] = ()
     previous: "Page | None" = None  # the page this one was turned from
 
     @property
@@ -81,6 +81,11 @@ class Page:
 
     def row_kind(self, j: int) -> str:
         return _row_kind(self.spectrum, j)
+
+
+def _record(**fields) -> Mapping:
+    """A read-only log entry or declaration; its sequences are tuples."""
+    return MappingProxyType(fields)
 
 
 def _row_kind(spec_table: SpectrumTable, j: int) -> str:
@@ -125,7 +130,7 @@ def assemble_e2(
     algebra = algebra_for(space, max(max_total_degree + 2, n))
     circle = circle_row(E, n, overrides)
     entries: dict[tuple[int, int], Entry] = {}
-    log: list[dict] = []
+    log: list[Mapping] = []
     for j in range(max_total_degree + 1):
         kind = _row_kind(spec_table, j)
         for i in range(max_total_degree - j + 1):
@@ -145,12 +150,12 @@ def assemble_e2(
             else:  # opaque
                 entries[(i, j)] = _opaque_entry(i, j, spec_table, algebra)
     for j, note in enumerate(spec_table.provenance[: max_total_degree + 1]):
-        log.append({"kind": "coefficient", "j": j, "note": note})
+        log.append(_record(kind="coefficient", j=j, note=note))
     for i in sorted(circle.provenance):
         if i <= max_total_degree:
-            log.append({"kind": "circle_row", "i": i, "note": circle.provenance[i]})
+            log.append(_record(kind="circle_row", i=i, note=circle.provenance[i]))
     for note in spec_table.notes + circle.notes:
-        log.append({"kind": "override", "note": note})
+        log.append(_record(kind="override", note=note))
     return Page(
         2, space, E, n, spec_table, max_total_degree, MappingProxyType(entries), circle, algebra,
         tuple(log),
@@ -215,13 +220,7 @@ def apply_d2(page: Page) -> Page:
         rank = mat.rank()
         rule = ("exp_sq2" if target == "circle" else "sq2") + ("_twisted" if tw else "")
         log.append(
-            {
-                "kind": "d2",
-                "source": [i, j],
-                "target": [i + 2, j - 1],
-                "rank": rank,
-                "rule": rule,
-            }
+            _record(kind="d2", source=(i, j), target=(i + 2, j - 1), rank=rank, rule=rule)
         )
         return mat, rank
 
@@ -262,7 +261,7 @@ def apply_d2(page: Page) -> Page:
             raise AssertionError(f"negative dimension at ({i},{j})")
         basis = old.basis if new_dim == dim else ()
         entries[(i, j)] = Entry(i, j, GroupExpr.of(FinAbGroup((2,) * new_dim)), basis)
-    log.append({"kind": "d2_squared", "chains_checked": checked_chains})
+    log.append(_record(kind="d2_squared", chains_checked=checked_chains))
     return replace(
         page, number=3, entries=MappingProxyType(entries), log=tuple(log), previous=page
     )
@@ -289,9 +288,9 @@ def declare_higher_differential(page: Page, r: int, source: tuple[int, int], ran
     rank = 0 if rank_or_zero in (0, "zero") else int(rank_or_zero)
     if rank < 0:
         raise ValueError(f"declared rank {rank} is negative")
-    record = {"r": r, "source": [i, j], "rank": rank}
+    record = _record(r=r, source=(i, j), rank=rank)
     if src.expr is not None and src.expr.is_zero:
-        note = {"kind": "declaration", **record, "note": "no-op on zero entry"}
+        note = _record(kind="declaration", **record, note="no-op on zero entry")
         return replace(page, log=page.log + (note,))
     if src.expr is not None and src.expr.is_opaque and rank != 0:
         raise ValueError("opaque entries admit only declared-zero differentials")
@@ -300,7 +299,7 @@ def declare_higher_differential(page: Page, r: int, source: tuple[int, int], ran
         ti, tj = i + r, j - r + 1
         entries[(i, j)] = _shrink_elementary(src, rank)
         entries[(ti, tj)] = _shrink_elementary(page.entry(ti, tj), rank)
-    log = page.log + ({"kind": "declaration", **record},)
+    log = page.log + (_record(kind="declaration", **record),)
     return replace(
         page, entries=MappingProxyType(entries), log=log,
         declarations=page.declarations + (record,),
@@ -458,8 +457,10 @@ def _run_ahss(E, n, spectrum_name, N, twist, d5_zero, overrides):
 # Product splitting and the smash-term freeness check
 
 
-def _a1_submodule(alg, seed_cls, lo: int, hi: int) -> SqModule:
-    """A(1)-submodule generated by one class, truncated to a degree window."""
+def _a1_submodule(alg, seed_cls, lo: int, hi: int) -> dict[int, list[int]]:
+    """A(1)-submodule generated by one class, truncated to a degree window:
+    {degree: spanning vectors} for the degrees of [lo, hi] it reaches, each a
+    bitmask in the coordinates of alg.basis(degree), independent per degree."""
     spans: dict[int, Echelon] = {}
     queue = [(seed_cls.degree, alg.coordinates(seed_cls))]
     while queue:
@@ -472,26 +473,7 @@ def _a1_submodule(alg, seed_cls, lo: int, hi: int) -> SqModule:
         for k in (1, 2):
             if d + k <= hi:
                 queue.append((d + k, alg.sq_matrix(k, d).apply(vec)))
-    dims = {d: spans[d].dim for d in range(lo, hi + 1) if d in spans}
-
-    def sq_map(d: int, k: int) -> Gf2Matrix | None:
-        src = spans.get(d)
-        if src is None or d + k > hi:
-            return None
-        tgt = spans.get(d + k)
-        sq = alg.sq_matrix(k, d)
-        rows = []
-        for vec in src.vectors:
-            bits = sq.apply(vec)
-            expressed = tgt.express(bits) if tgt else None
-            if bits and expressed is None:
-                raise AssertionError("submodule not closed under Sq action")
-            rows.append(expressed or 0)
-        return Gf2Matrix.from_rows(rows, tgt.dim if tgt else 0)
-
-    sq1 = {d: m for d in dims if (m := sq_map(d, 1)) is not None}
-    sq2 = {d: m for d in dims if (m := sq_map(d, 2)) is not None}
-    return SqModule(dims, sq1, sq2)
+    return {d: spans[d].vectors for d in range(lo, hi + 1) if d in spans}
 
 
 def smash_freeness_check(
@@ -510,8 +492,8 @@ def smash_freeness_check(
     all_free = bool(classes)
     for cls in classes:
         module = _a1_submodule(alg, cls, lo, hi)
-        q0 = margolis_homology(module, "Q0")
-        q1 = margolis_homology(module, "Q1")
+        q0 = margolis_homology(alg.sq_matrix, module, "Q0")
+        q1 = margolis_homology(alg.sq_matrix, module, "Q1")
         free = not any(q0.values()) and not any(q1.values())
         all_free = all_free and free
         results.append(
@@ -617,6 +599,11 @@ def product_split(
 
 
 def page_to_dict(page: Page) -> dict:
+    """A fresh JSON-ready dict of a page; the records' tuples become lists."""
+
+    def plain(rec: Mapping) -> dict:
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in rec.items()}
+
     return {
         "page": page.number,
         "space": str(page.space),
@@ -630,8 +617,8 @@ def page_to_dict(page: Page) -> dict:
             for (i, j), e in sorted(page.entries.items())
         },
         "computed_totals": sorted(page.computed_totals),
-        "log": list(page.log),
-        "declarations": list(page.declarations),
+        "log": [plain(rec) for rec in page.log],
+        "declarations": [plain(rec) for rec in page.declarations],
     }
 
 

@@ -19,6 +19,7 @@ from .coefficients import circle_row
 
 LEVELS = ("fusion", "braided", "sylleptic", "symmetric")
 STATISTICS = ("bosonic", "fermionic")
+_FERMIONIC = {"yes": True, "no": False, "true": True, "false": False, "1": True, "0": False}
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,13 @@ class SkeletalCategory:
 
 
 def parse_descriptor(text: str) -> SkeletalCategory:
-    """Parse compact descriptors like "braided; pi0=Z/4; id=2Rep(S3); fermionic=no"."""
+    """Parse compact descriptors like "braided; pi0=Z/4; id=2Rep(S3); fermionic=no".
+
+    fermionic is yes/no/true/false/1/0, and implied (never no) by 2SVec or 2Rep(...,z)."""
     level = "fusion"
     pi0 = FinAbGroup.trivial()
     identity = "2Vec"
-    statistic = "bosonic"
+    fermionic = None
     for part in text.split(";"):
         part = part.strip()
         if not part:
@@ -74,13 +77,17 @@ def parse_descriptor(text: str) -> SkeletalCategory:
             pi0 = parse_group(val)
         elif key == "id":
             identity = val
+        elif key == "fermionic" and val.lower() in _FERMIONIC:
+            fermionic = _FERMIONIC[val.lower()]
         elif key == "fermionic":
-            statistic = "fermionic" if val.lower() in ("yes", "true", "1") else "bosonic"
+            raise ValueError(f"fermionic={val!r} is not one of {'/'.join(_FERMIONIC)}")
         else:
             raise ValueError(f"unknown descriptor key {key!r}")
-    if identity in ("2SVec", "2Rep(G,z)") or identity.endswith(",z)"):
-        statistic = "fermionic"
-    return SkeletalCategory(level, statistic, identity, pi0)
+    if identity == "2SVec" or identity.endswith(",z)"):
+        if fermionic is False:
+            raise ValueError(f"a bosonic flag contradicts the fermionic identity {identity}")
+        fermionic = True
+    return SkeletalCategory(level, "fermionic" if fermionic else "bosonic", identity, pi0)
 
 
 # ---------------------------------------------------------------------------

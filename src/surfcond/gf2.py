@@ -65,51 +65,44 @@ class Gf2Matrix:
         return Gf2Matrix(tuple(other.apply(r) for r in self.rows), other.ncols)
 
     def rank(self) -> int:
-        span = Echelon()
-        return sum(span.add(row) for row in self.rows)
+        return Echelon(self.rows).dim
 
 
 class Echelon:
-    """Incremental GF(2) subspace with coordinate recovery.
+    """Incremental GF(2) span of bitmask vectors, all in one basis.
 
-    Keeps the original spanning vectors alongside an echelon form so that
-    express() can return a combination mask over the vectors actually added.
-    """
+    Echelon(vecs) adds vecs in order; vectors keeps those that enlarged the
+    span, and an echelon form keyed by pivot answers dim and `vec in span`."""
 
-    def __init__(self):
+    def __init__(self, vecs=()):
         self.vectors: list[int] = []
-        # pivot (lowest set bit) -> (reduced vector, combination)
-        self._pivots: dict[int, tuple[int, int]] = {}
+        self._pivots: dict[int, int] = {}  # pivot (lowest set bit) -> reduced vector
+        for vec in vecs:
+            self.add(vec)
 
     @property
     def dim(self) -> int:
         return len(self._pivots)
 
-    def _reduce(self, vec: int) -> tuple[int, int]:
+    def _reduce(self, vec: int) -> int:
         """Clear vec's lowest bit against the row with that pivot, until no
         row has it.  The result is 0 iff vec lies in the span; otherwise its
-        lowest bit is a new pivot.  Also returns the combination mask of the
-        rows used."""
-        comb = 0
+        lowest bit is a new pivot."""
         while vec:
-            hit = self._pivots.get(vec & -vec)
-            if hit is None:
+            row = self._pivots.get(vec & -vec)
+            if row is None:
                 break
-            vec ^= hit[0]
-            comb ^= hit[1]
-        return vec, comb
+            vec ^= row
+        return vec
 
     def add(self, vec: int) -> bool:
         """Add a spanning vector; returns True if it enlarged the span."""
-        reduced, comb = self._reduce(vec)
+        reduced = self._reduce(vec)
         if not reduced:
             return False
-        self._pivots[reduced & -reduced] = (reduced, comb ^ (1 << len(self.vectors)))
+        self._pivots[reduced & -reduced] = reduced
         self.vectors.append(vec)
         return True
 
-    def express(self, vec: int) -> int | None:
-        """Combination mask over added vectors yielding vec, or None."""
-        reduced, comb = self._reduce(vec)
-        return None if reduced else comb
-
+    def __contains__(self, vec: int) -> bool:
+        return not self._reduce(vec)

@@ -10,10 +10,11 @@ composed with beta_k is zero and there is no other Adem interaction.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import Gf2Matrix
+from .gf2 import Echelon, Gf2Matrix
 
 
 def binom_mod2(n: int, k: int) -> int:
@@ -182,68 +183,44 @@ def adem_normalize(word: SteenrodWord) -> SteenrodWord:
 # Margolis homology
 
 
-@dataclass
-class SqModule:
-    """Graded F2-vector space with declared Sq1 and Sq2 actions in a window.
+def margolis_homology(
+    sq: Callable[[int, int], Gf2Matrix], spans: Mapping[int, Sequence[int]], which: str
+) -> dict[int, int]:
+    """ker/im dimensions of Q0 = Sq1 or Q1 = Sq1 Sq2 + Sq2 Sq1 on a module M.
 
-    dims[d] is the dimension in degree d; sq1[d] / sq2[d] are Gf2Matrix maps
-    from degree d to degree d+1 / d+2 (absent means zero).
+    spans[d] holds vectors spanning M^d, bitmasks in the ambient basis of
+    degree d; sq(i, d) is the ambient Sq^i from degree d to d + i in those
+    bases (EmAlgebra.sq_matrix).  Below its top degree M must be closed
+    under Sq1 and Sq2, else AssertionError.  dim H_d = dim M^d - rank Q(M^d)
+    - rank Q(M^{d - shift}) for d from M's lowest degree while d + shift is
+    at most its top.  ValueError: an unknown differential, or Q_i Q_i != 0.
     """
-
-    dims: dict[int, int]
-    sq1: dict[int, Gf2Matrix]
-    sq2: dict[int, Gf2Matrix]
-
-    @property
-    def min_degree(self) -> int:
-        return min((d for d, n in self.dims.items() if n), default=0)
-
-    @property
-    def max_degree(self) -> int:
-        return max((d for d, n in self.dims.items() if n), default=0)
-
-    def dim(self, d: int) -> int:
-        return self.dims.get(d, 0)
-
-    def _map(self, table: dict[int, Gf2Matrix], d: int, shift: int) -> Gf2Matrix:
-        m = table.get(d)
-        if m is None:
-            return Gf2Matrix.zero(self.dim(d), self.dim(d + shift))
-        return m
-
-    def q0(self, d: int) -> Gf2Matrix:
-        return self._map(self.sq1, d, 1)
-
-    def q1(self, d: int) -> Gf2Matrix:
-        """Q1 = Sq3 + Sq2 Sq1 = Sq1 Sq2 + Sq2 Sq1 (degree +3)."""
-        a = self._map(self.sq2, d, 2).then(self._map(self.sq1, d + 2, 1))
-        b = self._map(self.sq1, d, 1).then(self._map(self.sq2, d + 1, 2))
-        return a + b
-
-
-def margolis_homology(module: SqModule, which: str) -> dict[int, int]:
-    """ker/im dimensions of Q0 = Sq1 or Q1 = Sq3 + Sq2 Sq1.
-
-    Reported for degrees d with d + shift still inside the declared window,
-    so that both the outgoing and the incoming map are fully known.  Raises
-    if the supplied action data does not satisfy Q_i Q_i = 0.
-    """
-    if which == "Q0":
-        shift, diff = 1, module.q0
-    elif which == "Q1":
-        shift, diff = 3, module.q1
-    else:
+    if which not in ("Q0", "Q1"):
         raise ValueError(f"unknown Margolis differential {which!r}")
-    lo, hi = module.min_degree, module.max_degree
-    for d in range(lo, hi - 2 * shift + 1):
-        if not diff(d).then(diff(d + shift)).is_zero:
+    shift = 1 if which == "Q0" else 3
+
+    def act(i: int, d: int, vec: int) -> int:  # a zero vector needs no matrix
+        return sq(i, d).apply(vec) if vec else 0
+
+    def q(d: int, vec: int) -> int:
+        if shift == 1:
+            return act(1, d, vec)
+        return act(1, d + 2, act(2, d, vec)) ^ act(2, d + 1, act(1, d, vec))
+
+    module = {d: span for d, vecs in spans.items() if (span := Echelon(vecs)).dim}
+    lo, hi = min(module, default=0), max(module, default=0)
+    empty = Echelon()
+    for d, span in module.items():
+        for k in (1, 2):
+            up = module.get(d + k, empty)
+            if d + k <= hi and any(sq(k, d).apply(v) not in up for v in span.vectors):
+                raise AssertionError(f"module not closed under Sq{k} from degree {d}")
+    image = {d: [q(d, v) for v in module.get(d, empty).vectors] for d in range(lo, hi - shift + 1)}
+    for d, vecs in image.items():
+        if d + shift in image and any(q(d + shift, w) for w in vecs):
             raise ValueError(f"{which} squared is nonzero starting in degree {d}")
-    out: dict[int, int] = {}
-    for d in range(lo, hi - shift + 1):
-        outgoing = diff(d)
-        incoming = diff(d - shift) if d - shift >= lo else Gf2Matrix.zero(0, module.dim(d))
-        out[d] = (module.dim(d) - outgoing.rank()) - incoming.rank()
-    return out
+    rank = {d: Echelon(vecs).dim for d, vecs in image.items()}
+    return {d: module.get(d, empty).dim - rank[d] - rank.get(d - shift, 0) for d in rank}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
 from surfcond.abelian import FinAbGroup, UnsupportedRangeError
 from surfcond.ahss import (
+    _a1_submodule,
     apply_d2,
     assemble_e2,
     declare_higher_differential,
@@ -15,7 +18,8 @@ from surfcond.ahss import (
     total_degree_report,
 )
 from surfcond.coefficients import spectrum
-from surfcond.em_cohomology import EmSpace
+from surfcond.em_cohomology import EmSpace, algebra_for, reduced_smash_basis
+from surfcond.steenrod import margolis_homology
 
 Z2 = FinAbGroup((2,))
 Z3 = FinAbGroup((3,))
@@ -199,6 +203,30 @@ class TestFrozenRun:
         assert report.verdict != "0"
 
 
+    def test_log_and_declarations_are_read_only(self):
+        page3, _ = run_ahss(Z2, 2, "SW", 5, d5_zero=True)
+        d2 = next(e for e in page3.log if e["kind"] == "d2")
+        for record, key in (
+            (page3.log[0], "note"),
+            (d2["source"], 0),
+            (page3.declarations[0], "rank"),
+            (page3.declarations[0]["source"], 0),
+        ):
+            with pytest.raises(TypeError):
+                record[key] = 9
+
+    def test_editing_a_dump_leaves_the_run_unchanged(self):
+        dump = page_to_dict(run_ahss(Z2, 2, "SW", 5)[0])
+        note = dump["log"][0]["note"]
+        dump["log"][0]["note"] = "edited"
+        assert run_ahss(Z2, 2, "SW", 5)[0].log[0]["note"] == note != "edited"
+        declared = page_to_dict(run_ahss(Z2, 2, "SW", 5, d5_zero=True)[0])
+        assert declared["declarations"] == [{"r": 5, "source": [0, 4], "rank": 0}]
+        declared["declarations"][0]["source"][0] = 9
+        again = page_to_dict(run_ahss(Z2, 2, "SW", 5, d5_zero=True)[0])
+        assert again["declarations"] == [{"r": 5, "source": [0, 4], "rank": 0}]
+
+
 class TestProductSplit:
     def test_supercohomology_degree7_two_factors(self):
         split = product_split(FinAbGroup((2, 2)), "SH", 4, 7)
@@ -240,6 +268,34 @@ class TestSmashCheck:
         X = EmSpace.from_group(Z2, 2)
         check = smash_freeness_check(X, X, 3)
         assert check["dimension"] == 0 and not check["all_free"]
+
+    def test_submodule_missing_a_degree_is_not_closed(self):
+        X = EmSpace.from_group(Z2, 2)
+        alg = algebra_for(X.product(X), 9)
+        cls = reduced_smash_basis(X, X, 5, 9)[0]
+        module = _a1_submodule(alg, cls, 4, 9)
+        assert module[6]  # Sq1 of the degree-5 class is nonzero
+        with pytest.raises(AssertionError, match="not closed under Sq1 from degree 5"):
+            margolis_homology(alg.sq_matrix, {**module, 6: []}, "Q0")
+
+
+# the certificates perfbench/golden.json locks for the algebra workload
+ALGEBRA_GOLDEN = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "golden.json").read_text()
+)["algebra"]
+
+
+class TestCertificatesMatchBenchmarkGolden:
+    @pytest.mark.parametrize("N", [5, 6, 7])
+    def test_smash_freeness(self, N):
+        X = EmSpace.from_group(Z2, 2)
+        check = smash_freeness_check(X, X, N, window=(N - 1, N + 4))
+        assert json.loads(json.dumps(check)) == ALGEBRA_GOLDEN[f"smash_freeness_deg{N}"]
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_product_split(self, rank):
+        split = product_split(FinAbGroup((2,) * rank), "SW", 2, 5)
+        assert json.loads(json.dumps(split)) == ALGEBRA_GOLDEN[f"product_split_{rank}xz2_sw5"]
 
 
 class TestDumps:

@@ -430,6 +430,21 @@ def test_condense_rejects_a_flag_it_would_ignore(capsys, argv, flag):
     assert err.startswith(f"error: {flag} ")
 
 
+@pytest.mark.parametrize(
+    "descriptor, message",
+    [
+        ("braided; pi0=Z/4; id=2Rep(S3); fermionic=ye", "fermionic='ye' is not one of"),
+        ("braided; pi0=Z/4; id=2SVec; fermionic=no", "contradicts the fermionic identity 2SVec"),
+        ("braided; id=2Rep(S3,z); fermionic=no", "contradicts the fermionic identity 2Rep(S3,z)"),
+    ],
+)
+def test_condense_rejects_a_malformed_descriptor(capsys, descriptor, message):
+    code, out, err = run(capsys, ["condense", "--descriptor", descriptor])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_condense_records_the_defaults(capsys):
     code, out, _ = run(capsys, ["condense", "--descriptor", "braided; pi0=Z/2", "--json"])
     assert code == 0

@@ -45,6 +45,27 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             SkeletalCategory("fusion", "anyonic", "2Vec")
 
+    @pytest.mark.parametrize("flag", ["ye", "", "maybe", "2", "fermionic"])
+    def test_unknown_fermionic_flag_rejected(self, flag):
+        with pytest.raises(ValueError, match="is not one of yes/no/true/false/1/0"):
+            parse_descriptor(f"braided; pi0=Z/4; id=2Rep(S3); fermionic={flag}")
+
+    @pytest.mark.parametrize("identity", ["2SVec", "2Rep(S3,z)"])
+    @pytest.mark.parametrize("flag", ["no", "False", "0"])
+    def test_bosonic_flag_beside_fermionic_identity_rejected(self, identity, flag):
+        with pytest.raises(ValueError, match="contradicts the fermionic identity"):
+            parse_descriptor(f"braided; pi0=Z/2; id={identity}; fermionic={flag}")
+        assert parse_descriptor(f"braided; id={identity}; fermionic=yes").statistic == "fermionic"
+
+    @pytest.mark.parametrize("text", [
+        "fusion", "braided; pi0=Z/4; id=2Rep(S3); fermionic=no",
+        "sylleptic; pi0=Z/2 x Z/4; fermionic=TRUE", "symmetric; id=2SVec",
+        "braided; pi0=Z/2; id=2Rep(S3,z); fermionic=1", "fusion; id=2Rep(G); fermionic=0",
+    ])
+    def test_describe_parses_back_to_the_same_category(self, text):
+        cat = parse_descriptor(text)
+        assert parse_descriptor(cat.describe()) == cat
+
     @pytest.mark.parametrize("tag", ["garbage", "2Rep()", "2Rep(,z)", "2Rep(S3", "Rep(S3)"])
     def test_unknown_identity_tag_rejected(self, tag):
         with pytest.raises(ValueError, match="unknown identity component tag"):

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,27 +109,6 @@ class TestEchelon:
         assert not e.add(0b11)
         assert e.dim == 2
 
-    @given(st.lists(st.integers(min_value=0, max_value=63), max_size=8))
-    @settings(max_examples=80)
-    def test_express_recovers_combinations(self, vecs):
-        e = Echelon()
-        for v in vecs:
-            e.add(v)
-        spanned = {0}
-        for v in e.vectors:
-            spanned |= {s ^ v for s in spanned}
-        for target in itertools.islice(spanned, 32):
-            comb = e.express(target)
-            assert comb is not None
-            recombined = 0
-            for pos, v in enumerate(e.vectors):
-                if (comb >> pos) & 1:
-                    recombined ^= v
-            assert recombined == target
-        outside = next((v for v in range(64) if v not in spanned), None)
-        if outside is not None:
-            assert e.express(outside) is None
-
     @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1, max_size=80),
            st.randoms(use_true_random=False))
     @settings(max_examples=60)
@@ -145,13 +122,14 @@ class TestEchelon:
         grew = [e.add(v) for v in family]
         assert e.dim == sum(grew) == dense_rank(Gf2Matrix.from_rows(gens, 64))
         assert e.vectors == [v for v, g in zip(family, grew) if g]
-        for v in family + vecs:
-            comb = e.express(v)
-            in_span = dense_rank(Gf2Matrix.from_rows(e.vectors + [v], 64)) == e.dim
-            assert (comb is not None) == in_span
-            if comb is not None:
-                recombined = 0
-                for pos, w in enumerate(e.vectors):
-                    if (comb >> pos) & 1:
-                        recombined ^= w
-                assert recombined == v
+
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1), max_size=6),
+           st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1), max_size=8))
+    @settings(max_examples=60)
+    def test_membership_matches_dense_rank(self, spanning, probes):
+        e = Echelon()
+        for v in spanning:
+            e.add(v)
+        for v in spanning + probes:
+            in_span = dense_rank(Gf2Matrix.from_rows(e.vectors + [v], 16)) == e.dim
+            assert (v in e) == in_span

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from surfcond import acceptance
 from surfcond.acceptance import _act_word
+from surfcond.em_cohomology import EmAlgebra, EmSpace
 from surfcond.gf2 import Gf2Matrix
 from surfcond.steenrod import (
-    SqModule,
     SteenrodMonomial,
     SteenrodWord,
     adem_normalize,
@@ -213,26 +213,62 @@ class TestParse:
             parse_word("Sq2 Qx1")
 
 
+def _toy_sq(dims, maps):
+    """sq(i, d) of a toy module in its own basis: maps[(i, d)], zero if absent."""
+    return lambda i, d: maps.get((i, d), Gf2Matrix.zero(dims.get(d, 0), dims.get(d + i, 0)))
+
+
+def _whole(dims):
+    """Each degree spanned by its whole basis."""
+    return {d: [1 << k for k in range(n)] for d, n in dims.items()}
+
+
 class TestMargolis:
     def test_zero_module(self):
-        m = SqModule(dims={4: 2, 5: 2, 6: 1}, sq1={}, sq2={})
-        assert margolis_homology(m, "Q0") == {4: 2, 5: 2}
+        dims = {4: 2, 5: 2, 6: 1}
+        assert margolis_homology(_toy_sq(dims, {}), _whole(dims), "Q0") == {4: 2, 5: 2}
 
     def test_exact_two_step_complex(self):
         # 0 -> F2 -> F2 -> 0 with the identity Sq1: acyclic for Q0
-        m = SqModule(
-            dims={0: 1, 1: 1},
-            sq1={0: Gf2Matrix.from_rows([1], 1)},
-            sq2={},
-        )
-        assert margolis_homology(m, "Q0") == {0: 0}
+        dims = {0: 1, 1: 1}
+        sq = _toy_sq(dims, {(1, 0): Gf2Matrix.from_rows([1], 1)})
+        assert margolis_homology(sq, _whole(dims), "Q0") == {0: 0}
 
     def test_q0_squared_nonzero_raises(self):
         ident = Gf2Matrix.from_rows([1], 1)
-        m = SqModule(dims={0: 1, 1: 1, 2: 1}, sq1={0: ident, 1: ident}, sq2={})
-        with pytest.raises(ValueError):
-            margolis_homology(m, "Q0")
+        dims = {0: 1, 1: 1, 2: 1}
+        sq = _toy_sq(dims, {(1, 0): ident, (1, 1): ident})
+        with pytest.raises(ValueError, match="Q0 squared is nonzero"):
+            margolis_homology(sq, _whole(dims), "Q0")
 
     def test_unknown_differential_rejected(self):
         with pytest.raises(ValueError):
-            margolis_homology(SqModule({0: 1}, {}, {}), "Q2")
+            margolis_homology(_toy_sq({0: 1}, {}), {0: [1]}, "Q2")
+
+    @pytest.mark.parametrize("which", ["Q0", "Q1"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_span_not_closed_under_sq_raises(self, k, which):
+        # Sq^k sends the degree-0 class to the second basis vector of degree
+        # k, which the span given for degree k leaves out
+        dims = {0: 1, 1: 2, 2: 2}
+        sq = _toy_sq(dims, {(k, 0): Gf2Matrix.from_rows([0b10], 2)})
+        with pytest.raises(AssertionError, match=f"not closed under Sq{k} from degree 0"):
+            margolis_homology(sq, {0: [1], 1: [0b01], 2: [0b01]}, which)
+
+    def test_redundant_spanning_vectors_change_nothing(self):
+        dims = {0: 1, 1: 2, 2: 1}
+        sq = _toy_sq(dims, {(1, 0): Gf2Matrix.from_rows([0b01], 2)})
+        # zero vectors, repeats and a degree spanned by zero alone
+        spans = {0: [1, 1, 0], 1: [0b01, 0b10, 0b11], 2: [0, 1], 3: [0]}
+        assert margolis_homology(sq, spans, "Q0") == margolis_homology(sq, _whole(dims), "Q0")
+        assert margolis_homology(sq, spans, "Q0") == {0: 0, 1: 1}
+
+    def test_polynomial_algebra_on_one_class(self):
+        # H*(K(Z/2,1)) = F2[x]: Q0 x^n = n x^(n+1) and Q1 x^n = n x^(n+3),
+        # so Q0 homology is 1 and Q1 homology is {1, x^2}
+        alg = EmAlgebra(EmSpace.single(2, 1), 12)
+        spans = {d: [1] for d in range(13)}
+        assert margolis_homology(alg.sq_matrix, spans, "Q0") == {d: int(d == 0) for d in range(12)}
+        assert margolis_homology(alg.sq_matrix, spans, "Q1") == {
+            d: int(d in (0, 2)) for d in range(10)
+        }
