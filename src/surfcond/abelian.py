@@ -418,8 +418,11 @@ def quad_group_brute(E: FinAbGroup, target: str) -> FinAbGroup:
     (expand b(x + (x'+y), z) twice), so S is a subgroup of the finite group
     E and equals E once it holds the invariant-factor generators
     e_1..e_r.  So the relations are q(-x) = q(x), the cubic difference for
-    x = e_i and nonzero y <= z (r * n(n+1)/2 rows for the n = |E| - 1
+    x = e_i and nonzero y <= z (r * n(n+1)/2 of them for the n = |E| - 1
     nonzero elements, against the C(n+2, 3) triples x <= y <= z), and
+    m * identity.  Reduced mod m, the relations repeat a lot: each distinct
+    nonzero one is passed once.  For the 18 Quad groups of selftest that
+    leaves 1462 of the 3360 relation rows, beside the 192 rows of
     m * identity.
     """
     if E.is_trivial:
@@ -431,39 +434,40 @@ def quad_group_brute(E: FinAbGroup, target: str) -> FinAbGroup:
     add = [[index[E.add(x, y)] for y in elems] for x in elems]
     n = len(elems) - 1
 
-    def coords(*terms):
+    # each relation reduced mod m, kept once: the rows m * e_i below span
+    # m * Z^n, so neither step moves the row lattice
+    relations: dict[tuple[int, ...], None] = {}
+
+    def relate(*terms):
         row = [0] * n
         for sign, i in terms:
             if i:
                 row[i - 1] += sign
-        return row
+        row = tuple([v % m for v in row])
+        if any(row):
+            relations[row] = None
 
-    rows = []
     for i, e in enumerate(elems[1:], 1):
-        neg = index[E.neg(e)]
-        if neg != i:
-            rows.append(coords((1, i), (-1, neg)))
+        relate((1, i), (-1, index[E.neg(e)]))
     r = len(E.invariant_factors)
     generators = [index[tuple(int(j == i) for j in range(r))] for i in range(r)]
     for x in generators:
         for y, z in itertools.combinations_with_replacement(range(1, n + 1), 2):
             xy = add[x][y]
-            rows.append(
-                coords(
-                    (1, add[xy][z]),
-                    (-1, xy),
-                    (-1, add[x][z]),
-                    (-1, add[y][z]),
-                    (1, x),
-                    (1, y),
-                    (1, z),
-                )
+            relate(
+                (1, add[xy][z]),
+                (-1, xy),
+                (-1, add[x][z]),
+                (-1, add[y][z]),
+                (1, x),
+                (1, y),
+                (1, z),
             )
+    rows = list(relations)
     for i in range(n):
         row = [0] * n
         row[i] = m
         rows.append(row)
-    rows = [r for r in rows if any(r)]
     return smith_normal_form(rows)
 
 

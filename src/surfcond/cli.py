@@ -250,8 +250,8 @@ def _cmd_condense(args) -> tuple[dict, int]:
     if args.descriptor:
         cat = parse_descriptor(args.descriptor)
     else:
-        cat = SkeletalCategory(
-            level, "bosonic", identity if args.phi else "2Vec", pi0 or FinAbGroup.trivial()
+        cat = SkeletalCategory.of(
+            level, identity if args.phi else "2Vec", pi0 or FinAbGroup.trivial()
         )
     if args.phi:
         after = condense_phi(cat)

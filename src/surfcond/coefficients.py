@@ -233,11 +233,9 @@ def circle_row(
             if d == 2:
                 comparison[6] = {"i2^3": (1,), "Sq1(i2)^2": None}
                 comparison[7] = {"i2*Sq2 Sq1(i2)": (1,), "i2^2*Sq1(i2)": None}
-                comparison[8] = {
-                    "i2*Sq1(i2)^2": (1,),
-                    "i2^4": None,
-                    "Sq1(i2)*Sq2 Sq1(i2)": None,
-                }
+                # Sq1(i2)*Sq2 Sq1(i2) stays undeclared: its Sq1 is
+                # Sq1(i2)^3 != 0, so its image is not zero
+                comparison[8] = {"i2*Sq1(i2)^2": (1,), "i2^4": None}
     else:  # n == 4
         put(0, _CX, "unit of the spectrum")
         for i in (1, 2, 3):
@@ -252,6 +250,10 @@ def circle_row(
             g5 = "Sq1(i4)" if k == 1 else f"b{k}(i4)"
             comparison[7] = {f"Sq2 {g5}": (1,), "Sq3(i4)": None}
             comparison[8] = {name: None for name in _monomial_names(E, 4, 8)}
+            if k == 1:
+                # undeclared: Browder's beta_2(i4^2) = i4*Sq1(i4) + Sq4 Sq1(i4)
+                # is nonzero, so the image of i4^2 is not zero
+                del comparison[8]["i4^2"]
         elif cyclic:
             put(6, _0, "odd torsion: no even classes")
 

@@ -22,6 +22,10 @@ STATISTICS = ("bosonic", "fermionic")
 _FERMIONIC = {"yes": True, "no": False, "true": True, "false": False, "1": True, "0": False}
 
 
+def _fermionic_identity(identity: str) -> bool:
+    return identity == "2SVec" or identity.endswith(",z)")
+
+
 @dataclass(frozen=True)
 class SkeletalCategory:
     """Connected-component skeleton of a fusion 2-category."""
@@ -40,6 +44,16 @@ class SkeletalCategory:
         name = self.identity[5:-1].removesuffix(",z") if rep else ""
         if self.identity not in ("2Vec", "2SVec") and not name:
             raise ValueError(f"unknown identity component tag {self.identity!r}")
+        if self.statistic == "bosonic" and _fermionic_identity(self.identity):
+            raise ValueError(f"a bosonic statistic contradicts the fermionic identity {self.identity}")
+
+    @classmethod
+    def of(cls, level: str, identity: str, pi0: FinAbGroup, fermionic: bool | None = None):
+        """The category with these invariants; fermionic=None takes the
+        statistic from the identity (fermionic for 2SVec and 2Rep(...,z))."""
+        if fermionic is None:
+            fermionic = _fermionic_identity(identity)
+        return cls(level, "fermionic" if fermionic else "bosonic", identity, pi0)
 
     @property
     def strongly_fusion(self) -> bool:
@@ -83,11 +97,7 @@ def parse_descriptor(text: str) -> SkeletalCategory:
             raise ValueError(f"fermionic={val!r} is not one of {'/'.join(_FERMIONIC)}")
         else:
             raise ValueError(f"unknown descriptor key {key!r}")
-    if identity == "2SVec" or identity.endswith(",z)"):
-        if fermionic is False:
-            raise ValueError(f"a bosonic flag contradicts the fermionic identity {identity}")
-        fermionic = True
-    return SkeletalCategory(level, "fermionic" if fermionic else "bosonic", identity, pi0)
+    return SkeletalCategory.of(level, identity, pi0, fermionic)
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +179,9 @@ def condense_phi(cat: SkeletalCategory) -> SkeletalCategory:
     """
     if cat.strongly_fusion:
         raise ValueError(f"condense_phi needs a 2Rep identity component, got {cat.identity}")
-    fermionic = cat.identity.endswith(",z)") or cat.statistic == "fermionic"
-    new_identity = "2SVec" if fermionic else "2Vec"
+    fermionic = cat.statistic == "fermionic"  # as a 2Rep(...,z) identity forces
     new_level = "fusion" if cat.level == "braided" else cat.level
-    return replace(
-        cat,
-        identity=new_identity,
-        level=new_level,
-        statistic="fermionic" if fermionic else cat.statistic,
-    )
+    return replace(cat, identity="2SVec" if fermionic else "2Vec", level=new_level)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,23 @@ class TestQuadraticForms:
         for target in (CIRCLE, Z2_TARGET):
             assert quad_group_brute(E, target) == quad_group(E, target)
 
+    @pytest.mark.parametrize("factors", [(2, 2), (2, 4), (4, 4), (2, 2, 2)])
+    def test_brute_force_passes_each_reduced_relation_once(self, factors, monkeypatch):
+        from surfcond import abelian
+
+        E, seen = FinAbGroup(factors), []
+        monkeypatch.setattr(abelian, "smith_normal_form",
+                            lambda rows: seen.append(rows) or smith_normal_form(rows))
+        for target, m in ((CIRCLE, 2 * E.exponent), (Z2_TARGET, 2)):
+            q = quad_group_brute(E, target)
+            assert q == quad_group(E, target)
+            rows, n = [tuple(r) for r in seen.pop()], E.order - 1
+            identity = {tuple(m * (j == i) for j in range(n)) for i in range(n)}
+            relations = [r for r in rows if r not in identity]
+            assert identity <= set(rows)
+            assert len(relations) == len(set(relations))
+            assert all(any(r) and all(0 <= v < m for v in r) for r in relations)
+
     def test_generators_suffice_for_biadditivity(self):
         # every divisibility chain d_1 | ... | d_r with r >= 2 and product <= 16
         groups = {FinAbGroup(chain) for chain in _chains(16) if len(chain) >= 2}

@@ -45,6 +45,20 @@ def test_property_suites():
     _run("property suites")
 
 
+def test_property_suites_keep_their_coverage():
+    # a speed-up that shrinks an oracle changes these counts
+    ok, detail = acceptance.check_property_suites()
+    assert ok, detail
+    for count in (
+        "adem oracle: ok (100 inadmissible pairs verified",
+        "cartan: ok (676 Cartan instances checked)",
+        "d2 squared: ok (6 composable d2 chains asserted zero across 6 runs)",
+        "functor brute force: ok (283 hom/Ext pairs cross-checked and 18 Quad groups",
+        "poincare convolution: ok (4 product series",
+    ):
+        assert count in detail
+
+
 def test_every_criterion_is_covered():
     tested = {
         "degree-5 super-Witt vanishing, cyclic 2-groups",

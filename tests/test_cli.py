@@ -414,6 +414,19 @@ def test_condense_without_pi0_has_one_component(capsys):
     )
 
 
+@pytest.mark.parametrize("identity", ["2Rep(G)", "2Rep(S3,z)"])
+@pytest.mark.parametrize("extra", [[], ["--level", "braided", "--pi0", "Z/2 x Z/4"]])
+def test_condense_phi_lines_parse_back_to_the_same_category(capsys, identity, extra):
+    code, out, _ = run(capsys, ["condense", "--phi", "--id", identity] + extra)
+    assert code == 0
+    assert out.startswith("before: ")
+    lines = [line.split(":", 1)[1].strip() for line in out.splitlines()[:2]]
+    for line in lines:
+        code, out, err = run(capsys, ["condense", "--descriptor", line])
+        assert code == 0, err
+        assert out.splitlines()[0] == f"before: {line}"
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

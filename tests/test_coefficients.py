@@ -120,6 +120,20 @@ class TestComparisonMap:
         with pytest.raises(UnspecifiedComparisonError):
             circle_row(Z2, 2).comparison_matrix(alg, 3, class_matrix(alg, alg.sq(1, iota)))
 
+    @pytest.mark.parametrize("n, name", [(2, "Sq1(i2)*Sq2 Sq1(i2)"), (4, "i4^2")])
+    def test_classes_with_a_nonzero_image_are_not_declared_zero(self, n, name):
+        # Sq1(Sq1(i2)*Sq2 Sq1(i2)) = Sq1(i2)^3 != 0, and Browder's
+        # beta_2(i4^2) = i4*Sq1(i4) + Sq4 Sq1(i4) != 0: a source reaching
+        # either class must stop, not read a zero image
+        alg = algebra_for(EmSpace.from_group(Z2, n))
+        names = [alg.format_monomial(m) for m in alg.basis(8)]
+        source = Gf2Matrix.from_rows([1 << names.index(name)], len(names))
+        row = circle_row(Z2, n)
+        with pytest.raises(UnspecifiedComparisonError, match=re.escape(f"{name} in degree 8")):
+            row.comparison_matrix(alg, 8, source)
+        others = sum(1 << pos for pos, other in enumerate(names) if other != name)
+        row.comparison_matrix(alg, 8, Gf2Matrix.from_rows([others], len(names)))
+
     def test_image_outside_two_torsion_rejected(self):
         alg = algebra_for(EmSpace.from_group(Z4, 2))
         iota = alg.fundamental_class()

@@ -57,6 +57,18 @@ class TestDescriptors:
             parse_descriptor(f"braided; pi0=Z/2; id={identity}; fermionic={flag}")
         assert parse_descriptor(f"braided; id={identity}; fermionic=yes").statistic == "fermionic"
 
+    @pytest.mark.parametrize("identity", ["2SVec", "2Rep(S3,z)", "2Rep(G,z)"])
+    def test_category_rejects_a_bosonic_statistic_with_a_fermionic_identity(self, identity):
+        with pytest.raises(ValueError, match="contradicts the fermionic identity"):
+            SkeletalCategory("fusion", "bosonic", identity)
+        assert SkeletalCategory.of("fusion", identity, FinAbGroup.trivial()).statistic == "fermionic"
+
+    @pytest.mark.parametrize("identity", ["2Vec", "2Rep(S3)"])
+    def test_statistic_of_a_bosonic_identity_defaults_to_bosonic(self, identity):
+        assert SkeletalCategory.of("fusion", identity, FinAbGroup.trivial()).statistic == "bosonic"
+        cat = SkeletalCategory.of("fusion", identity, FinAbGroup.trivial(), fermionic=True)
+        assert cat.statistic == "fermionic"
+
     @pytest.mark.parametrize("text", [
         "fusion", "braided; pi0=Z/4; id=2Rep(S3); fermionic=no",
         "sylleptic; pi0=Z/2 x Z/4; fermionic=TRUE", "symmetric; id=2SVec",
