@@ -175,9 +175,11 @@ def _order2_element(G: FinAbGroup) -> tuple[int, ...]:
 
 
 def _monomial_names(E: FinAbGroup, n: int, degree: int) -> list[str]:
+    """Names of the basis of H^degree(K(E, n); Z2), from the smallest algebra
+    that has that degree: the names do not depend on the cap."""
     from .em_cohomology import EmSpace, algebra_for
 
-    alg = algebra_for(EmSpace.from_group(E, n))
+    alg = algebra_for(EmSpace.from_group(E, n), max(degree, n))
     return [alg.format_monomial(m) for m in alg.basis(degree)]
 
 

@@ -165,28 +165,39 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-@dataclass(frozen=True, eq=False)
 class PolyClass:
-    """Homogeneous F2-sum of basis monomials of an EmAlgebra."""
+    """Homogeneous F2-sum of basis monomials of an EmAlgebra: vec is its
+    bitmask in the coordinates of algebra.basis(degree)."""
 
-    algebra: "EmAlgebra"
-    degree: int
-    monomials: frozenset[Monomial]
+    __slots__ = ("algebra", "degree", "vec")
+
+    def __init__(self, algebra: "EmAlgebra", degree: int, vec: int):
+        self.algebra = algebra
+        self.degree = degree
+        self.vec = vec
+
+    @property
+    def monomials(self) -> tuple[Monomial, ...]:
+        """The basis monomials at the set bits of vec, in basis order."""
+        if not self.vec:
+            return ()
+        basis = self.algebra.basis(self.degree)
+        return tuple(basis[b] for b in bits(self.vec))
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyClass)
             and self.algebra is other.algebra
             and self.degree == other.degree
-            and self.monomials == other.monomials
+            and self.vec == other.vec
         )
 
     def __hash__(self):
-        return hash((id(self.algebra), self.degree, self.monomials))
+        return hash((id(self.algebra), self.degree, self.vec))
 
     @property
     def is_zero(self) -> bool:
-        return not self.monomials
+        return not self.vec
 
     def __add__(self, other: "PolyClass") -> "PolyClass":
         if self.algebra is not other.algebra:
@@ -197,7 +208,7 @@ class PolyClass:
             return self
         if self.degree != other.degree:
             raise ValueError("inhomogeneous sum")
-        return PolyClass(self.algebra, self.degree, self.monomials ^ other.monomials)
+        return PolyClass(self.algebra, self.degree, self.vec ^ other.vec)
 
     def __mul__(self, other: "PolyClass") -> "PolyClass":
         if self.algebra is not other.algebra:
@@ -207,14 +218,18 @@ class PolyClass:
             return self.algebra.zero_class(degree)
         if degree > self.algebra.cap:
             raise CapExceededError(f"product degree {degree} above cap {self.algebra.cap}")
-        out: set[Monomial] = set()
+        pos = self.algebra._basis_pos
+        vec = 0
         for a in self.monomials:
             for b in other.monomials:
-                out.symmetric_difference_update({_mul_monomials(a, b)})
-        return PolyClass(self.algebra, degree, frozenset(out))
+                vec ^= 1 << pos[_mul_monomials(a, b)]
+        return PolyClass(self.algebra, degree, vec)
 
     def __str__(self) -> str:
         return self.algebra.format_class(self)
+
+    def __repr__(self) -> str:
+        return f"<{self} in degree {self.degree}>"
 
 
 class EmAlgebra:
@@ -232,7 +247,9 @@ class EmAlgebra:
     acts by the Kronecker sum Sq^i(h (x) t) = sum_j Sq^j h (x) Sq^(i-j) t of
     the two algebras' Sq matrices.
 
-    Immutable after construction; memo tables are per-instance.
+    A class is its bitmask in the basis of its degree (`PolyClass.vec`),
+    on which Sq^i acts by `sq_matrix`.  Immutable after construction but
+    for its one memo table, the Sq matrices by (i, degree).
     """
 
     def __init__(self, space: EmSpace, cap: int = DEFAULT_CAP):
@@ -262,10 +279,8 @@ class EmAlgebra:
             self._basis: dict[int, tuple[Monomial, ...]] = self._build_basis()
         else:
             self._basis = self._build_tensor_basis()
-        self._basis_pos = {
-            (d, m): i for d, ms in self._basis.items() for i, m in enumerate(ms)
-        }
-        self._sq_mono_cache: dict[tuple[int, Monomial], frozenset[Monomial]] = {}
+        # a monomial's position in the basis of its own degree
+        self._basis_pos = {m: i for ms in self._basis.values() for i, m in enumerate(ms)}
         self._sq_matrix_cache: dict[tuple[int, int], Gf2Matrix] = {}
 
     # -- construction -------------------------------------------------
@@ -327,10 +342,15 @@ class EmAlgebra:
         return len(self.basis(degree))
 
     def zero_class(self, degree: int) -> PolyClass:
-        return PolyClass(self, degree, frozenset())
+        return PolyClass(self, degree, 0)
 
     def monomial_class(self, mono: Monomial) -> PolyClass:
-        return PolyClass(self, self.monomial_degree(mono), frozenset({mono}))
+        pos = self._basis_pos.get(mono)
+        if pos is None:
+            raise ValueError(
+                f"{mono!r} is not a basis monomial of {self.space} at cap {self.cap}"
+            )
+        return PolyClass(self, self.monomial_degree(mono), 1 << pos)
 
     def monomial_degree(self, mono: Monomial) -> int:
         degrees = self._gen_degrees
@@ -349,14 +369,16 @@ class EmAlgebra:
 
     def coordinates(self, cls: PolyClass) -> int:
         """Bitmask of cls in the basis of its degree."""
-        out = 0
-        for m in cls.monomials:
-            out |= 1 << self._basis_pos[(cls.degree, m)]
-        return out
+        if cls.algebra is not self:
+            raise ValueError(
+                f"{cls} is a class of another algebra than {self.space} at cap {self.cap}"
+            )
+        return cls.vec
 
     def mul_matrix(self, cls: PolyClass, degree: int) -> Gf2Matrix:
         """Multiplication by cls, from degree to degree + cls.degree."""
-        rows = [self.coordinates(cls * self.monomial_class(m)) for m in self.basis(degree)]
+        self.coordinates(cls)
+        rows = [(cls * self.monomial_class(m)).vec for m in self.basis(degree)]
         return Gf2Matrix.from_rows(rows, self.dimension(degree + cls.degree))
 
     # -- Steenrod action ----------------------------------------------
@@ -371,12 +393,10 @@ class EmAlgebra:
             target = degree + i
             if target > self.cap:
                 raise CapExceededError(f"Sq{i} image degree {target} above cap {self.cap}")
-            if self._head is None:
-                pos = self._basis_pos
-                rows = [
-                    sum(1 << pos[(target, m)] for m in self._sq_monomial(i, mono))
-                    for mono in self.basis(degree)
-                ]
+            if i == 0:
+                rows = [1 << p for p in range(self.dimension(degree))]
+            elif self._head is None:
+                rows = [self._cartan_row(i, mono) for mono in self.basis(degree)]
             else:
                 rows = self._kronecker_sq(i, degree)
             mat = Gf2Matrix.from_rows(rows, self.dimension(target))
@@ -384,25 +404,11 @@ class EmAlgebra:
         return mat
 
     def sq(self, i: int, cls: PolyClass) -> PolyClass:
-        """Sq^i on a homogeneous class: the sum of its monomials' rows of
-        `sq_matrix`, read back as monomials."""
+        """Sq^i on a homogeneous class: its vector through `sq_matrix`."""
+        vec = self.coordinates(cls)
         if i == 0:
             return cls
-        d = cls.degree
-        rows = self.sq_matrix(i, d).rows
-        pos = self._basis_pos
-        vec = 0
-        for mono in cls.monomials:
-            vec ^= rows[pos[(d, mono)]]
-        # the set-bit walk of gf2.bits, inlined: on this path its call frame
-        # costs more than the decoding
-        monos = self._basis[d + i]
-        out = []
-        while vec:
-            low = vec & -vec
-            out.append(monos[low.bit_length() - 1])
-            vec ^= low
-        return PolyClass(self, d + i, frozenset(out))
+        return PolyClass(self, cls.degree + i, self.sq_matrix(i, cls.degree).apply(vec))
 
     def _kronecker_sq(self, i: int, degree: int) -> list[int]:
         """Rows of Sq^i on H (x) T in `degree`, from the Sq matrices of H and T.
@@ -438,51 +444,42 @@ class EmAlgebra:
                     out.append(row)
         return out
 
-    def _sq_monomial(self, i: int, mono: Monomial) -> frozenset[Monomial]:
-        """Sq^i of a basis monomial, cached.  The Cartan formula splits off
-        one generator g: Sq^i(g r) = sum_j Sq^j(g) Sq^(i-j)(r)."""
-        if i == 0:
-            return frozenset({mono})
+    def _cartan_row(self, i: int, mono: Monomial) -> int:
+        """Row of a basis monomial in Sq^i (i > 0).  The Cartan formula
+        splits off one generator g: Sq^i(g r) = sum_j Sq^j(g) Sq^(i-j)(r),
+        with both factors read from the Sq matrices of lower degree."""
         if not mono:
-            return frozenset()
-        key = (i, mono)
-        cached = self._sq_mono_cache.get(key)
-        if cached is not None:
-            return cached
+            return 0
         (gi, e), rest = mono[0], mono[1:]
         if e == 1 and not rest:
-            result = self._sq_generator(i, gi)
-        else:
-            if e > 1:
-                rest = ((gi, e - 1),) + rest
-            rest_deg = self.monomial_degree(rest)
-            out: set[Monomial] = set()
-            for j in range(max(0, i - rest_deg), min(i, self._gen_degrees[gi]) + 1):
-                for a in self._sq_monomial(j, ((gi, 1),)):
-                    for b in self._sq_monomial(i - j, rest):
-                        out.symmetric_difference_update({_mul_monomials(a, b)})
-            result = frozenset(out)
-        self._sq_mono_cache[key] = result
-        return result
+            return self._sq_generator(i, gi)
+        if e > 1:
+            rest = ((gi, e - 1),) + rest
+        g, r = self.generator_class(gi), self.monomial_class(rest)
+        row = 0
+        for j in range(max(0, i - r.degree), min(i, g.degree) + 1):
+            row ^= (self.sq(j, g) * self.sq(i - j, r)).vec
+        return row
 
-    def _sq_generator(self, i: int, gi: int) -> frozenset[Monomial]:
-        """Sq^i of one generator: instability, else Adem normalization of
-        the composed word, each term resolved on the fundamental class."""
+    def _sq_generator(self, i: int, gi: int) -> int:
+        """Row of one generator in Sq^i (i > 0): instability, else Adem
+        normalization of the composed word, each term resolved on the
+        fundamental class."""
         gen = self.generators[gi]
         d = self._gen_degrees[gi]
         if i > d:
-            return frozenset()
+            return 0
         if i == d:
-            return frozenset({((gi, 2),)})
+            return 1 << self._basis_pos[((gi, 2),)]
         composed = adem_normalize(
             SteenrodWord.of(SteenrodMonomial((i,) + gen.word.squares, gen.word.bockstein))
         )
-        out: set[Monomial] = set()
+        row = 0
         for word in composed.monomials:
             resolved = self._resolve_on_iota(word, gen.factor)
             if resolved is not None:
-                out.symmetric_difference_update({resolved})
-        return frozenset(out)
+                row ^= 1 << self._basis_pos[resolved]
+        return row
 
     def _resolve_on_iota(self, word: SteenrodMonomial, factor: int):
         """Admissible word applied to a fundamental class, as a basis monomial.

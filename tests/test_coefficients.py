@@ -7,16 +7,18 @@ from surfcond.abelian import FinAbGroup, UnsupportedRangeError
 from surfcond.coefficients import (
     CoeffOverrides,
     UnspecifiedComparisonError,
+    _monomial_names,
     circle_row,
     spectrum,
 )
-from surfcond.em_cohomology import EmSpace, algebra_for
+from surfcond.em_cohomology import DEFAULT_CAP, EmSpace, algebra_for
 from surfcond.gf2 import Gf2Matrix
 
 Z2 = FinAbGroup((2,))
 Z3 = FinAbGroup((3,))
 Z4 = FinAbGroup((4,))
 Z6 = FinAbGroup((6,))
+Z8 = FinAbGroup((8,))
 
 
 class TestSpectrumTables:
@@ -141,6 +143,27 @@ class TestComparisonMap:
         row.comparison[2] = {"i2": (1,)}  # a generator of Z/4, not of order 2
         with pytest.raises(ValueError, match="not 2-torsion"):
             row.comparison_matrix(alg, 2, class_matrix(alg, iota))
+
+
+class TestMonomialNames:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_names_do_not_depend_on_the_cap(self, n):
+        for order in range(1, 33):
+            E = FinAbGroup.from_factors([order])
+            full = algebra_for(EmSpace.from_group(E, n), DEFAULT_CAP)
+            for degree in range(DEFAULT_CAP + 1):
+                expected = [full.format_monomial(m) for m in full.basis(degree)]
+                assert _monomial_names(E, n, degree) == expected, (order, degree)
+
+    def test_circle_row_builds_no_default_cap_algebra(self):
+        # its degree-5 names come from an algebra of cap 5
+        algebra_for.cache_clear()
+        circle_row(Z8, 2)
+        space = EmSpace.from_group(Z8, 2)
+        for args in ((space,), (space, DEFAULT_CAP)):
+            hits = algebra_for.cache_info().hits
+            algebra_for(*args)
+            assert algebra_for.cache_info().hits == hits, args
 
 
 class TestOverrides:

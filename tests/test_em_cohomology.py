@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from surfcond.em_cohomology import (
     reduced_smash_basis,
     serre_generators,
 )
-from surfcond.gf2 import Gf2Matrix
+from surfcond.gf2 import Gf2Matrix, bits
 from surfcond.steenrod import SteenrodMonomial, adem_expand
 
 
@@ -155,6 +157,114 @@ class TestProductAlgebraAction:
         for i, m in keys[:: len(keys) // 40]:
             fresh = EmAlgebra(self.SPACE, 14)
             assert fresh.sq(i, fresh.monomial_class(m)).monomials == table[(i, m)]
+
+
+VECTOR_ALGEBRAS = {
+    "z2_2-squared": (EmSpace(((2, 2), (2, 2))), 12),
+    "z4_2-z2_4": (EmSpace(((4, 2), (2, 4))), 12),
+}
+
+
+class TestClassesAsVectors:
+    """A class is its bitmask in the basis of its degree, and the
+    operations on classes are the operations on those bitmasks."""
+
+    @given(st.sampled_from(sorted(VECTOR_ALGEBRAS)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_operations_agree_with_the_vectors(self, name, data):
+        alg = algebra_for(*VECTOR_ALGEBRAS[name])
+        d = data.draw(st.sampled_from([d for d in range(alg.cap + 1) if alg.dimension(d)]))
+        basis = alg.basis(d)
+
+        def draw_class():
+            vec = data.draw(st.integers(min_value=0, max_value=2 ** len(basis) - 1))
+            cls = alg.zero_class(d)
+            for b in bits(vec):
+                cls = cls + alg.monomial_class(basis[b])
+            assert cls.degree == d and cls.vec == vec
+            assert cls.monomials == tuple(m for b, m in enumerate(basis) if vec >> b & 1)
+            return cls
+
+        u, v, w = draw_class(), draw_class(), draw_class()
+        assert (u + v).vec == u.vec ^ v.vec
+        for i in range(alg.cap - d + 1):
+            assert alg.sq(i, u + v) == alg.sq(i, u) + alg.sq(i, v)
+        if 2 * d <= alg.cap:
+            assert u * (v + w) == u * v + u * w
+
+
+class TestForeignClasses:
+    """A class is read only by the algebra whose basis its vector is in."""
+
+    @pytest.mark.parametrize("other", [
+        (EmSpace.single(4, 2), 8),  # the same monomial names Sq1(i2) = 0
+        (EmSpace.single(2, 2), 10),  # the same space at another cap
+    ])
+    def test_another_algebras_class_is_rejected(self, other):
+        alg = algebra_for(EmSpace.single(2, 2), 8)
+        foreign = algebra_for(*other).fundamental_class()
+        with pytest.raises(ValueError, match="class of another algebra"):
+            alg.sq(1, foreign)
+        with pytest.raises(ValueError, match="class of another algebra"):
+            alg.coordinates(foreign)
+        with pytest.raises(ValueError, match="class of another algebra"):
+            alg.mul_matrix(foreign, 1)  # degree 1 has an empty basis
+
+    @pytest.mark.parametrize("mono", [
+        ((0, 1), (0, 1)),  # a repeated generator
+        ((2, 1), (0, 1)),  # unsorted
+        ((99, 1),),  # no such generator
+        ((0, 5),),  # degree 10, above the cap
+    ])
+    def test_monomial_outside_the_basis_is_rejected(self, mono):
+        alg = algebra_for(EmSpace.single(2, 2), 8)
+        with pytest.raises(ValueError, match="not a basis monomial"):
+            alg.monomial_class(mono)
+
+
+# The sha256 of every Sq matrix and of every Sq image of a basis monomial on
+# these spaces, taken when classes were frozensets of monomials with a memo
+# of their own: the bitmask classes and Cartan rows give the same action.
+SQ_LOCK_SPACES = [
+    (EmSpace(factors), caps)
+    for factors, caps in [
+        (((2, 2),), (10, 16)),
+        (((4, 2),), (10, 16)),
+        (((8, 2),), (10, 16)),
+        (((2, 4),), (10, 16)),
+        (((4, 4),), (10, 16)),
+        (((2, 2), (3, 2)), (10, 16)),
+        (((3, 2), (2, 2)), (10, 16)),
+        (((2, 2), (2, 2)), (10, 16)),
+        (((2, 2), (4, 2)), (10, 16)),
+        (((4, 2), (8, 2)), (10, 16)),
+        (((2, 2),) * 3, (10,)),
+        (((2, 4), (2, 4)), (10, 16)),
+        (((2, 2), (2, 4)), (10, 16)),
+    ]
+]
+SQ_MATRIX_DIGEST = "0a4d0c51a3eae28012c934c2dda24c7bf80cef78141f3aed09b098d1062d5137"
+SQ_IMAGE_DIGEST = "1cc0826e4cef4c0550a67109da007cd51be52725a5db171d8e8131732fde81fa"
+
+
+def test_sq_action_matches_its_locked_digests():
+    matrices, images, count = hashlib.sha256(), hashlib.sha256(), 0
+    for space, caps in SQ_LOCK_SPACES:
+        for cap in caps:
+            alg = EmAlgebra(space, cap)
+            for d in range(cap + 1):
+                for i in range(cap - d + 1):
+                    m = alg.sq_matrix(i, d)
+                    matrices.update(repr((str(space), cap, i, d, m.rows, m.ncols)).encode())
+                    count += 1
+                    for mono in alg.basis(d):
+                        image = alg.sq(i, alg.monomial_class(mono))
+                        images.update(
+                            f"{space} {cap} Sq{i}({alg.format_monomial(mono)}) = {image}\n".encode()
+                        )
+    assert count == 2694
+    assert matrices.hexdigest() == SQ_MATRIX_DIGEST
+    assert images.hexdigest() == SQ_IMAGE_DIGEST
 
 
 KRONECKER_CASES = {
