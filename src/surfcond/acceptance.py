@@ -239,21 +239,6 @@ class _SqOnPolynomials:
         return poly
 
 
-def _act_word(indices, mono: dict) -> dict:
-    """A word Sq^{i_1} ... Sq^{i_k} on an F2 polynomial {(e1, e2): 1}."""
-    parts: dict[int, int] = {}  # degree -> homogeneous part
-    for (e1, e2), v in mono.items():
-        if v:
-            parts[e1 + e2] = parts.get(e1 + e2, 0) ^ (1 << e1)
-    shift = sum(indices)
-    oracle = _SqOnPolynomials(max(parts, default=0) + shift)
-    out = {}
-    for n, poly in parts.items():
-        image = oracle.act(tuple(indices), n, poly)
-        out.update(((e1, n + shift - e1), 1) for e1 in range(image.bit_length()) if image >> e1 & 1)
-    return out
-
-
 def check_adem_oracle() -> tuple[bool, str]:
     """Adem expansions agree with direct evaluation on a bivariate
     polynomial ring, for every inadmissible pair with a < 2b <= 20."""

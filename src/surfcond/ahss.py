@@ -25,16 +25,20 @@ from .abelian import (
     quotient_by_subgroup_image,
 )
 from .coefficients import CircleRow, CoeffOverrides, SpectrumTable, circle_row, spectrum
-from .em_cohomology import EmSpace, algebra_for, reduced_smash_basis
+from .em_cohomology import EmAlgebra, EmSpace, algebra_for, reduced_smash_basis
 from .gf2 import Echelon, Gf2Matrix
 from .steenrod import margolis_homology
 
 
 @dataclass(frozen=True)
 class Entry:
-    i: int
-    j: int
-    expr: GroupExpr | None  # None = not tabulated
+    """The group at one (i, j) of a page; Page.entries keys it by (i, j).
+
+    expr is None where the group is not tabulated; basis names the monomials
+    of a mod-2 entry while they still span it (empty once d2 cut it down).
+    """
+
+    expr: GroupExpr | None
     basis: tuple[str, ...] = ()
 
     @property
@@ -49,34 +53,31 @@ class Entry:
 class Page:
     """One page of a run, read-only so that run_ahss can share it.
 
-    entries, log and declarations are read-only, down to each record;
-    apply_d2 and declare_higher_differential return new pages.
+    entries maps (i, j) to its Entry for i + j <= max_total; the E3 page is
+    final in total degree max_total alone, the one degree its report reads.
+    The space is algebra.space.  entries, log and declarations are
+    read-only, down to each record; apply_d2 and
+    declare_higher_differential return new pages.
     """
 
     number: int
-    space: EmSpace
     E: FinAbGroup
     n: int
     spectrum: SpectrumTable
     max_total: int
     entries: Mapping[tuple[int, int], Entry]
     circle: CircleRow
-    algebra: object
+    algebra: EmAlgebra
     log: tuple[Mapping, ...] = ()
     declarations: tuple[Mapping, ...] = ()
     previous: "Page | None" = None  # the page this one was turned from
-
-    @property
-    def computed_totals(self) -> frozenset[int]:
-        """Total degrees whose entries are final: max_total once turned."""
-        return frozenset({self.max_total}) if self.number >= 3 else frozenset()
 
     def entry(self, i: int, j: int) -> Entry:
         e = self.entries.get((i, j))
         if e is None:
             if 0 <= i and 0 <= j and i + j <= self.max_total:
                 raise UnsupportedRangeError(f"entry ({i},{j}) missing from page")
-            return Entry(i, j, GroupExpr.zero())
+            return Entry(GroupExpr.zero())
         return e
 
     def row_kind(self, j: int) -> str:
@@ -135,18 +136,16 @@ def assemble_e2(
         kind = _row_kind(spec_table, j)
         for i in range(max_total_degree - j + 1):
             if kind == "zero":
-                entries[(i, j)] = Entry(i, j, GroupExpr.zero())
+                entries[(i, j)] = Entry(GroupExpr.zero())
             elif kind == "z2":
                 names = tuple(algebra.format_monomial(m) for m in algebra.basis(i))
-                entries[(i, j)] = Entry(
-                    i, j, GroupExpr.of(FinAbGroup((2,) * len(names))), names
-                )
+                entries[(i, j)] = Entry(GroupExpr.of(FinAbGroup((2,) * len(names))), names)
             elif kind == "circle":
                 if not circle.has_entry(i):
                     raise UnsupportedRangeError(
                         f"missing circle-row data at ({i},{j}) within range"
                     )
-                entries[(i, j)] = Entry(i, j, circle.entry(i))
+                entries[(i, j)] = Entry(circle.entry(i))
             else:  # opaque
                 entries[(i, j)] = _opaque_entry(i, j, spec_table, algebra)
     for j, note in enumerate(spec_table.provenance[: max_total_degree + 1]):
@@ -157,7 +156,7 @@ def assemble_e2(
     for note in spec_table.notes + circle.notes:
         log.append(_record(kind="override", note=note))
     return Page(
-        2, space, E, n, spec_table, max_total_degree, MappingProxyType(entries), circle, algebra,
+        2, E, n, spec_table, max_total_degree, MappingProxyType(entries), circle, algebra,
         tuple(log),
     )
 
@@ -165,14 +164,14 @@ def assemble_e2(
 def _opaque_entry(i: int, j: int, spec_table: SpectrumTable, algebra) -> Entry:
     symbol = spec_table.entry(j)
     if i == 0:
-        return Entry(i, j, symbol)
+        return Entry(symbol)
     dim = algebra.dimension(i)
     if dim == 0:
-        return Entry(i, j, GroupExpr.zero())
+        return Entry(GroupExpr.zero())
     if i == 2 and dim == 1 and symbol.opaque == ("SW",):
         # hom(SW, Z2) companion entry
-        return Entry(i, j, GroupExpr.symbol("SW2"))
-    return Entry(i, j, None)
+        return Entry(GroupExpr.symbol("SW2"))
+    return Entry(None)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,9 @@ def apply_d2(page: Page) -> Page:
     consumes, and it keeps the engine away from untabulated circle entries
     (a zero image never needs its target group).  Each d2 is one GF(2)
     matrix, and d2 composed with itself is asserted zero on every evaluated
-    composable pair.
+    composable pair.  The fermion-parity twist adds multiplication by the
+    mod-2 reduction of iota_E: the fundamental class of E's one even
+    factor, or zero when E has none (odd E turns as if untwisted).
     """
     if page.number != 2:
         raise ValueError("apply_d2 expects an E2 page")
@@ -196,7 +197,10 @@ def apply_d2(page: Page) -> Page:
     N = page.max_total
     if tw and page.n != 2:
         raise UnsupportedRangeError("fermion-parity twist needs a degree-2 base")
-    twist_cls = alg.fundamental_class() if tw else None
+    twist_cls = None
+    if tw:
+        even = [fi for fi, (m, _n) in enumerate(alg.space.factors) if m % 2 == 0]
+        twist_cls = alg.fundamental_class(even[0]) if even else alg.zero_class(2)
     log = list(page.log)
     entries = dict(page.entries)
 
@@ -247,7 +251,7 @@ def apply_d2(page: Page) -> Page:
                 if row
             ]
             new_expr = quotient_by_subgroup_image(old.expr, gens) if gens else old.expr
-            entries[(i, j)] = Entry(i, j, new_expr)
+            entries[(i, j)] = Entry(new_expr)
             continue
         if incoming is not None and outgoing is not None:
             if not incoming.then(outgoing).is_zero:
@@ -260,7 +264,7 @@ def apply_d2(page: Page) -> Page:
         if new_dim < 0:
             raise AssertionError(f"negative dimension at ({i},{j})")
         basis = old.basis if new_dim == dim else ()
-        entries[(i, j)] = Entry(i, j, GroupExpr.of(FinAbGroup((2,) * new_dim)), basis)
+        entries[(i, j)] = Entry(GroupExpr.of(FinAbGroup((2,) * new_dim)), basis)
     log.append(_record(kind="d2_squared", chains_checked=checked_chains))
     return replace(
         page, number=3, entries=MappingProxyType(entries), log=tuple(log), previous=page
@@ -271,21 +275,20 @@ def apply_d2(page: Page) -> Page:
 # Declared higher differentials
 
 
-def declare_higher_differential(page: Page, r: int, source: tuple[int, int], rank_or_zero) -> Page:
+def declare_higher_differential(page: Page, r: int, source: tuple[int, int], rank: int) -> Page:
     """A new page with a differential the engine cannot compute declared.
 
-    rank_or_zero is 0 / "zero" for a declared-zero differential (the only
-    option for opaque sources), or a positive rank applied to elementary
-    2-group entries on both ends; a negative rank raises ValueError.  The
-    returned page has both ends shrunk by the rank and the declaration in
-    its log and declarations; out of a zero entry only its log records the
-    no-op.  The page passed in is left as it was.
+    rank is 0 for a declared-zero differential (the only option for opaque
+    sources), or a positive rank applied to elementary 2-group entries on
+    both ends; a negative rank raises ValueError.  The returned page has
+    both ends shrunk by the rank and the declaration in its log and
+    declarations; out of a zero entry only its log records the no-op.  The
+    page passed in is left as it was.
     """
     if r < 3:
         raise ValueError("declared differentials start at r = 3")
     i, j = source
     src = page.entry(i, j)
-    rank = 0 if rank_or_zero in (0, "zero") else int(rank_or_zero)
     if rank < 0:
         raise ValueError(f"declared rank {rank} is negative")
     record = _record(r=r, source=(i, j), rank=rank)
@@ -297,8 +300,8 @@ def declare_higher_differential(page: Page, r: int, source: tuple[int, int], ran
     entries = dict(page.entries)
     if rank:
         ti, tj = i + r, j - r + 1
-        entries[(i, j)] = _shrink_elementary(src, rank)
-        entries[(ti, tj)] = _shrink_elementary(page.entry(ti, tj), rank)
+        entries[(i, j)] = _shrink_elementary(src, rank, i, j)
+        entries[(ti, tj)] = _shrink_elementary(page.entry(ti, tj), rank, ti, tj)
     log = page.log + (_record(kind="declaration", **record),)
     return replace(
         page, entries=MappingProxyType(entries), log=log,
@@ -306,16 +309,16 @@ def declare_higher_differential(page: Page, r: int, source: tuple[int, int], ran
     )
 
 
-def _shrink_elementary(entry: Entry, rank: int) -> Entry:
+def _shrink_elementary(entry: Entry, rank: int, i: int, j: int) -> Entry:
     if entry.expr is None:
-        raise UnsupportedRangeError(f"cannot apply declared rank at untabulated ({entry.i},{entry.j})")
+        raise UnsupportedRangeError(f"cannot apply declared rank at untabulated ({i},{j})")
     g = entry.expr.finite
     if entry.expr.circle_rank or entry.expr.opaque or any(d != 2 for d in g.invariant_factors):
         raise ValueError("declared ranks apply to elementary 2-group entries only")
     dim = len(g.invariant_factors)
     if rank > dim:
         raise ValueError(f"declared rank {rank} exceeds entry dimension {dim}")
-    return Entry(entry.i, entry.j, GroupExpr.of(FinAbGroup((2,) * (dim - rank))))
+    return Entry(GroupExpr.of(FinAbGroup((2,) * (dim - rank))))
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +358,19 @@ class TotalDegreeReport:
         }
 
 
-def total_degree_report(page: Page, N: int) -> TotalDegreeReport:
-    """Associated graded of the abutment in total degree N.
+def total_degree_report(page: Page) -> TotalDegreeReport:
+    """Associated graded of the abutment in the page's own total degree
+    N = page.max_total, the one degree a turned page is final in.
 
     At most one nonzero survivor is reported as an exact group; several
     survivors stay an associated graded list (extension problems are never
     silently resolved).  Undeclared differentials out of opaque entries that
-    could touch degree N make the report inconclusive.
+    could touch degree N make the report inconclusive.  An E2 page raises
+    ValueError.
     """
-    if page.number < 3 and N != 0:
+    if page.number < 3:
         raise ValueError("report requires a turned page")
-    if page.number >= 3 and N not in page.computed_totals:
-        raise ValueError(f"page was turned for totals {sorted(page.computed_totals)}, not {N}")
+    N = page.max_total
     declared = {(d["r"], tuple(d["source"])) for d in page.declarations}
     blockers: list[str] = []
     survivors: list[tuple[int, int, GroupExpr]] = []
@@ -450,7 +454,7 @@ def _run_ahss(E, n, spectrum_name, N, twist, d5_zero, overrides):
         src = page3.entry(0, 4)
         if src.expr is not None and not src.expr.is_zero:
             page3 = declare_higher_differential(page3, 5, (0, 4), 0)
-    return page3, total_degree_report(page3, N)
+    return page3, total_degree_report(page3)
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +480,7 @@ def _a1_submodule(alg, seed_cls, lo: int, hi: int) -> dict[int, list[int]]:
     return {d: spans[d].vectors for d in range(lo, hi + 1) if d in spans}
 
 
-def smash_freeness_check(
-    X: EmSpace, Y: EmSpace, degree: int, window: tuple[int, int] = (4, 9)
-) -> dict:
+def smash_freeness_check(X: EmSpace, Y: EmSpace, degree: int, window: tuple[int, int]) -> dict:
     """Reduced smash classes in one degree and their Margolis certificates.
 
     Each class generates an A(1)-submodule of the reduced smash cohomology;
@@ -565,9 +567,7 @@ def product_split(
                      "note": f"no classes below degree {first_degree}"}
                 )
                 continue
-            check = smash_freeness_check(
-                spaces[a], spaces[b], N, window=(N - 1, N + 4)
-            )
+            check = smash_freeness_check(spaces[a], spaces[b], N, (N - 1, N + 4))
             if check["dimension"] and check["all_free"]:
                 summands.append(
                     {"summand": label, "status": "nonzero", "group": None,
@@ -606,7 +606,7 @@ def page_to_dict(page: Page) -> dict:
 
     return {
         "page": page.number,
-        "space": str(page.space),
+        "space": str(page.algebra.space),
         "group": str(page.E),
         "space_degree": page.n,
         "spectrum": page.spectrum.name,
@@ -616,7 +616,7 @@ def page_to_dict(page: Page) -> dict:
             f"{i},{j}": {"group": e.group_str(), "basis": list(e.basis)}
             for (i, j), e in sorted(page.entries.items())
         },
-        "computed_totals": sorted(page.computed_totals),
+        "computed_totals": [page.max_total] if page.number >= 3 else [],
         "log": [plain(rec) for rec in page.log],
         "declarations": [plain(rec) for rec in page.declarations],
     }

@@ -38,8 +38,12 @@ class SpectrumTable:
     name: str
     entries: tuple[GroupExpr, ...]
     provenance: tuple[str, ...]
-    twisted: bool = False
     notes: tuple[str, ...] = ()  # overrides applied to this table
+
+    @property
+    def twisted(self) -> bool:
+        """Whether d2 takes the fermion-parity twist: the twisted SW only."""
+        return self.name == "SW_twisted_by_Z2F"
 
     def entry(self, j: int) -> GroupExpr:
         if j < 0:
@@ -86,7 +90,7 @@ def spectrum(name: str, overrides: "CoeffOverrides | None" = None) -> SpectrumTa
     notes: tuple[str, ...] = ()
     if overrides:
         entries, provenance, notes = overrides.apply_spectrum(name, entries, provenance)
-    return SpectrumTable(name, entries, provenance, name == "SW_twisted_by_Z2F", notes)
+    return SpectrumTable(name, entries, provenance, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,7 @@ class EmAlgebra:
     for its one memo table, the Sq matrices by (i, degree).
     """
 
-    def __init__(self, space: EmSpace, cap: int = DEFAULT_CAP):
+    def __init__(self, space: EmSpace, cap: int):
         self.space = space
         self.cap = cap
         self._head: EmAlgebra | None = None
@@ -536,7 +536,10 @@ class EmAlgebra:
 
 
 @lru_cache(maxsize=None)
-def algebra_for(space: EmSpace, cap: int = DEFAULT_CAP) -> EmAlgebra:
+def algebra_for(space: EmSpace, cap: int, /) -> EmAlgebra:
+    """The shared EmAlgebra of space through degree cap.  Both arguments are
+    positional and required, so one (space, cap) is one cache entry and
+    never two instances that reject each other's classes."""
     return EmAlgebra(space, cap)
 
 
@@ -556,7 +559,7 @@ def _side_degrees(alg: EmAlgebra, mono: Monomial, split: int) -> tuple[int, int]
     return left, alg.monomial_degree(mono) - left
 
 
-def reduced_smash_basis(X: EmSpace, Y: EmSpace, degree: int, cap: int = DEFAULT_CAP):
+def reduced_smash_basis(X: EmSpace, Y: EmSpace, degree: int, cap: int):
     """Basis of reduced H^degree(X smash Y; Z2): Kunneth tensors with positive
     degree on both sides, inside the product algebra of X x Y."""
     space = X.product(Y)

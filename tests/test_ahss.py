@@ -96,6 +96,15 @@ class TestD2:
                 continue
             assert after.finite.order <= before.finite.order
 
+    @pytest.mark.parametrize("factors", [(3,), (5,), (15,), (3, 3)])
+    def test_twist_over_odd_group_changes_no_report(self, factors):
+        # iota_E reduces to zero mod 2 when E has no even factor
+        E = FinAbGroup(factors)
+        for N in range(6):
+            for d5_zero in (False, True):
+                plain = run_ahss(E, 2, "SW", N, d5_zero=d5_zero)[1]
+                assert run_ahss(E, 2, "SW", N, twist=True, d5_zero=d5_zero)[1] == plain
+
     def test_twist_needs_degree_two_base(self):
         with pytest.raises(UnsupportedRangeError):
             run_ahss(Z2, 4, "SW", 5, twist=True)
@@ -125,10 +134,11 @@ class TestReports:
         _page, report = run_ahss(Z2, 2, "SW", 5, d5_zero=True)
         assert any("outside the model" in p for p in report.provenance)
 
-    def test_report_requires_matching_total(self):
-        page3, _ = run_ahss(Z2, 2, "SW", 5)
-        with pytest.raises(ValueError):
-            total_degree_report(page3, 4)
+    def test_e2_page_cannot_be_reported(self):
+        page3, report = run_ahss(Z2, 2, "SW", 5)
+        assert total_degree_report(page3) == report
+        with pytest.raises(ValueError, match="turned page"):
+            total_degree_report(page3.previous)
 
 
 class TestDeclarations:
@@ -137,7 +147,7 @@ class TestDeclarations:
         # total-degree-5 entry zero, so no opaque blocker remains
         page3, _ = run_ahss(Z2, 2, "SW", 5, twist=True)
         declared = declare_higher_differential(page3, 3, (2, 2), 1)
-        report = total_degree_report(declared, 5)
+        report = total_degree_report(declared)
         assert report.verdict == "0"
         assert not report.inconclusive
 
@@ -196,7 +206,7 @@ class TestFrozenRun:
         page3, report = run_ahss(Z2, 2, "SW", 5, twist=True)
         before = (page_to_dict(page3), report.to_dict())
         declared = declare_higher_differential(page3, 3, (2, 2), 1)
-        assert total_degree_report(declared, 5).verdict == "0"
+        assert total_degree_report(declared).verdict == "0"
         again_page, again_report = run_ahss(Z2, 2, "SW", 5, twist=True)
         assert again_page is page3 and again_report is report
         assert (page_to_dict(again_page), again_report.to_dict()) == before
@@ -256,7 +266,7 @@ class TestProductSplit:
 class TestSmashCheck:
     def test_degree5_classes_are_free(self):
         X = EmSpace.from_group(Z2, 2)
-        check = smash_freeness_check(X, X, 5)
+        check = smash_freeness_check(X, X, 5, (4, 9))
         assert check["dimension"] == 2
         assert check["all_free"]
         for entry in check["classes"]:
@@ -264,9 +274,14 @@ class TestSmashCheck:
             assert not any(entry["q0_homology"].values())
             assert not any(entry["q1_homology"].values())
 
+    def test_window_has_no_default(self):
+        X = EmSpace.from_group(Z2, 2)
+        with pytest.raises(TypeError):
+            smash_freeness_check(X, X, 5)
+
     def test_empty_degree_is_not_free(self):
         X = EmSpace.from_group(Z2, 2)
-        check = smash_freeness_check(X, X, 3)
+        check = smash_freeness_check(X, X, 3, (4, 9))
         assert check["dimension"] == 0 and not check["all_free"]
 
     def test_submodule_missing_a_degree_is_not_closed(self):

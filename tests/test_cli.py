@@ -101,6 +101,16 @@ class TestRouting:
         assert "product split" in out
         assert "verdict: 0" in out
 
+    def test_twist_reads_the_even_factor(self, capsys):
+        # K(Z/3 x Z/6, 2) lists K(Z/3,2) first, which has no mod-2 class
+        code, out, err = run(
+            capsys, ["ahss", "--spectrum", "SW", "--group", "Z/3 x Z/6",
+                     "--space-degree", "2", "--total-degree", "3",
+                     "--twist", "fermion-parity"]
+        )
+        assert (code, err) == (0, "")
+        assert out.endswith("verdict: 0\n")
+
     def test_twist_outside_sw_is_unsupported(self, capsys, tmp_path):
         path = tmp_path / "pages.json"
         code, out, err = run(

@@ -95,7 +95,7 @@ def class_matrix(alg, cls) -> Gf2Matrix:
 
 class TestComparisonMap:
     def test_fundamental_class_hits_order_two_element(self):
-        alg = algebra_for(EmSpace.from_group(Z4, 2))
+        alg = algebra_for(EmSpace.from_group(Z4, 2), DEFAULT_CAP)
         iota = alg.fundamental_class()
         comp = circle_row(Z4, 2).comparison_matrix(alg, 2, class_matrix(alg, iota))
         assert comp.ncols == 1  # one bit per factor: the order-2 element of Z/4
@@ -103,21 +103,21 @@ class TestComparisonMap:
 
     def test_zero_class_maps_to_none(self):
         # a zero source reads neither the declared data nor the entry
-        alg = algebra_for(EmSpace.from_group(Z4, 2))
+        alg = algebra_for(EmSpace.from_group(Z4, 2), DEFAULT_CAP)
         row = circle_row(Z4, 2)
         comp = row.comparison_matrix(alg, 6, class_matrix(alg, alg.zero_class(6)))
         assert comp.is_zero and comp.ncols == 0
 
     def test_cancelling_sum_maps_to_none(self):
         # a declared-zero monomial needs no entry coordinates
-        alg = algebra_for(EmSpace.from_group(Z2, 2))
+        alg = algebra_for(EmSpace.from_group(Z2, 2), DEFAULT_CAP)
         iota = alg.fundamental_class()
         sq1_sq = alg.sq(1, iota) * alg.sq(1, iota)
         comp = circle_row(Z2, 2).comparison_matrix(alg, 6, class_matrix(alg, sq1_sq))
         assert comp.apply(alg.coordinates(sq1_sq)) == 0
 
     def test_undeclared_class_raises(self):
-        alg = algebra_for(EmSpace.from_group(Z2, 2))
+        alg = algebra_for(EmSpace.from_group(Z2, 2), DEFAULT_CAP)
         iota = alg.fundamental_class()
         with pytest.raises(UnspecifiedComparisonError):
             circle_row(Z2, 2).comparison_matrix(alg, 3, class_matrix(alg, alg.sq(1, iota)))
@@ -127,7 +127,7 @@ class TestComparisonMap:
         # Sq1(Sq1(i2)*Sq2 Sq1(i2)) = Sq1(i2)^3 != 0, and Browder's
         # beta_2(i4^2) = i4*Sq1(i4) + Sq4 Sq1(i4) != 0: a source reaching
         # either class must stop, not read a zero image
-        alg = algebra_for(EmSpace.from_group(Z2, n))
+        alg = algebra_for(EmSpace.from_group(Z2, n), DEFAULT_CAP)
         names = [alg.format_monomial(m) for m in alg.basis(8)]
         source = Gf2Matrix.from_rows([1 << names.index(name)], len(names))
         row = circle_row(Z2, n)
@@ -137,7 +137,7 @@ class TestComparisonMap:
         row.comparison_matrix(alg, 8, Gf2Matrix.from_rows([others], len(names)))
 
     def test_image_outside_two_torsion_rejected(self):
-        alg = algebra_for(EmSpace.from_group(Z4, 2))
+        alg = algebra_for(EmSpace.from_group(Z4, 2), DEFAULT_CAP)
         iota = alg.fundamental_class()
         row = circle_row(Z4, 2)
         row.comparison[2] = {"i2": (1,)}  # a generator of Z/4, not of order 2
@@ -159,11 +159,9 @@ class TestMonomialNames:
         # its degree-5 names come from an algebra of cap 5
         algebra_for.cache_clear()
         circle_row(Z8, 2)
-        space = EmSpace.from_group(Z8, 2)
-        for args in ((space,), (space, DEFAULT_CAP)):
-            hits = algebra_for.cache_info().hits
-            algebra_for(*args)
-            assert algebra_for.cache_info().hits == hits, args
+        hits = algebra_for.cache_info().hits
+        algebra_for(EmSpace.from_group(Z8, 2), DEFAULT_CAP)
+        assert algebra_for.cache_info().hits == hits
 
 
 class TestOverrides:

@@ -193,6 +193,25 @@ class TestClassesAsVectors:
             assert u * (v + w) == u * v + u * w
 
 
+class TestAlgebraCache:
+    """One (space, cap) is one cached algebra: cap is positional and required."""
+
+    def test_one_entry_per_space_and_cap(self):
+        space = EmSpace.single(2, 2)
+        with pytest.raises(TypeError):
+            algebra_for(space)
+        with pytest.raises(TypeError):
+            algebra_for(space, cap=12)
+        assert algebra_for(space, 12) is algebra_for(space, 12)
+
+    def test_no_default_cap(self):
+        X = EmSpace.single(2, 2)
+        with pytest.raises(TypeError):
+            EmAlgebra(X)
+        with pytest.raises(TypeError):
+            reduced_smash_basis(X, X, 5)
+
+
 class TestForeignClasses:
     """A class is read only by the algebra whose basis its vector is in."""
 
@@ -392,7 +411,7 @@ class TestSmash:
                 "i2'*Sq2 Sq1(i2)", "i2'^2*Sq1(i2)"],
         }
         for degree, expected in names.items():
-            classes = reduced_smash_basis(X, Y, degree)
+            classes = reduced_smash_basis(X, Y, degree, 12)
             monos = [m for c in classes for m in c.monomials]
             assert monos == sorted(monos) and len(monos) == len(classes)
             assert [str(c) for c in classes] == expected
