@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import combinations
 from types import MappingProxyType
 
 from .abelian import (
@@ -55,14 +56,12 @@ class Page:
 
     entries maps (i, j) to its Entry for i + j <= max_total; the E3 page is
     final in total degree max_total alone, the one degree its report reads.
-    The space is algebra.space.  entries, log and declarations are
-    read-only, down to each record; apply_d2 and
-    declare_higher_differential return new pages.
+    The space is algebra.space, and the query's E and n are circle.E and
+    circle.n.  entries, log and declarations are read-only, down to each
+    record; apply_d2 and declare_higher_differential return new pages.
     """
 
     number: int
-    E: FinAbGroup
-    n: int
     spectrum: SpectrumTable
     max_total: int
     entries: Mapping[tuple[int, int], Entry]
@@ -156,7 +155,7 @@ def assemble_e2(
     for note in spec_table.notes + circle.notes:
         log.append(_record(kind="override", note=note))
     return Page(
-        2, E, n, spec_table, max_total_degree, MappingProxyType(entries), circle, algebra,
+        2, spec_table, max_total_degree, MappingProxyType(entries), circle, algebra,
         tuple(log),
     )
 
@@ -195,7 +194,7 @@ def apply_d2(page: Page) -> Page:
     tw = page.spectrum.twisted
     alg = page.algebra
     N = page.max_total
-    if tw and page.n != 2:
+    if tw and page.circle.n != 2:
         raise UnsupportedRangeError("fermion-parity twist needs a degree-2 base")
     twist_cls = None
     if tw:
@@ -380,15 +379,15 @@ def total_degree_report(page: Page) -> TotalDegreeReport:
         if e.expr is None:
             raise UnsupportedRangeError(f"entry ({i},{j}) in total degree {N} is not tabulated")
         survivors.append((i, j, e.expr))
-    # undetermined differentials out of opaque entries, into or out of degree N
+    # undetermined differentials out of opaque entries, into or out of degree N;
+    # a target lies on the degree-N diagonal, tabulated throughout (checked above)
     for (i, j), e in page.entries.items():
         if e.expr is None or not e.expr.is_opaque:
             continue
         if i + j == N - 1:
             for r in range(3, j + 2):
                 ti, tj = i + r, j - r + 1
-                tgt = next((x for a, b, x in survivors if (a, b) == (ti, tj)), None)
-                if tgt is not None and not tgt.is_zero and (r, (i, j)) not in declared:
+                if not page.entry(ti, tj).expr.is_zero and (r, (i, j)) not in declared:
                     blockers.append(
                         f"d{r} from opaque ({i},{j}) into nonzero ({ti},{tj}) undeclared"
                     )
@@ -515,75 +514,48 @@ def product_split(
     n: int,
     N: int,
     overrides: CoeffOverrides | None = None,
+    d5_zero: bool = False,
 ) -> dict:
     """h^N(X1 x X2 x ...) split into point, reduced-factor, and smash summands.
 
     Factors are the invariant-factor cyclic pieces of E.  Each reduced
-    factor runs through the spectral sequence; smash summands report a
-    computed zero when connectivity keeps them out of degree N, a Margolis
-    freeness attestation at the first contributing degree, or "unknown".
+    factor runs through the spectral sequence, with d5 = 0 declared when
+    d5_zero asks; each pair of factors gives one smash summand.  The split's
+    verdict is the direct sum when every summand is computed, "nonzero" when
+    a smash summand is certified, and "inconclusive" otherwise.
     """
     spec_table = spectrum(spectrum_name, overrides)
-    cyclic = EmSpace.from_group(E, n).factors
-    factors = [FinAbGroup.cyclic(m) for m, _n in cyclic]
-    spaces = [EmSpace((f,)) for f in cyclic]
-    summands: list[dict] = []
-    if N <= spec_table.max_degree:
-        summands.append(
-            {"summand": "point", "status": "computed", "group": str(spec_table.entry(N))}
-        )
-    else:
-        summands.append({"summand": "point", "status": "unknown", "group": None})
-    for idx, F in enumerate(factors):
-        report = run_ahss(F, n, spectrum_name, N, d5_zero=True, overrides=overrides)[1]
-        reduced = [(i, j, g) for i, j, g in report.entries if i > 0]
-        nonzero = [t for t in reduced if t[2] != "0"]
-        if report.inconclusive:
-            status, group = "inconclusive", None
-        elif not nonzero:
-            status, group = "computed", "0"
-        elif len(nonzero) == 1:
-            status, group = "computed", nonzero[0][2]
+    # each cyclic factor as a group and as its own Eilenberg-MacLane space
+    factors = EmSpace.from_group(E, n).factors
+    pieces = [(FinAbGroup.cyclic(m), EmSpace(((m, d),))) for m, d in factors]
+    point = str(spec_table.entry(N)) if N <= spec_table.max_degree else None
+    summands = [_summand("point", "unknown" if point is None else "computed", point)]
+    for idx, (F, _X) in enumerate(pieces):
+        report = run_ahss(F, n, spectrum_name, N, d5_zero=d5_zero, overrides=overrides)[1]
+        groups = [g for i, _j, g in report.entries if i > 0 and g != "0"]
+        status = ("inconclusive" if report.inconclusive
+                  else "associated graded" if len(groups) > 1 else "computed")
+        group = None if report.inconclusive else " ; ".join(groups) or "0"
+        summands.append(_summand(f"reduced factor {idx}: {F}[{n}]", status, group))
+    for (F, X), (G, Y) in combinations(pieces, 2):
+        label = f"smash {F}[{n}] ^ {G}[{n}]"
+        if F.order % 2 or G.order % 2:
+            summands.append(_summand(label, "computed", "0",
+                                     "odd-torsion side: reduced mod-2 cohomology vanishes"))
+        elif 2 * n > N:
+            summands.append(_summand(label, "computed", "0", f"no classes below degree {2 * n}"))
         else:
-            status, group = "associated graded", " ; ".join(g for _i, _j, g in nonzero)
-        summands.append(
-            {"summand": f"reduced factor {idx}: {F}[{n}]", "status": status, "group": group}
-        )
-    for a in range(len(spaces)):
-        for b in range(a + 1, len(spaces)):
-            label = f"smash {factors[a]}[{n}] ^ {factors[b]}[{n}]"
-            even_a = any(m % 2 == 0 for m, _d in spaces[a].factors)
-            even_b = any(m % 2 == 0 for m, _d in spaces[b].factors)
-            if not (even_a and even_b):
-                summands.append(
-                    {"summand": label, "status": "computed", "group": "0",
-                     "note": "odd-torsion side: reduced mod-2 cohomology vanishes"}
-                )
-                continue
-            first_degree = 2 * n
-            if first_degree > N:
-                summands.append(
-                    {"summand": label, "status": "computed", "group": "0",
-                     "note": f"no classes below degree {first_degree}"}
-                )
-                continue
-            check = smash_freeness_check(spaces[a], spaces[b], N, (N - 1, N + 4))
+            check = smash_freeness_check(X, Y, N, (N - 1, N + 4))
             if check["dimension"] and check["all_free"]:
-                summands.append(
-                    {"summand": label, "status": "nonzero", "group": None,
-                     "note": f"{check['dimension']} free A(1) classes in degree {N}"}
-                )
+                summands.append(_summand(label, "nonzero", None,
+                                         f"{check['dimension']} free A(1) classes in degree {N}"))
             else:
-                summands.append({"summand": label, "status": "unknown", "group": None})
-    computed = [s for s in summands if s["status"] in ("computed",)]
-    conclusive = len(computed) == len(summands)
-    nonzero_groups = [s["group"] for s in computed if s["group"] not in ("0", None)]
-    if conclusive:
-        verdict = "0" if not nonzero_groups else " ; ".join(nonzero_groups)
-    elif any(s["status"] == "nonzero" for s in summands):
-        verdict = "nonzero"
+                summands.append(_summand(label, "unknown", None))
+    statuses = {s["status"] for s in summands}
+    if statuses == {"computed"}:
+        verdict = " ; ".join(s["group"] for s in summands if s["group"] != "0") or "0"
     else:
-        verdict = "inconclusive"
+        verdict = "nonzero" if "nonzero" in statuses else "inconclusive"
     return {
         "group": str(E),
         "space_degree": n,
@@ -592,6 +564,13 @@ def product_split(
         "summands": summands,
         "verdict": verdict,
     }
+
+
+def _summand(label: str, status: str, group: str | None, note: str = "") -> dict:
+    s = {"summand": label, "status": status, "group": group}
+    if note:
+        s["note"] = note
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +586,8 @@ def page_to_dict(page: Page) -> dict:
     return {
         "page": page.number,
         "space": str(page.algebra.space),
-        "group": str(page.E),
-        "space_degree": page.n,
+        "group": str(page.circle.E),
+        "space_degree": page.circle.n,
         "spectrum": page.spectrum.name,
         "twisted": page.spectrum.twisted,
         "max_total": page.max_total,

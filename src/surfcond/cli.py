@@ -211,22 +211,23 @@ def _cmd_ahss(args) -> tuple[dict, int]:
                     "the product split, which runs untwisted sequences on its summands "
                     "and has no single pair of pages"
                 )
-        split = product_split(E, args.spectrum, args.space_degree, args.total_degree, overrides)
+        result = product_split(
+            E, args.spectrum, args.space_degree, args.total_degree, overrides, d5_zero
+        )
         prov = ["assembled from point, reduced-factor, and smash summands [computed]"]
-        code = EXIT_OK if split["verdict"] not in ("inconclusive",) else EXIT_INCONCLUSIVE
-        return _payload("ahss", inputs, prov, split), code
-    page, report = run_ahss(
-        E, args.space_degree, args.spectrum, args.total_degree,
-        twist=twist, d5_zero=d5_zero, overrides=overrides,
-    )
-    result = report.to_dict()
-    if args.dump_pages:
-        dumps = [page_to_dict(page.previous), page_to_dict(page)]
-        with open(args.dump_pages, "w") as fh:
-            json.dump(dumps, fh, indent=2)
-        result["pages"] = dumps
-    prov = list(report.provenance)
-    code = EXIT_INCONCLUSIVE if report.inconclusive else EXIT_OK
+    else:
+        page, report = run_ahss(
+            E, args.space_degree, args.spectrum, args.total_degree,
+            twist=twist, d5_zero=d5_zero, overrides=overrides,
+        )
+        result = report.to_dict()
+        if args.dump_pages:
+            dumps = [page_to_dict(page.previous), page_to_dict(page)]
+            with open(args.dump_pages, "w") as fh:
+                json.dump(dumps, fh, indent=2)
+            result["pages"] = dumps
+        prov = list(report.provenance)
+    code = EXIT_INCONCLUSIVE if result["verdict"] == "inconclusive" else EXIT_OK
     return _payload("ahss", inputs, prov, result), code
 
 

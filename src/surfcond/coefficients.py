@@ -23,8 +23,10 @@ from .abelian import (
     quad_group,
     two_torsion,
 )
-from .em_cohomology import DEFAULT_CAP, _two_part
+from .em_cohomology import _two_part
 from .gf2 import Gf2Matrix
+
+DEFAULT_CAP = 12  # the mod-2 degree range of the tables and their overrides
 
 
 class UnspecifiedComparisonError(LookupError):
@@ -43,7 +45,7 @@ class SpectrumTable:
     @property
     def twisted(self) -> bool:
         """Whether d2 takes the fermion-parity twist: the twisted SW only."""
-        return self.name == "SW_twisted_by_Z2F"
+        return self.name == _TWISTED_SW
 
     def entry(self, j: int) -> GroupExpr:
         if j < 0:
@@ -71,7 +73,7 @@ _SPECTRA = {
     "SW": (_CX, _Z2, _Z2, _0, _SW, _0, _0, _0, _0),
     "Spin": (_CX, _Z2, _Z2, _0, _CX, _0, _0, _0),
 }
-_SPECTRA["SW_twisted_by_Z2F"] = _SPECTRA["SW"]
+_TWISTED_SW = "SW_twisted_by_Z2F"  # SW's entries; the name switches on the twisted d2
 
 
 def spectrum(name: str, overrides: "CoeffOverrides | None" = None) -> SpectrumTable:
@@ -80,17 +82,23 @@ def spectrum(name: str, overrides: "CoeffOverrides | None" = None) -> SpectrumTa
     SH has layers C^x, Z2, Z2 in degrees 0..2 and nothing above.  SW agrees
     with SH below degree 4 and has the opaque Witt-group entry SW in degree
     4.  Spin carries C^x in degree 4 instead.  The twisted variant of SW has
-    identical point coefficients; the twist flag only changes which d2 rule
-    the page engine applies.
+    SW's point coefficients, and SW's overrides; its name only changes which
+    d2 rule the page engine applies.
     """
-    if name not in _SPECTRA:
+    base = "SW" if name == _TWISTED_SW else name
+    if base not in _SPECTRA:
         raise UnsupportedRangeError(f"unknown spectrum {name!r}")
-    entries = _SPECTRA[name]
+    entries = _SPECTRA[base]
     provenance = tuple(f"{name}^{j}(pt) = {e} [known value]" for j, e in enumerate(entries))
-    notes: tuple[str, ...] = ()
-    if overrides:
-        entries, provenance, notes = overrides.apply_spectrum(name, entries, provenance)
-    return SpectrumTable(name, entries, provenance, notes)
+    table = overrides.spectrum_overrides.get(base) if overrides else None
+    if not table:
+        return SpectrumTable(name, entries, provenance)
+    entries, provenance = list(entries), list(provenance)
+    for j, expr in table.items():
+        entries[j] = expr
+        provenance[j] = f"{name}^{j}(pt) = {expr} [override]"
+    notes = tuple(f"override: spectrum {base} degree {j} -> {e}" for j, e in table.items())
+    return SpectrumTable(name, tuple(entries), tuple(provenance), notes)
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +298,15 @@ class CoeffOverrides:
 
     Group values use the usual literal syntax; comparison images are
     coordinate lists in the entry's invariant factors (null = zero image).
-    An unknown section, a spectrum name without a built-in table, or a file
-    of another shape (a section or table that is not an object, a key not of
-    the form above, a degree key that is not an integer) raises ValueError
-    naming the section and the key.  So does a degree outside the table it
-    overrides: above the built-in spectrum's top degree, or above the mod-2
-    algebra cap DEFAULT_CAP for circle rows and comparison data, or
-    negative; and, when the row is built, a comparison monomial name outside
-    the basis of its degree.  The tables built from an override carry a note
+    An unknown section, a spectrum name other than SH, SW and Spin (the
+    twisted SW table takes SW's overrides), or a file of another shape (a
+    section or table that is not an object, a key not of the form above, a
+    degree key that is not an integer) raises ValueError naming the section
+    and the key.  So does a degree outside the table it overrides: above the
+    built-in spectrum's top degree, or above the mod-2 algebra cap
+    DEFAULT_CAP for circle rows and comparison data, or negative; and, when
+    the row is built, a comparison monomial name outside the basis of its
+    degree.  The tables built from an override carry a note
     for each value it replaced (SpectrumTable.notes, CircleRow.notes), and
     the E2 page logs those notes once each.  Instances compare and hash by
     identity, so a loaded file can key a cache (ahss.run_ahss).
@@ -321,7 +330,11 @@ class CoeffOverrides:
         sections = {name: _section(raw, name) for name in _SECTIONS}
         unknown = sorted(set(sections["spectrum"]) - set(_SPECTRA))
         if unknown:
-            raise ValueError(f"unknown spectra in {path}: {', '.join(unknown)}")
+            hint = f" ({_TWISTED_SW} has SW's entries: override SW)"
+            raise ValueError(
+                f"unknown spectra in {path}: {', '.join(unknown)}"
+                + (hint if _TWISTED_SW in unknown else "")
+            )
         out = CoeffOverrides()
         for name, table in sections["spectrum"].items():
             top = len(_SPECTRA[name]) - 1
@@ -337,19 +350,6 @@ class CoeffOverrides:
                 )
             out.comparison_overrides[(group, n, i)] = _image_table(key, table)
         return out
-
-    def apply_spectrum(self, name, entries, provenance):
-        table = self.spectrum_overrides.get(name)
-        if not table:
-            return entries, provenance, ()
-        entries = list(entries)
-        provenance = list(provenance)
-        notes = []
-        for j, expr in table.items():
-            entries[j] = expr
-            provenance[j] = f"{name}^{j}(pt) = {expr} [override]"
-            notes.append(f"override: spectrum {name} degree {j} -> {expr}")
-        return tuple(entries), tuple(provenance), tuple(notes)
 
     def apply_circle_row(self, E, n, entries, prov, comparison) -> tuple[str, ...]:
         notes = []

@@ -247,7 +247,7 @@ def obstruction_verdict(E: FinAbGroup, statistic: str, level: str) -> Verdict:
                  " [computed]"],
             )
         if even == 1:
-            ps = product_split(E, "SW", 2, 5)
+            ps = product_split(E, "SW", 2, 5, d5_zero=True)
             ok = ps["verdict"] == "0"
             return Verdict(
                 "braided/fermionic/cyclic-2-part",
@@ -260,7 +260,7 @@ def obstruction_verdict(E: FinAbGroup, statistic: str, level: str) -> Verdict:
                  " [declared input]"],
                 {"split": ps},
             )
-        ps = product_split(E, "SW", 2, 5)
+        ps = product_split(E, "SW", 2, 5, d5_zero=True)
         return Verdict(
             "braided/fermionic/two-even-factors",
             "obstructed classes exist: smash summands contribute free A(1)"

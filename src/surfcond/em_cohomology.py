@@ -26,8 +26,6 @@ from .steenrod import (
     excess,
 )
 
-DEFAULT_CAP = 12
-
 
 class CapExceededError(ValueError):
     """A product or Steenrod image landed above the algebra's degree cap."""

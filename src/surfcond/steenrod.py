@@ -254,6 +254,8 @@ def parse_word(text: str) -> SteenrodWord:
                 if pos != len(toks) - 1:
                     raise ValueError("Bockstein marker must be innermost (last)")
                 k = int(m.group(1))
+                if k == 0:
+                    raise ValueError(f"Bockstein marker {tok!r}: markers start at b1 (Sq1)")
                 if k == 1:
                     squares.append(1)
                 else:

@@ -32,6 +32,12 @@ class TestExitCodes:
         assert code == 0
         assert "Sq3 Sq1" in out
 
+    @pytest.mark.parametrize("word", ["b0", "Sq2 b0"])
+    def test_marker_b0_is_a_parse_error(self, capsys, word):
+        code, out, err = run(capsys, ["steenrod", "--word", word])
+        assert (code, out) == (2, "")
+        assert err == "error: Bockstein marker 'b0': markers start at b1 (Sq1)\n"
+
     def test_parse_error(self, capsys):
         code, _, err = run(
             capsys, ["ahss", "--spectrum", "SW", "--group", "Z/x",
@@ -100,6 +106,23 @@ class TestRouting:
         assert code == 0
         assert "product split" in out
         assert "verdict: 0" in out
+
+    @pytest.mark.parametrize("d5", [[], ["--d5", "zero"]])
+    def test_split_factor_runs_take_the_d5_flag(self, capsys, d5, monkeypatch):
+        # the split used to declare d5 = 0 on every factor run, asked or not
+        seen = []
+
+        def recording_run(*args, **kwargs):
+            seen.append(kwargs["d5_zero"])
+            return run_ahss(*args, **kwargs)
+
+        monkeypatch.setattr("surfcond.ahss.run_ahss", recording_run)
+        code, out, _ = run(
+            capsys, ["ahss", "--spectrum", "SW", "--group", "Z/2 x Z/2",
+                     "--space-degree", "2", "--total-degree", "5"] + d5
+        )
+        assert code == 0 and "product split" in out
+        assert seen == [bool(d5)] * 2
 
     def test_twist_reads_the_even_factor(self, capsys):
         # K(Z/3 x Z/6, 2) lists K(Z/3,2) first, which has no mod-2 class
@@ -610,7 +633,7 @@ def test_product_split_agrees_with_the_direct_run(odd, even, spectrum, n, N):
     E = FinAbGroup.from_factors(odd + [even])
     assert sum(d % 2 == 0 for d in E.invariant_factors) == 1
     try:
-        split = product_split(E, spectrum, n, N)
+        split = product_split(E, spectrum, n, N, d5_zero=True)
         _page, report = run_ahss(E, n, spectrum, N, d5_zero=True)
     except (UnsupportedRangeError, UnspecifiedComparisonError, ValueError):
         assume(False)

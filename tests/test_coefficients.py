@@ -4,14 +4,16 @@ import re
 import pytest
 
 from surfcond.abelian import FinAbGroup, UnsupportedRangeError
+from surfcond.ahss import run_ahss
 from surfcond.coefficients import (
+    DEFAULT_CAP,
     CoeffOverrides,
     UnspecifiedComparisonError,
     _monomial_names,
     circle_row,
     spectrum,
 )
-from surfcond.em_cohomology import DEFAULT_CAP, EmSpace, algebra_for
+from surfcond.em_cohomology import EmSpace, algebra_for
 from surfcond.gf2 import Gf2Matrix
 
 Z2 = FinAbGroup((2,))
@@ -207,11 +209,25 @@ class TestOverrides:
         path.write_text(json.dumps({"spectrum": {"SWW": {"4": "0"}, "SW": {"4": "0"}}}))
         with pytest.raises(ValueError, match="unknown spectra .*: SWW$"):
             CoeffOverrides.load(str(path))
+        # the twisted table has SW's entries, so it is overridden through SW
         path.write_text(json.dumps({"spectrum": {"SW_twisted_by_Z2F": {"4": "0"}}}))
+        with pytest.raises(ValueError, match=r"SW_twisted_by_Z2F \(.*override SW\)$"):
+            CoeffOverrides.load(str(path))
+
+    def test_sw_override_reaches_the_twisted_run(self, tmp_path):
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps({"spectrum": {"SW": {"4": "Z/2"}}}))
         ov = CoeffOverrides.load(str(path))
-        assert spectrum("SW_twisted_by_Z2F", ov).notes == (
-            "override: spectrum SW_twisted_by_Z2F degree 4 -> 0",
-        )
+        note = "override: spectrum SW degree 4 -> Z/2"
+        for name in ("SW", "SW_twisted_by_Z2F"):
+            t = spectrum(name, ov)
+            assert t.notes == (note,)
+            assert str(t.entry(4)) == "Z/2"
+            assert t.provenance[4] == f"{name}^4(pt) = Z/2 [override]"
+        for twist in (False, True):
+            page3, report = run_ahss(Z2, 2, "SW", 4, twist=twist, overrides=ov)
+            assert {"kind": "override", "note": note} in [dict(r) for r in page3.log]
+            assert (0, 4, "Z/2") in report.entries and not report.inconclusive
 
     def test_notes_do_not_accumulate(self, tmp_path):
         path = tmp_path / "overrides.json"

@@ -213,6 +213,12 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_word("Sq2 Qx1")
 
+    @pytest.mark.parametrize("word", ["b0", "Sq2 b0", "Sq2 b_0", "Sq1 + b0"])
+    def test_marker_b0_rejected(self, word):
+        # b0 used to read as "no marker", so "Sq2 b0" parsed as Sq2
+        with pytest.raises(ValueError, match="markers start at b1"):
+            parse_word(word)
+
 
 def _toy_sq(dims, maps):
     """sq(i, d) of a toy module in its own basis: maps[(i, d)], zero if absent."""
