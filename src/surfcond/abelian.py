@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 
 
 class UnsupportedRangeError(ValueError):
-    """A table or functor was queried outside its supported range."""
+    """A table or functor was queried outside its supported range.
+
+    `CapExceededError` and `UnspecifiedComparisonError` subclass it, so the
+    CLI maps one family to exit 3."""
 
 
 OPAQUE_SYMBOLS = ("SW", "SW2")

@@ -9,6 +9,14 @@ Exit codes: 0 success, 1 selftest FAILURES, 2 parse error (including a
 negative degree or order argument), 3 unsupported range or missing table
 data, 4 inconclusive (undetermined differential), 5 internal invariant
 failure (an engine self-check such as d2 o d2 = 0 did not hold).
+
+Every query runs in a fresh process, and most of its cost is interpreter
+start and import. So this module imports only `abelian` at module level, and
+each subcommand imports the engine modules it calls: `surfcond steenrod`
+adds only `gf2` and `steenrod`, and `ahss` loads neither `condense` nor
+`acceptance`. The engine modules themselves import eagerly: a library caller
+pays for its imports when it imports, not inside the first call it makes or
+times.
 """
 
 from __future__ import annotations
@@ -19,22 +27,6 @@ import math
 import sys
 
 from .abelian import FinAbGroup, UnsupportedRangeError, parse_group
-from .ahss import (
-    page_to_dict,
-    product_split,
-    render_page_text,
-    run_ahss,
-)
-from .coefficients import CoeffOverrides, UnspecifiedComparisonError, spectrum
-from .condense import (
-    SkeletalCategory,
-    condense_group_algebra,
-    condense_phi,
-    obstruction_verdict,
-    parse_descriptor,
-)
-from .em_cohomology import CapExceededError, EmSpace, algebra_for
-from .steenrod import adem_normalize, excess, parse_word
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -79,6 +71,8 @@ def render_ahss(payload: dict) -> str:
     r = payload["result"]
     lines = []
     if "pages" in r:
+        from .ahss import render_page_text
+
         for dump in r["pages"]:
             lines.append(render_page_text(dump))
             lines.append("")
@@ -155,6 +149,8 @@ def render_payload(payload: dict) -> str:
 
 
 def _cmd_emcoh(args) -> tuple[dict, int]:
+    from .em_cohomology import EmSpace, algebra_for
+
     E = parse_group(args.group)
     space = EmSpace.from_group(E, args.space_degree)
     alg = algebra_for(space, max(args.max_degree, args.space_degree))
@@ -175,6 +171,8 @@ def _cmd_emcoh(args) -> tuple[dict, int]:
 
 
 def _cmd_steenrod(args) -> tuple[dict, int]:
+    from .steenrod import adem_normalize, excess, parse_word
+
     word = parse_word(args.word)
     normal = adem_normalize(word)
     monos = normal.sorted_monomials()
@@ -190,6 +188,9 @@ def _cmd_steenrod(args) -> tuple[dict, int]:
 
 
 def _cmd_ahss(args) -> tuple[dict, int]:
+    from .ahss import page_to_dict, product_split, run_ahss
+    from .coefficients import CoeffOverrides
+
     E = parse_group(args.group)
     overrides = CoeffOverrides.load(args.coeff_overrides) if args.coeff_overrides else None
     twist = args.twist == "fermion-parity"
@@ -232,6 +233,8 @@ def _cmd_ahss(args) -> tuple[dict, int]:
 
 
 def _cmd_obstruction(args) -> tuple[dict, int]:
+    from .condense import obstruction_verdict
+
     E = parse_group(args.group)
     v = obstruction_verdict(E, args.statistic, args.level)
     inputs = {"group": str(E), "statistic": args.statistic, "level": args.level}
@@ -239,12 +242,16 @@ def _cmd_obstruction(args) -> tuple[dict, int]:
 
 
 def _cmd_condense(args) -> tuple[dict, int]:
+    from .condense import SkeletalCategory, condense_group_algebra, condense_phi, parse_descriptor
+
     if args.descriptor:
         for flag in ("pi0", "level", "id"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag} cannot be combined with --descriptor")
     if args.id is not None and not args.phi:
         raise ValueError("--id needs --phi")
+    if args.phi and args.algebra is not None:
+        raise ValueError("--algebra cannot be combined with --phi")
     level = "fusion" if args.level is None else args.level
     identity = "2Rep(G)" if args.id is None else args.id
     pi0 = parse_group(args.pi0) if args.pi0 else None
@@ -292,6 +299,8 @@ def _survey_groups(max_order: int) -> list[FinAbGroup]:
 
 
 def _cmd_survey(args) -> tuple[dict, int]:
+    from .condense import obstruction_verdict
+
     rows, prov = [], []
     for E in _survey_groups(args.max_order):
         v = obstruction_verdict(E, args.statistic, args.level)
@@ -393,7 +402,7 @@ def main(argv=None) -> int:
             return EXIT_PARSE
     try:
         payload, code = COMMANDS[args.command](args)
-    except (UnsupportedRangeError, UnspecifiedComparisonError, CapExceededError) as exc:
+    except UnsupportedRangeError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (ValueError, OSError, json.JSONDecodeError) as exc:

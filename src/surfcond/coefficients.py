@@ -29,7 +29,7 @@ from .gf2 import Gf2Matrix
 DEFAULT_CAP = 12  # the mod-2 degree range of the tables and their overrides
 
 
-class UnspecifiedComparisonError(LookupError):
+class UnspecifiedComparisonError(UnsupportedRangeError):
     """No declared image for a mod-2 class under the (-1)^X comparison map."""
 
 

@@ -27,7 +27,7 @@ from .steenrod import (
 )
 
 
-class CapExceededError(ValueError):
+class CapExceededError(UnsupportedRangeError):
     """A product or Steenrod image landed above the algebra's degree cap."""
 
 

@@ -18,6 +18,7 @@ from surfcond.acceptance import CheckResult
 from surfcond.ahss import product_split, run_ahss
 from surfcond.cli import COMMANDS, main, render_payload
 from surfcond.coefficients import UnspecifiedComparisonError, _parse_expr
+from surfcond.em_cohomology import CapExceededError
 
 
 def run(capsys, argv):
@@ -223,16 +224,24 @@ SW_Z2_DEG5 = ["ahss", "--spectrum", "SW", "--group", "Z/2", "--space-degree", "2
 
 class TestExitContract:
     def test_assertion_is_internal_failure(self, capsys, monkeypatch):
-        import surfcond.cli as cli
-
         def broken(*_args, **_kwargs):
             raise AssertionError("negative dimension at (2,3)")
 
-        monkeypatch.setattr(cli, "run_ahss", broken)
+        monkeypatch.setattr("surfcond.ahss.run_ahss", broken)
         code, out, err = run(capsys, SW_Z2_DEG5)
         assert code == 5
         assert out == ""
         assert err == "internal invariant failure: negative dimension at (2,3)\n"
+
+    @pytest.mark.parametrize("error", [CapExceededError, UnspecifiedComparisonError])
+    def test_engine_range_errors_are_unsupported(self, capsys, monkeypatch, error):
+        def refused(*_args, **_kwargs):
+            raise error("degree 13 above cap 12")
+
+        monkeypatch.setattr("surfcond.ahss.run_ahss", refused)
+        code, out, err = run(capsys, SW_Z2_DEG5)
+        assert (code, out) == (3, "")
+        assert err == "unsupported: degree 13 above cap 12\n"
 
     def test_d2_squared_failure_from_overrides(self, capsys, tmp_path):
         # declaring (-1)^(Sq1(i2)^2) nonzero breaks d2 o d2 = 0 on (2,2) -> (4,1)
@@ -336,6 +345,55 @@ class TestExitContract:
                 "override: circle row (Z/2, 2) degree 5 -> Z/2",
                 "override: comparison data (Z/2, 2) degree 5",
             ]
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import surfcond.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "surfcond")
+
+at_import = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = surfcond.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, at_import, loaded()]))
+"""
+CLI_BASE = {"surfcond", "surfcond.cli", "surfcond.abelian"}
+
+
+def modules_loaded(argv) -> tuple[set[str], set[str]]:
+    """The surfcond modules a fresh process holds after `import surfcond.cli`,
+    and after `main(argv)` has answered (exit 0)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(surfcond.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, check=True)
+    code, at_import, after = json.loads(proc.stdout)
+    assert code == 0
+    return set(at_import), set(after)
+
+
+class TestImportSet:
+    """A query's cost is mostly start-up, so each subcommand imports only the
+    engine modules it calls."""
+
+    @pytest.mark.parametrize(
+        "argv, added",
+        [
+            (["steenrod", "--word", "Sq2 Sq2"], {"gf2", "steenrod"}),
+            (["emcoh", "--group", "Z/4", "--space-degree", "2", "--max-degree", "8"],
+             {"gf2", "steenrod", "em_cohomology"}),
+        ],
+    )
+    def test_subcommand_loads_only_what_it_calls(self, argv, added):
+        at_import, after = modules_loaded(argv)
+        assert at_import == CLI_BASE
+        assert after == CLI_BASE | {f"surfcond.{m}" for m in added}
+
+    def test_ahss_loads_neither_condense_nor_acceptance(self):
+        _at_import, after = modules_loaded(SW_Z2_DEG5 + ["--d5", "zero"])
+        assert "surfcond.ahss" in after
+        assert not after & {"surfcond.condense", "surfcond.acceptance"}
 
 
 class TestLowTotalDegrees:
@@ -467,6 +525,7 @@ def test_condense_phi_lines_parse_back_to_the_same_category(capsys, identity, ex
         (["--descriptor", "braided; pi0=Z/2", "--level", "symmetric"], "--level"),
         (["--descriptor", "braided; pi0=Z/2; id=2Rep(S3)", "--phi", "--id", "2Vec"], "--id"),
         (["--pi0", "Z/4", "--id", "2Rep(S3)", "--algebra", "Z/2"], "--id"),
+        (["--pi0", "Z/4", "--phi", "--algebra", "Z/2"], "--algebra"),
     ],
 )
 def test_condense_rejects_a_flag_it_would_ignore(capsys, argv, flag):

@@ -153,17 +153,22 @@ def descriptor_grid():
 
 def condense_grid():
     """Each descriptor alone, with each --algebra literal (the whole pi0
-    among them), and with --phi."""
+    among them), and with --phi, alone and beside each --algebra literal."""
     for text, pi0 in descriptor_grid():
         base = ["condense", "--descriptor", text]
         yield base
+        yield base + ["--phi"]
         for algebra in ("Z/2", "Z/4 diag", "Z/0", pi0):
             yield base + ["--algebra", algebra]
-        yield base + ["--phi"]
+            yield base + ["--phi", "--algebra", algebra]
 
 
 def test_condense_descriptor_grid_exits_are_documented():
-    assert_exits(condense_grid(), {0, 2})
+    answerable, ignored = [], []  # --phi would ignore --algebra
+    for argv in condense_grid():
+        (ignored if "--phi" in argv and "--algebra" in argv else answerable).append(argv)
+    assert_exits(answerable, {0, 2})
+    assert_exits(ignored, {2})
 
 
 STEENROD_WORDS = (
