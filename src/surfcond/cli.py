@@ -11,12 +11,16 @@ data, 4 inconclusive (undetermined differential), 5 internal invariant
 failure (an engine self-check such as d2 o d2 = 0 did not hold).
 
 Every query runs in a fresh process, and most of its cost is interpreter
-start and import. So this module imports only `abelian` at module level, and
-each subcommand imports the engine modules it calls: `surfcond steenrod`
-adds only `gf2` and `steenrod`, and `ahss` loads neither `condense` nor
-`acceptance`. The engine modules themselves import eagerly: a library caller
-pays for its imports when it imports, not inside the first call it makes or
-times.
+start and import. So this module imports `abelian`, `steenrod` and
+`em_cohomology` (with `gf2`) at module level, and each subcommand imports
+the layers above them that it calls: `ahss` adds `coefficients` and `ahss`;
+`obstruction`, `survey` and `condense` also add `condense`; only `selftest`
+loads `acceptance`. Every subcommand but `steenrod` reaches `em_cohomology`,
+so deferring it would spare that one query alone; and perfbench's traced
+`cli` run counts the lru caches of `em_cohomology` and `steenrod` in the
+modules `import surfcond.cli` has loaded. The engine modules themselves
+import eagerly: a library caller pays for its imports when it imports, not
+inside the first call it makes or times.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import math
 import sys
 
 from .abelian import FinAbGroup, UnsupportedRangeError, parse_group
+from .em_cohomology import EmSpace, algebra_for
+from .steenrod import adem_normalize, excess, parse_word
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -149,8 +155,6 @@ def render_payload(payload: dict) -> str:
 
 
 def _cmd_emcoh(args) -> tuple[dict, int]:
-    from .em_cohomology import EmSpace, algebra_for
-
     E = parse_group(args.group)
     space = EmSpace.from_group(E, args.space_degree)
     alg = algebra_for(space, max(args.max_degree, args.space_degree))
@@ -171,8 +175,6 @@ def _cmd_emcoh(args) -> tuple[dict, int]:
 
 
 def _cmd_steenrod(args) -> tuple[dict, int]:
-    from .steenrod import adem_normalize, excess, parse_word
-
     word = parse_word(args.word)
     normal = adem_normalize(word)
     monos = normal.sorted_monomials()
