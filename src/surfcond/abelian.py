@@ -100,9 +100,6 @@ class FinAbGroup:
     def neg(self, x):
         return tuple((-a) % d for a, d in zip(x, self.invariant_factors))
 
-    def zero(self):
-        return (0,) * len(self.invariant_factors)
-
     def element_order(self, x) -> int:
         return math.lcm(1, *(d // math.gcd(a, d) for a, d in zip(x, self.invariant_factors)))
 

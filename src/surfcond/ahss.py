@@ -7,8 +7,9 @@ reports the associated graded group in a chosen total degree.
 
 Model boundary: differentials of length r >= 3 between computed rows carry
 no new information in the tabulated range and are treated as zero; outgoing
-differentials from opaque entries (the Witt-group row) are genuinely unknown
-and must be declared, otherwise the report is inconclusive.
+differentials from opaque entries (the Witt-group row) are genuinely unknown.
+A run may declare the one out of (0,4), d5, zero; the declaration is a record
+in its log, and without it the report is inconclusive.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class Page:
     entries maps (i, j) to its Entry for i + j <= max_total; the E3 page is
     final in total degree max_total alone, the one degree its report reads.
     The space is algebra.space, and the query's E and n are circle.E and
-    circle.n.  entries, log and declarations are read-only, down to each
-    record; apply_d2 and declare_higher_differential return new pages.
+    circle.n.  entries and log are read-only, down to each record, and a
+    declared differential is a log record of kind "declaration"; apply_d2
+    returns a new page.
     """
 
     number: int
@@ -68,7 +70,6 @@ class Page:
     circle: CircleRow
     algebra: EmAlgebra
     log: tuple[Mapping, ...] = ()
-    declarations: tuple[Mapping, ...] = ()
     previous: "Page | None" = None  # the page this one was turned from
 
     def entry(self, i: int, j: int) -> Entry:
@@ -84,8 +85,13 @@ class Page:
 
 
 def _record(**fields) -> Mapping:
-    """A read-only log entry or declaration; its sequences are tuples."""
+    """A read-only log record; its sequences are tuples."""
     return MappingProxyType(fields)
+
+
+def _declarations(page: Page) -> tuple[Mapping, ...]:
+    """The page's declared differentials: its log records of kind "declaration"."""
+    return tuple(rec for rec in page.log if rec["kind"] == "declaration")
 
 
 def _row_kind(spec_table: SpectrumTable, j: int) -> str:
@@ -271,56 +277,6 @@ def apply_d2(page: Page) -> Page:
 
 
 # ---------------------------------------------------------------------------
-# Declared higher differentials
-
-
-def declare_higher_differential(page: Page, r: int, source: tuple[int, int], rank: int) -> Page:
-    """A new page with a differential the engine cannot compute declared.
-
-    rank is 0 for a declared-zero differential (the only option for opaque
-    sources), or a positive rank applied to elementary 2-group entries on
-    both ends; a negative rank raises ValueError.  The returned page has
-    both ends shrunk by the rank and the declaration in its log and
-    declarations; out of a zero entry only its log records the no-op.  The
-    page passed in is left as it was.
-    """
-    if r < 3:
-        raise ValueError("declared differentials start at r = 3")
-    i, j = source
-    src = page.entry(i, j)
-    if rank < 0:
-        raise ValueError(f"declared rank {rank} is negative")
-    record = _record(r=r, source=(i, j), rank=rank)
-    if src.expr is not None and src.expr.is_zero:
-        note = _record(kind="declaration", **record, note="no-op on zero entry")
-        return replace(page, log=page.log + (note,))
-    if src.expr is not None and src.expr.is_opaque and rank != 0:
-        raise ValueError("opaque entries admit only declared-zero differentials")
-    entries = dict(page.entries)
-    if rank:
-        ti, tj = i + r, j - r + 1
-        entries[(i, j)] = _shrink_elementary(src, rank, i, j)
-        entries[(ti, tj)] = _shrink_elementary(page.entry(ti, tj), rank, ti, tj)
-    log = page.log + (_record(kind="declaration", **record),)
-    return replace(
-        page, entries=MappingProxyType(entries), log=log,
-        declarations=page.declarations + (record,),
-    )
-
-
-def _shrink_elementary(entry: Entry, rank: int, i: int, j: int) -> Entry:
-    if entry.expr is None:
-        raise UnsupportedRangeError(f"cannot apply declared rank at untabulated ({i},{j})")
-    g = entry.expr.finite
-    if entry.expr.circle_rank or entry.expr.opaque or any(d != 2 for d in g.invariant_factors):
-        raise ValueError("declared ranks apply to elementary 2-group entries only")
-    dim = len(g.invariant_factors)
-    if rank > dim:
-        raise ValueError(f"declared rank {rank} exceeds entry dimension {dim}")
-    return Entry(GroupExpr.of(FinAbGroup((2,) * (dim - rank))))
-
-
-# ---------------------------------------------------------------------------
 # Reports
 
 
@@ -370,7 +326,8 @@ def total_degree_report(page: Page) -> TotalDegreeReport:
     if page.number < 3:
         raise ValueError("report requires a turned page")
     N = page.max_total
-    declared = {(d["r"], tuple(d["source"])) for d in page.declarations}
+    declarations = _declarations(page)
+    declared = {(d["r"], d["source"]) for d in declarations}
     blockers: list[str] = []
     survivors: list[tuple[int, int, GroupExpr]] = []
     for i in range(N, -1, -1):
@@ -397,7 +354,7 @@ def total_degree_report(page: Page) -> TotalDegreeReport:
                     blockers.append(f"d{r} out of opaque ({i},{j}) undeclared")
     provenance = tuple(
         f"declared d{d['r']} from ({d['source'][0]},{d['source'][1]}) rank {d['rank']}"
-        for d in page.declarations
+        for d in declarations
     ) + (
         "differentials of length >= 3 between computed rows are outside the model"
         " and taken to vanish",
@@ -452,7 +409,8 @@ def _run_ahss(E, n, spectrum_name, N, twist, d5_zero, overrides):
     if d5_zero and N >= 4:
         src = page3.entry(0, 4)
         if src.expr is not None and not src.expr.is_zero:
-            page3 = declare_higher_differential(page3, 5, (0, 4), 0)
+            declared = _record(kind="declaration", r=5, source=(0, 4), rank=0)
+            page3 = replace(page3, log=page3.log + (declared,))
     return page3, total_degree_report(page3)
 
 
@@ -597,28 +555,7 @@ def page_to_dict(page: Page) -> dict:
         },
         "computed_totals": [page.max_total] if page.number >= 3 else [],
         "log": [plain(rec) for rec in page.log],
-        "declarations": [plain(rec) for rec in page.declarations],
+        "declarations": [
+            {k: v for k, v in plain(rec).items() if k != "kind"} for rec in _declarations(page)
+        ],
     }
-
-
-def render_page_text(dump: dict) -> str:
-    """Aligned grid of a page dump (rows j descending, columns i)."""
-    coords = [tuple(map(int, key.split(","))) for key in dump["entries"]]
-    max_i = max((i for i, _j in coords), default=0)
-    max_j = max((j for _i, j in coords), default=0)
-    grid = {}
-    for key, val in dump["entries"].items():
-        i, j = map(int, key.split(","))
-        grid[(i, j)] = val["group"]
-    rows = []
-    for j in range(max_j, -1, -1):
-        cells = [grid.get((i, j), ".") for i in range(max_i + 1)]
-        rows.append([f"j={j}"] + cells)
-    rows.append(["i->"] + [str(i) for i in range(max_i + 1)])
-    widths = [max(len(r[c]) for r in rows) for c in range(max_i + 2)]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    title = (
-        f"E{dump['page']} page, {dump['spectrum']} over {dump['space']}"
-        f"{' (twisted)' if dump['twisted'] else ''}"
-    )
-    return "\n".join([title] + lines)

@@ -73,12 +73,33 @@ def render_steenrod(payload: dict) -> str:
     return "\n".join(lines)
 
 
+def render_page_text(dump: dict) -> str:
+    """Aligned grid of a page dump (rows j descending, columns i)."""
+    coords = [tuple(map(int, key.split(","))) for key in dump["entries"]]
+    max_i = max((i for i, _j in coords), default=0)
+    max_j = max((j for _i, j in coords), default=0)
+    grid = {}
+    for key, val in dump["entries"].items():
+        i, j = map(int, key.split(","))
+        grid[(i, j)] = val["group"]
+    rows = []
+    for j in range(max_j, -1, -1):
+        cells = [grid.get((i, j), ".") for i in range(max_i + 1)]
+        rows.append([f"j={j}"] + cells)
+    rows.append(["i->"] + [str(i) for i in range(max_i + 1)])
+    widths = [max(len(r[c]) for r in rows) for c in range(max_i + 2)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    title = (
+        f"E{dump['page']} page, {dump['spectrum']} over {dump['space']}"
+        f"{' (twisted)' if dump['twisted'] else ''}"
+    )
+    return "\n".join([title] + lines)
+
+
 def render_ahss(payload: dict) -> str:
     r = payload["result"]
     lines = []
     if "pages" in r:
-        from .ahss import render_page_text
-
         for dump in r["pages"]:
             lines.append(render_page_text(dump))
             lines.append("")
@@ -407,7 +428,7 @@ def main(argv=None) -> int:
     except UnsupportedRangeError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except AssertionError as exc:

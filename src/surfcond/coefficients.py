@@ -23,7 +23,7 @@ from .abelian import (
     quad_group,
     two_torsion,
 )
-from .em_cohomology import _two_part
+from .em_cohomology import EmSpace, _two_part, algebra_for
 from .gf2 import Gf2Matrix
 
 DEFAULT_CAP = 12  # the mod-2 degree range of the tables and their overrides
@@ -189,8 +189,6 @@ def _order2_element(G: FinAbGroup) -> tuple[int, ...]:
 def _monomial_names(E: FinAbGroup, n: int, degree: int) -> list[str]:
     """Names of the basis of H^degree(K(E, n); Z2), from the smallest algebra
     that has that degree: the names do not depend on the cap."""
-    from .em_cohomology import EmSpace, algebra_for
-
     alg = algebra_for(EmSpace.from_group(E, n), max(degree, n))
     return [alg.format_monomial(m) for m in alg.basis(degree)]
 

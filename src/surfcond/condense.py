@@ -128,40 +128,30 @@ def parse_subgroup(pi0: FinAbGroup, text: str) -> list[tuple[int, ...]]:
         if any(f % d for f in pi0.invariant_factors):
             raise ValueError(f"no diagonal Z/{d} inside {pi0}")
         return [tuple(f // d for f in pi0.invariant_factors)]
-    last = pi0.invariant_factors[-1] if pi0.invariant_factors else 1
-    if last % d:
+    if pi0.exponent % d:
         raise ValueError(f"Z/{d} is not a subgroup of the largest factor of {pi0}")
     gen = [0] * len(pi0.invariant_factors)
-    gen[-1] = last // d
+    gen[-1] = pi0.exponent // d
     return [tuple(gen)]
 
 
-def _degrade_group_algebra(level: str, central: bool) -> str:
-    # braided algebra in a braided category leaves fusion; a symmetric
-    # algebra in the symmetric center keeps one more level of commutativity
-    if level == "braided":
-        return "fusion"
-    if level == "sylleptic":
-        return "sylleptic" if central else "braided"
-    return level  # fusion and symmetric are stable
+# condensing a group algebra costs one level of commutativity where it has one
+# to lose; fusion and symmetric categories keep their level
+_DEGRADE_GROUP_ALGEBRA = {"braided": "fusion", "sylleptic": "braided"}
 
 
-def condense_group_algebra(
-    cat: SkeletalCategory, subgroup, central: bool = False
-) -> SkeletalCategory:
+def condense_group_algebra(cat: SkeletalCategory, subgroup: str) -> SkeletalCategory:
     """Condense the group algebra of a subgroup acting by translation.
 
-    subgroup is a generator list (or a literal handled by parse_subgroup).
-    Components become the orbit set, that is, the quotient group.
+    subgroup is a literal read by parse_subgroup.  Components become the
+    orbit set, that is, the quotient group.
     """
-    gens = (
-        parse_subgroup(cat.pi0, subgroup) if isinstance(subgroup, str) else
-        [tuple(g) for g in subgroup]
-    )
+    gens = parse_subgroup(cat.pi0, subgroup)
     if not gens:
         return cat
     quotient = quotient_by_subgroup_image(GroupExpr.of(cat.pi0), gens).finite
-    return replace(cat, pi0=quotient, level=_degrade_group_algebra(cat.level, central))
+    level = _DEGRADE_GROUP_ALGEBRA.get(cat.level, cat.level)
+    return replace(cat, pi0=quotient, level=level)
 
 
 # ---------------------------------------------------------------------------

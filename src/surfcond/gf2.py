@@ -27,10 +27,6 @@ class Gf2Matrix:
     ncols: int
 
     @staticmethod
-    def zero(nrows: int, ncols: int) -> "Gf2Matrix":
-        return Gf2Matrix((0,) * nrows, ncols)
-
-    @staticmethod
     def from_rows(rows, ncols: int) -> "Gf2Matrix":
         return Gf2Matrix(tuple(int(r) for r in rows), ncols)
 

@@ -9,14 +9,13 @@ from surfcond.ahss import (
     _a1_submodule,
     apply_d2,
     assemble_e2,
-    declare_higher_differential,
     page_to_dict,
     product_split,
-    render_page_text,
     run_ahss,
     smash_freeness_check,
     total_degree_report,
 )
+from surfcond.cli import render_page_text
 from surfcond.coefficients import spectrum
 from surfcond.em_cohomology import EmSpace, algebra_for, reduced_smash_basis
 from surfcond.steenrod import margolis_homology
@@ -142,42 +141,26 @@ class TestReports:
 
 
 class TestDeclarations:
-    def test_declared_iso_replaces_the_d5_assumption(self):
-        # killing (2,2) against the surviving circle-row class makes every
-        # total-degree-5 entry zero, so no opaque blocker remains
-        page3, _ = run_ahss(Z2, 2, "SW", 5, twist=True)
-        declared = declare_higher_differential(page3, 3, (2, 2), 1)
-        report = total_degree_report(declared)
-        assert report.verdict == "0"
-        assert not report.inconclusive
+    @pytest.mark.parametrize(
+        "spectrum_name, twist", [("SW", False), ("SW", True), ("Spin", False)]
+    )
+    def test_a_declaration_is_one_log_record(self, spectrum_name, twist):
+        page3, report = run_ahss(Z2, 2, spectrum_name, 5, twist=twist, d5_zero=True)
+        assert not hasattr(page3, "declarations")
+        records = [rec for rec in page3.log if rec["kind"] == "declaration"]
+        assert records == [{"kind": "declaration", "r": 5, "source": (0, 4), "rank": 0}]
+        assert page_to_dict(page3)["declarations"] == [{"r": 5, "source": [0, 4], "rank": 0}]
+        assert "declared d5 from (0,4) rank 0" in report.provenance
 
     def test_zero_entry_is_a_no_op(self):
-        page3, _ = run_ahss(Z2, 2, "SW", 5)
-        declared = declare_higher_differential(page3, 3, (1, 4), 1)
+        # SH has h^4(pt) = 0, so --d5 zero finds nothing to declare
+        page3, report = run_ahss(Z2, 2, "SH", 5)
+        declared, declared_report = run_ahss(Z2, 2, "SH", 5, d5_zero=True)
+        assert declared.entry(0, 4).expr.is_zero
         assert dict(declared.entries) == dict(page3.entries)
-        assert declared.declarations == page3.declarations
-        assert declared.log[-1]["note"] == "no-op on zero entry"
-
-    def test_negative_rank_rejected(self):
-        # a negative rank would grow both ends: (2,2) and (5,0) into Z/2 x Z/2
-        page3, _ = run_ahss(Z2, 2, "SW", 5, twist=True)
-        with pytest.raises(ValueError, match="negative"):
-            declare_higher_differential(page3, 3, (2, 2), -1)
-
-    def test_opaque_source_only_declared_zero(self):
-        page3, _ = run_ahss(Z2, 2, "SW", 5)
-        with pytest.raises(ValueError):
-            declare_higher_differential(page3, 5, (0, 4), 1)
-
-    def test_rank_above_dimension_rejected(self):
-        page3, _ = run_ahss(Z2, 2, "SW", 5, twist=True)
-        with pytest.raises(ValueError):
-            declare_higher_differential(page3, 3, (2, 2), 2)
-
-    def test_d2_cannot_be_declared(self):
-        page3, _ = run_ahss(Z2, 2, "SW", 5)
-        with pytest.raises(ValueError):
-            declare_higher_differential(page3, 2, (0, 4), 0)
+        assert declared.log == page3.log
+        assert declared_report == report
+        assert page_to_dict(declared)["declarations"] == []
 
 
 class TestFrozenRun:
@@ -205,22 +188,23 @@ class TestFrozenRun:
     def test_declaring_on_a_shared_page_leaves_the_run_unchanged(self):
         page3, report = run_ahss(Z2, 2, "SW", 5, twist=True)
         before = (page_to_dict(page3), report.to_dict())
-        declared = declare_higher_differential(page3, 3, (2, 2), 1)
-        assert total_degree_report(declared).verdict == "0"
+        declared, declared_report = run_ahss(Z2, 2, "SW", 5, twist=True, d5_zero=True)
+        assert declared.log[:-1] == page3.log and declared.log[-1]["kind"] == "declaration"
+        assert declared_report.verdict != report.verdict
         again_page, again_report = run_ahss(Z2, 2, "SW", 5, twist=True)
         assert again_page is page3 and again_report is report
         assert (page_to_dict(again_page), again_report.to_dict()) == before
         assert report.verdict != "0"
 
-
     def test_log_and_declarations_are_read_only(self):
         page3, _ = run_ahss(Z2, 2, "SW", 5, d5_zero=True)
         d2 = next(e for e in page3.log if e["kind"] == "d2")
+        declared = next(e for e in page3.log if e["kind"] == "declaration")
         for record, key in (
             (page3.log[0], "note"),
             (d2["source"], 0),
-            (page3.declarations[0], "rank"),
-            (page3.declarations[0]["source"], 0),
+            (declared, "rank"),
+            (declared["source"], 0),
         ):
             with pytest.raises(TypeError):
                 record[key] = 9
@@ -233,7 +217,11 @@ class TestFrozenRun:
         declared = page_to_dict(run_ahss(Z2, 2, "SW", 5, d5_zero=True)[0])
         assert declared["declarations"] == [{"r": 5, "source": [0, 4], "rank": 0}]
         declared["declarations"][0]["source"][0] = 9
-        again = page_to_dict(run_ahss(Z2, 2, "SW", 5, d5_zero=True)[0])
+        record = next(e for e in declared["log"] if e["kind"] == "declaration")
+        record["rank"] = 9
+        again_page = run_ahss(Z2, 2, "SW", 5, d5_zero=True)[0]
+        assert again_page.log[-1] == {"kind": "declaration", "r": 5, "source": (0, 4), "rank": 0}
+        again = page_to_dict(again_page)
         assert again["declarations"] == [{"r": 5, "source": [0, 4], "rank": 0}]
 
 

@@ -318,7 +318,7 @@ class TestKroneckerProducts:
         for b in range(1, alg.cap + 1):
             for a in range(1, min(2 * b, alg.cap - b + 1)):
                 for d in range(alg.cap - a - b + 1):
-                    rhs = Gf2Matrix.zero(alg.dimension(d), alg.dimension(d + a + b))
+                    rhs = Gf2Matrix.from_rows([0] * alg.dimension(d), alg.dimension(d + a + b))
                     for term in adem_expand(a, b):
                         rhs = rhs + word(term, d)
                     assert word((a, b), d) == rhs, (a, b, d)

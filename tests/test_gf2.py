@@ -92,13 +92,13 @@ class TestGf2Matrix:
             with pytest.raises(ValueError, match="not a bitmask over 2 rows"):
                 m.apply(vec)
         with pytest.raises(ValueError):
-            Gf2Matrix.zero(0, 3).apply(1)
+            Gf2Matrix.from_rows([], 3).apply(1)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Gf2Matrix.zero(2, 3).then(Gf2Matrix.zero(2, 3))
+            Gf2Matrix.from_rows([0, 0], 3).then(Gf2Matrix.from_rows([0, 0], 3))
         with pytest.raises(ValueError):
-            Gf2Matrix.zero(2, 3) + Gf2Matrix.zero(3, 3)
+            Gf2Matrix.from_rows([0, 0], 3) + Gf2Matrix.from_rows([0, 0, 0], 3)
 
 
 class TestEchelon:

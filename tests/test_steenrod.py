@@ -222,7 +222,9 @@ class TestParse:
 
 def _toy_sq(dims, maps):
     """sq(i, d) of a toy module in its own basis: maps[(i, d)], zero if absent."""
-    return lambda i, d: maps.get((i, d), Gf2Matrix.zero(dims.get(d, 0), dims.get(d + i, 0)))
+    return lambda i, d: maps.get(
+        (i, d), Gf2Matrix.from_rows([0] * dims.get(d, 0), dims.get(d + i, 0))
+    )
 
 
 def _whole(dims):
