@@ -115,6 +115,20 @@ class FinAbGroup:
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
+def groups_up_to(max_order: int):
+    """Every finite abelian group of order <= max_order, once each, the
+    trivial group first: one per divisibility chain d_1 | d_2 | ...."""
+
+    def chains(limit: int, least: int):
+        yield ()
+        for d in range(max(least, 2), limit + 1, least):
+            for rest in chains(limit // d, d):
+                yield (d,) + rest
+
+    for chain in chains(max_order, 1):
+        yield FinAbGroup(chain)
+
+
 def _factorize(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     d = 2
@@ -187,15 +201,15 @@ def smith_normal_form(relation_matrix) -> FinAbGroup:
     """Cokernel of an integer relation matrix, in invariant-factor form.
 
     Rows are relations among the columns' generators: the result is
-    Z^cols / (row lattice).  Presentations with infinite cokernel are
-    rejected; this artifact handles finite groups only.
+    Z^cols / (row lattice).  The presentation must bound every column j
+    with a row d * e_j (d != 0), as those of quad_group_brute,
+    quotient_by_subgroup_image and the Ext oracle of acceptance do; one
+    that leaves a column unbounded raises ValueError.
 
     The elimination runs modulo a D with D * Z^cols inside the row lattice,
     so every entry stays in [0, D) and none can grow (Domich-Kannan-Trotter
     modulo-determinant arithmetic).  D is the lcm over the columns j of the
-    gcd of the rows d * e_j, when such rows cover every column, as they do
-    for every caller in this package; otherwise D is |det| of a maximal
-    independent set of rows.  The rows are streamed one at a time into an
+    gcd of the rows d * e_j.  The rows are streamed one at a time into an
     echelon basis over Z/D of at most cols rows, whose Smith form over Z/D
     gives the invariant factors gcd(d_i, D).  relation_matrix is read twice,
     so it must be a sequence of rows.
@@ -215,9 +229,10 @@ def smith_normal_form(relation_matrix) -> FinAbGroup:
 
 
 def _modulus(rows, ncols: int) -> int:
-    """A positive D with D * Z^ncols inside the row lattice.
+    """The lcm D over the columns j of the gcd of the rows d * e_j, so that
+    D * Z^ncols lies inside the row lattice.
 
-    Raises ValueError on ragged rows and when the rank is below ncols.
+    Raises ValueError on ragged rows and on a column without such a row.
     """
     axis = [0] * ncols  # gcd of the rows d * e_j on column j
     for r in rows:
@@ -227,28 +242,9 @@ def _modulus(rows, ncols: int) -> int:
         if len(support) == 1:
             j = support[0]
             axis[j] = math.gcd(axis[j], int(r[j]))
-    if all(axis):
-        return math.lcm(*axis)
-    # Fraction-free (Bareiss) elimination with row pivoting: after step k the
-    # pivot is the (k+1)-th leading minor of the chosen rows, so the last one
-    # is the determinant of ncols independent rows.  This path holds a copy
-    # of the rows; no caller in the package takes it.
-    a = [[int(x) for x in r] for r in rows]
-    prev = 1
-    for k in range(ncols):
-        i = next((i for i in range(k, len(a)) if a[i][k]), None)
-        if i is None:
-            raise ValueError(
-                "presentation has infinite cokernel; only finite groups are supported"
-            )
-        a[k], a[i] = a[i], a[k]
-        pivot = a[k]
-        for r in a[k + 1 :]:
-            f = r[k]
-            for j in range(k + 1, ncols):
-                r[j] = (r[j] * pivot[k] - f * pivot[j]) // prev
-        prev = pivot[k]
-    return abs(prev)
+    if not all(axis):
+        raise ValueError(f"no relation d * e_j bounds column {axis.index(0)}")
+    return math.lcm(*axis)
 
 
 def _subtract(row: dict[int, int], q: int, b: dict[int, int], D: int) -> None:

@@ -14,6 +14,7 @@ from .abelian import (
     CIRCLE,
     dual,
     ext_group,
+    groups_up_to,
     hom_group,
     parse_group,
     quad_group,
@@ -311,14 +312,7 @@ def check_functor_brute_force() -> tuple[bool, str]:
     pair of abelian groups of order <= 16 with |A| |B| <= 64, and the Quad
     brute force agrees with the closed form for every non-cyclic group of
     order <= 16."""
-    groups: list[FinAbGroup] = []
-    for order in range(1, 17):
-        seen = set()
-        for parts in _factor_tuples(order):
-            G = FinAbGroup.from_factors(parts)
-            if G not in seen:
-                seen.add(G)
-                groups.append(G)
+    groups = list(groups_up_to(16))
     checked = 0
     for B in groups:
         orders = [B.element_order(x) for x in B.elements()]
@@ -357,16 +351,6 @@ def check_functor_brute_force() -> tuple[bool, str]:
         f"{checked} hom/Ext pairs cross-checked and {quads} Quad groups"
         " checked against the closed form"
     )
-
-
-def _factor_tuples(order: int, smallest: int = 2):
-    if order == 1:
-        yield ()
-        return
-    for d in range(smallest, order + 1):
-        if order % d == 0:
-            for rest in _factor_tuples(order // d, d):
-                yield (d,) + rest
 
 
 def check_poincare_convolution() -> tuple[bool, str]:

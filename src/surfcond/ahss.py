@@ -1,9 +1,10 @@
 """First-quadrant Atiyah-Hirzebruch spectral sequence engine.
 
 Assembles E2 pages H^i(X; h^j(pt)) for Eilenberg-MacLane bases, applies the
-d2 differentials (Sq2 between mod-2 rows, its exponential (-1)^(...) variant
-into the circle row, and the fermion-parity twists Sq2 + iota*(-)), and
-reports the associated graded group in a chosen total degree.
+d2 differentials (Sq2 from mod-2 row 2 into mod-2 row 1, its exponential
+(-1)^(...) variant from row 1 into the circle row 0, and the fermion-parity
+twists Sq2 + iota*(-)), and reports the associated graded group in a chosen
+total degree.
 
 Model boundary: differentials of length r >= 3 between computed rows carry
 no new information in the tabulated range and are treated as zero; outgoing
@@ -33,30 +34,12 @@ from .steenrod import margolis_homology
 
 
 @dataclass(frozen=True)
-class Entry:
-    """The group at one (i, j) of a page; Page.entries keys it by (i, j).
-
-    expr is None where the group is not tabulated; basis names the monomials
-    of a mod-2 entry while they still span it (empty once d2 cut it down).
-    """
-
-    expr: GroupExpr | None
-    basis: tuple[str, ...] = ()
-
-    @property
-    def known(self) -> bool:
-        return self.expr is not None
-
-    def group_str(self) -> str:
-        return "?" if self.expr is None else str(self.expr)
-
-
-@dataclass(frozen=True)
 class Page:
     """One page of a run, read-only so that run_ahss can share it.
 
-    entries maps (i, j) to its Entry for i + j <= max_total; the E3 page is
-    final in total degree max_total alone, the one degree its report reads.
+    entries maps (i, j) to its group for i + j <= max_total, None where the
+    group is not tabulated; the E3 page is final in total degree max_total
+    alone, the one degree its report reads.
     The space is algebra.space, and the query's E and n are circle.E and
     circle.n.  entries and log are read-only, down to each record, and a
     declared differential is a log record of kind "declaration"; apply_d2
@@ -66,19 +49,18 @@ class Page:
     number: int
     spectrum: SpectrumTable
     max_total: int
-    entries: Mapping[tuple[int, int], Entry]
+    entries: Mapping[tuple[int, int], GroupExpr | None]
     circle: CircleRow
     algebra: EmAlgebra
     log: tuple[Mapping, ...] = ()
     previous: "Page | None" = None  # the page this one was turned from
 
-    def entry(self, i: int, j: int) -> Entry:
-        e = self.entries.get((i, j))
-        if e is None:
-            if 0 <= i and 0 <= j and i + j <= self.max_total:
-                raise UnsupportedRangeError(f"entry ({i},{j}) missing from page")
-            return Entry(GroupExpr.zero())
-        return e
+    def entry(self, i: int, j: int) -> GroupExpr | None:
+        if (i, j) in self.entries:
+            return self.entries[(i, j)]
+        if 0 <= i and 0 <= j and i + j <= self.max_total:
+            raise UnsupportedRangeError(f"entry ({i},{j}) missing from page")
+        return GroupExpr.zero()
 
     def row_kind(self, j: int) -> str:
         return _row_kind(self.spectrum, j)
@@ -118,7 +100,8 @@ def assemble_e2(
 ) -> Page:
     """E2 page H^i(X; h^j(pt)) over X = K(E, n) for i + j <= max_total_degree.
 
-    Mod-2 rows carry computed monomial bases; the circle row comes from the
+    A mod-2 entry is one Z/2 per monomial of algebra.basis(i); the circle row
+    comes from the
     known-value tables; opaque rows carry the symbol at i = 0 and its
     hom(-, Z2) companion at i = 2.  Bases with more than one 2-primary
     factor are out of scope here (product_split handles them).  The circle
@@ -135,22 +118,21 @@ def assemble_e2(
         )
     algebra = algebra_for(space, max(max_total_degree + 2, n))
     circle = circle_row(E, n, overrides)
-    entries: dict[tuple[int, int], Entry] = {}
+    entries: dict[tuple[int, int], GroupExpr | None] = {}
     log: list[Mapping] = []
     for j in range(max_total_degree + 1):
         kind = _row_kind(spec_table, j)
         for i in range(max_total_degree - j + 1):
             if kind == "zero":
-                entries[(i, j)] = Entry(GroupExpr.zero())
+                entries[(i, j)] = GroupExpr.zero()
             elif kind == "z2":
-                names = tuple(algebra.format_monomial(m) for m in algebra.basis(i))
-                entries[(i, j)] = Entry(GroupExpr.of(FinAbGroup((2,) * len(names))), names)
+                entries[(i, j)] = GroupExpr.of(FinAbGroup((2,) * algebra.dimension(i)))
             elif kind == "circle":
                 if not circle.has_entry(i):
                     raise UnsupportedRangeError(
                         f"missing circle-row data at ({i},{j}) within range"
                     )
-                entries[(i, j)] = Entry(circle.entry(i))
+                entries[(i, j)] = circle.entry(i)
             else:  # opaque
                 entries[(i, j)] = _opaque_entry(i, j, spec_table, algebra)
     for j, note in enumerate(spec_table.provenance[: max_total_degree + 1]):
@@ -166,17 +148,17 @@ def assemble_e2(
     )
 
 
-def _opaque_entry(i: int, j: int, spec_table: SpectrumTable, algebra) -> Entry:
+def _opaque_entry(i: int, j: int, spec_table: SpectrumTable, algebra) -> GroupExpr | None:
     symbol = spec_table.entry(j)
     if i == 0:
-        return Entry(symbol)
+        return symbol
     dim = algebra.dimension(i)
     if dim == 0:
-        return Entry(GroupExpr.zero())
+        return GroupExpr.zero()
     if i == 2 and dim == 1 and symbol.opaque == ("SW",):
         # hom(SW, Z2) companion entry
-        return Entry(GroupExpr.symbol("SW2"))
-    return Entry(None)
+        return GroupExpr.symbol("SW2")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +194,15 @@ def apply_d2(page: Page) -> Page:
     def d2_from(i: int, j: int) -> tuple[Gf2Matrix | None, int]:
         """Logged d2 out of the mod-2 entry (i, j) and its rank.
 
-        Sq2 (plus multiplication by the fundamental class under the twist);
-        into the circle row it lands on the order-2 coordinates of the
-        target entry.  None into a zero row.
+        Sq2 (plus multiplication by the fundamental class under the twist)
+        from row 2 into mod-2 row 1; from row 1 into the circle row 0 it
+        lands on the order-2 coordinates of the target entry.  None into a
+        zero row; the model defines no other d2.
         """
         target = page.row_kind(j - 1) if j >= 1 else "zero"
         if target == "zero":
             return None, 0
-        if target not in ("z2", "circle"):
+        if (j, target) not in ((2, "z2"), (1, "circle")):
             raise UnsupportedRangeError(f"no differential rule from row {j} into row {j - 1}")
         mat = alg.sq_matrix(2, i)
         if tw:
@@ -240,7 +223,7 @@ def apply_d2(page: Page) -> Page:
         old = page.entry(i, j)
         if kind in ("zero", "opaque"):
             continue  # zero rows stay zero; opaque entries pass unchanged at d2
-        if kind == "circle" and not old.known:
+        if kind == "circle" and old is None:
             raise UnsupportedRangeError(f"circle entry ({i},{j}) not tabulated")
         outgoing, out_rank = d2_from(i, j) if kind == "z2" else (None, 0)
         above = page.row_kind(j + 1) if j + 1 <= page.spectrum.max_degree else "zero"
@@ -249,14 +232,12 @@ def apply_d2(page: Page) -> Page:
             raise UnsupportedRangeError(f"no differential rule from row {j + 1} into {into}")
         incoming, in_rank = d2_from(i - 2, j + 1) if above == "z2" and i >= 2 else (None, 0)
         if kind == "circle":
-            factors = old.expr.finite.invariant_factors
+            factors = old.finite.invariant_factors
             gens = [
                 tuple(d // 2 if (row >> pos) & 1 else 0 for pos, d in enumerate(factors))
                 for row in (incoming.rows if incoming else ())
-                if row
             ]
-            new_expr = quotient_by_subgroup_image(old.expr, gens) if gens else old.expr
-            entries[(i, j)] = Entry(new_expr)
+            entries[(i, j)] = quotient_by_subgroup_image(old, gens)
             continue
         if incoming is not None and outgoing is not None:
             if not incoming.then(outgoing).is_zero:
@@ -264,12 +245,10 @@ def apply_d2(page: Page) -> Page:
                     f"d2 squared nonzero on chain ({i - 2},{j + 1}) -> ({i},{j})"
                 )
             checked_chains += 1
-        dim = len(old.basis)
-        new_dim = dim - out_rank - in_rank
+        new_dim = len(old.finite.invariant_factors) - out_rank - in_rank
         if new_dim < 0:
             raise AssertionError(f"negative dimension at ({i},{j})")
-        basis = old.basis if new_dim == dim else ()
-        entries[(i, j)] = Entry(GroupExpr.of(FinAbGroup((2,) * new_dim)), basis)
+        entries[(i, j)] = GroupExpr.of(FinAbGroup((2,) * new_dim))
     log.append(_record(kind="d2_squared", chains_checked=checked_chains))
     return replace(
         page, number=3, entries=MappingProxyType(entries), log=tuple(log), previous=page
@@ -332,23 +311,23 @@ def total_degree_report(page: Page) -> TotalDegreeReport:
     survivors: list[tuple[int, int, GroupExpr]] = []
     for i in range(N, -1, -1):
         j = N - i
-        e = page.entry(i, j)
-        if e.expr is None:
+        expr = page.entry(i, j)
+        if expr is None:
             raise UnsupportedRangeError(f"entry ({i},{j}) in total degree {N} is not tabulated")
-        survivors.append((i, j, e.expr))
+        survivors.append((i, j, expr))
     # undetermined differentials out of opaque entries, into or out of degree N;
     # a target lies on the degree-N diagonal, tabulated throughout (checked above)
-    for (i, j), e in page.entries.items():
-        if e.expr is None or not e.expr.is_opaque:
+    for (i, j), expr in page.entries.items():
+        if expr is None or not expr.is_opaque:
             continue
         if i + j == N - 1:
             for r in range(3, j + 2):
                 ti, tj = i + r, j - r + 1
-                if not page.entry(ti, tj).expr.is_zero and (r, (i, j)) not in declared:
+                if not page.entry(ti, tj).is_zero and (r, (i, j)) not in declared:
                     blockers.append(
                         f"d{r} from opaque ({i},{j}) into nonzero ({ti},{tj}) undeclared"
                     )
-        if i + j == N and not e.expr.is_zero:
+        if i + j == N:
             for r in range(3, j + 2):
                 if (r, (i, j)) not in declared:
                     blockers.append(f"d{r} out of opaque ({i},{j}) undeclared")
@@ -384,7 +363,8 @@ def run_ahss(
     """The E3 page and the total-degree-N report of one query.
 
     Assembles the E2 page (the E3 page's previous), turns it, declares
-    d5 = 0 out of a nonzero (0,4) entry when d5_zero asks, and reports.
+    d5 = 0 out of an opaque (0,4) when d5_zero asks and N is 4 or 5, the
+    degrees whose report reads that differential, and reports.
     Computed once per process for each query, however its arguments are
     spelled; overrides hash by identity.  Pages and report are frozen and
     shared by every caller, and a run that raises is not kept, so it
@@ -406,11 +386,9 @@ def _run_ahss(E, n, spectrum_name, N, twist, d5_zero, overrides):
     spec_table = spectrum(name, overrides)
     page = assemble_e2(E, n, spec_table, N, overrides)
     page3 = apply_d2(page)
-    if d5_zero and N >= 4:
-        src = page3.entry(0, 4)
-        if src.expr is not None and not src.expr.is_zero:
-            declared = _record(kind="declaration", r=5, source=(0, 4), rank=0)
-            page3 = replace(page3, log=page3.log + (declared,))
+    if d5_zero and N in (4, 5) and page3.entry(0, 4).is_opaque:
+        declared = _record(kind="declaration", r=5, source=(0, 4), rank=0)
+        page3 = replace(page3, log=page3.log + (declared,))
     return page3, total_degree_report(page3)
 
 
@@ -536,21 +514,30 @@ def _summand(label: str, status: str, group: str | None, note: str = "") -> dict
 
 
 def page_to_dict(page: Page) -> dict:
-    """A fresh JSON-ready dict of a page; the records' tuples become lists."""
+    """A fresh JSON-ready dict of a page; the records' tuples become lists.
+
+    An entry of a mod-2 row lists the names of algebra.basis(i) while d2 has
+    not cut it down, and no names otherwise."""
+    alg = page.algebra
 
     def plain(rec: Mapping) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in rec.items()}
 
+    def basis(i: int, j: int, expr: GroupExpr) -> list[str]:
+        if page.row_kind(j) != "z2" or len(expr.finite.invariant_factors) != alg.dimension(i):
+            return []
+        return [alg.format_monomial(m) for m in alg.basis(i)]
+
     return {
         "page": page.number,
-        "space": str(page.algebra.space),
+        "space": str(alg.space),
         "group": str(page.circle.E),
         "space_degree": page.circle.n,
         "spectrum": page.spectrum.name,
         "twisted": page.spectrum.twisted,
         "max_total": page.max_total,
         "entries": {
-            f"{i},{j}": {"group": e.group_str(), "basis": list(e.basis)}
+            f"{i},{j}": {"group": "?" if e is None else str(e), "basis": basis(i, j, e)}
             for (i, j), e in sorted(page.entries.items())
         },
         "computed_totals": [page.max_total] if page.number >= 3 else [],

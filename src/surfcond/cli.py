@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-from .abelian import FinAbGroup, UnsupportedRangeError, parse_group
+from .abelian import FinAbGroup, UnsupportedRangeError, groups_up_to, parse_group
 from .em_cohomology import EmSpace, algebra_for
 from .steenrod import adem_normalize, excess, parse_word
 
@@ -310,15 +309,10 @@ def _cmd_condense(args) -> tuple[dict, int]:
 
 
 def _survey_groups(max_order: int) -> list[FinAbGroup]:
-    """Every group of rank <= 2 and order 2..max_order, by order, then by
-    invariant factors: the cyclic Z/d and the chains Z/a x Z/b with a | b."""
-    chains = [(d,) for d in range(2, max_order + 1)]
-    chains += [
-        (a, b)
-        for a in range(2, math.isqrt(max_order) + 1)
-        for b in range(a, max_order // a + 1, a)
-    ]
-    return [FinAbGroup(f) for f in sorted(chains, key=lambda f: (math.prod(f), f))]
+    """Every group of rank 1 or 2 and order <= max_order, by order, then by
+    invariant factors: the cyclic Z/d and the Z/a x Z/b with a | b."""
+    groups = (E for E in groups_up_to(max_order) if 1 <= len(E.invariant_factors) <= 2)
+    return sorted(groups, key=lambda E: (E.order, E.invariant_factors))
 
 
 def _cmd_survey(args) -> tuple[dict, int]:

@@ -12,6 +12,7 @@ from surfcond.abelian import (
     GroupExpr,
     dual,
     ext_group,
+    groups_up_to,
     hom_group,
     parse_group,
     quad_group,
@@ -64,7 +65,8 @@ class TestSmithNormalForm:
 
     def test_coefficient_explosion_regression(self):
         # determinantal divisors 1, 1, 1, 1, 3; unbounded integer elimination
-        # grows past 1500-bit entries on this matrix
+        # grows past 1500-bit entries on the first six rows, and the rows
+        # 3 * e_j, which the cokernel Z/3 already satisfies, bound every column
         rows = [
             [-6, 4, 2, -5, 9],
             [-7, -8, 0, 8, 1],
@@ -72,11 +74,13 @@ class TestSmithNormalForm:
             [1, 7, 7, -9, 7],
             [-6, -5, 1, 1, 1],
             [9, -7, 5, -1, 6],
-        ]
+        ] + [[3 * (c == r) for c in range(5)] for r in range(5)]
         assert smith_normal_form(rows) == FinAbGroup((3,))
 
     def test_modulus_without_axis_rows(self):
-        assert smith_normal_form([[1, 1], [1, -1]]) == FinAbGroup((2,))
+        # the cokernel is Z/2, but no row d * e_j bounds either column
+        with pytest.raises(ValueError, match="bounds column 0"):
+            smith_normal_form([[1, 1], [1, -1]])
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError):
@@ -94,8 +98,9 @@ class TestSmithNormalForm:
     @settings(max_examples=150)
     def test_matches_determinantal_divisors(self, rows):
         # the k-th invariant factor is d_k / d_(k-1), with d_k the gcd of the
-        # k x k minors; the cokernel is infinite exactly when d_ncols = 0
+        # k x k minors; the rows 12 * e_j bound every column
         ncols = len(rows[0])
+        rows = rows + [[12 * (c == r) for c in range(ncols)] for r in range(ncols)]
         divisors = [1]
         for k in range(1, ncols + 1):
             divisors.append(
@@ -107,14 +112,10 @@ class TestSmithNormalForm:
                     )
                 )
             )
-        if divisors[-1] == 0:
-            with pytest.raises(ValueError):
-                smith_normal_form(rows)
-        else:
-            expected = FinAbGroup.from_factors(
-                [divisors[k] // divisors[k - 1] for k in range(1, ncols + 1)]
-            )
-            assert smith_normal_form(rows) == expected
+        expected = FinAbGroup.from_factors(
+            [divisors[k] // divisors[k - 1] for k in range(1, ncols + 1)]
+        )
+        assert smith_normal_form(rows) == expected
 
     @given(
         st.lists(
@@ -180,17 +181,34 @@ class TestFunctors:
         assert two_torsion(A).order == count
 
 
-def _chains(limit, least=1):
-    """Divisibility chains least | d_1 | d_2 | ... (d_1 >= 2) with product <= limit."""
-    yield ()
-    for d in range(max(least, 2), limit + 1):
-        if d % least == 0:
-            for rest in _chains(limit // d, d):
+def _factorizations(order, least=2):
+    """Every way to write order as a product of factors >= least, in
+    ascending order."""
+    if order == 1:
+        yield ()
+    for d in range(least, order + 1):
+        if order % d == 0:
+            for rest in _factorizations(order // d, d):
                 yield (d,) + rest
 
 
+def test_groups_up_to_is_every_group_once():
+    # Z/a x Z/b x ... for every factorization, normalized and deduplicated
+    expected = {
+        FinAbGroup.from_factors(parts)
+        for order in range(1, 65)
+        for parts in _factorizations(order)
+    }
+    groups = list(groups_up_to(64))
+    assert len(groups) == len(set(groups))
+    assert set(groups) == expected
+    assert groups[0].is_trivial and list(groups_up_to(1)) == [FinAbGroup.trivial()]
+
+
 # invariant factors of every non-cyclic abelian group of order <= 32
-NON_CYCLIC_UP_TO_32 = [c for c in _chains(32) if len(c) >= 2]
+NON_CYCLIC_UP_TO_32 = [
+    G.invariant_factors for G in groups_up_to(32) if len(G.invariant_factors) >= 2
+]
 
 
 def _quad_full_axioms(E, target):
@@ -255,7 +273,7 @@ class TestQuadraticForms:
 
     def test_generators_suffice_for_biadditivity(self):
         # every divisibility chain d_1 | ... | d_r with r >= 2 and product <= 16
-        groups = {FinAbGroup(chain) for chain in _chains(16) if len(chain) >= 2}
+        groups = {G for G in groups_up_to(16) if len(G.invariant_factors) >= 2}
         assert len(groups) == 9
         for E in groups:
             for target in (CIRCLE, Z2_TARGET):

@@ -32,12 +32,13 @@ def d2_log(page):
 class TestAssembly:
     def test_e2_entries_for_superwitt(self):
         page = assemble_e2(Z2, 2, spectrum("SW"), 6)
-        assert page.entry(4, 1).basis == ("i2^2",)
-        assert page.entry(0, 4).expr.opaque == ("SW",)
-        assert page.entry(2, 4).expr.opaque == ("SW2",)
-        assert page.entry(1, 4).expr.is_zero  # H^1(K(Z2,2)) = 0
-        assert page.entry(3, 0).expr.is_zero  # circle row, odd degree
-        assert page.entry(2, 3).expr.is_zero  # zero coefficient row
+        assert str(page.entry(4, 1)) == "Z/2"
+        assert page_to_dict(page)["entries"]["4,1"]["basis"] == ["i2^2"]
+        assert page.entry(0, 4).opaque == ("SW",)
+        assert page.entry(2, 4).opaque == ("SW2",)
+        assert page.entry(1, 4).is_zero  # H^1(K(Z2,2)) = 0
+        assert page.entry(3, 0).is_zero  # circle row, odd degree
+        assert page.entry(2, 3).is_zero  # zero coefficient row
 
     def test_two_even_factors_rejected(self):
         with pytest.raises(UnsupportedRangeError):
@@ -78,7 +79,7 @@ class TestD2:
         assert log[(4, 1)]["rule"] == "exp_sq2"
         assert log[(4, 1)]["rank"] == 0
         assert log[(2, 2)]["rank"] == 1
-        assert page3.entry(4, 1).expr.is_zero
+        assert page3.entry(4, 1).is_zero
 
     def test_d2_squared_checked(self):
         page3, _ = run_ahss(Z2, 2, "SW", 5)
@@ -90,7 +91,7 @@ class TestD2:
         e3 = apply_d2(e2)
         for i in range(6):
             j = 5 - i
-            before, after = e2.entry(i, j).expr, e3.entry(i, j).expr
+            before, after = e2.entry(i, j), e3.entry(i, j)
             if before is None or after is None:
                 continue
             assert after.finite.order <= before.finite.order
@@ -141,9 +142,7 @@ class TestReports:
 
 
 class TestDeclarations:
-    @pytest.mark.parametrize(
-        "spectrum_name, twist", [("SW", False), ("SW", True), ("Spin", False)]
-    )
+    @pytest.mark.parametrize("spectrum_name, twist", [("SW", False), ("SW", True)])
     def test_a_declaration_is_one_log_record(self, spectrum_name, twist):
         page3, report = run_ahss(Z2, 2, spectrum_name, 5, twist=twist, d5_zero=True)
         assert not hasattr(page3, "declarations")
@@ -153,14 +152,24 @@ class TestDeclarations:
         assert "declared d5 from (0,4) rank 0" in report.provenance
 
     def test_zero_entry_is_a_no_op(self):
-        # SH has h^4(pt) = 0, so --d5 zero finds nothing to declare
-        page3, report = run_ahss(Z2, 2, "SH", 5)
-        declared, declared_report = run_ahss(Z2, 2, "SH", 5, d5_zero=True)
-        assert declared.entry(0, 4).expr.is_zero
-        assert dict(declared.entries) == dict(page3.entries)
-        assert declared.log == page3.log
-        assert declared_report == report
-        assert page_to_dict(declared)["declarations"] == []
+        # SH has h^4(pt) = 0 and Spin the computed circle row there, so
+        # --d5 zero finds no opaque (0,4) to declare out of
+        for name in ("SH", "Spin"):
+            page3, report = run_ahss(Z2, 2, name, 5)
+            declared, declared_report = run_ahss(Z2, 2, name, 5, d5_zero=True)
+            assert not declared.entry(0, 4).is_opaque
+            assert dict(declared.entries) == dict(page3.entries)
+            assert declared.log == page3.log
+            assert declared_report == report
+            assert page_to_dict(declared)["declarations"] == []
+
+    @pytest.mark.parametrize("N, declared", [(3, False), (4, True), (5, True), (6, False)])
+    def test_declared_only_where_a_report_reads_it(self, N, declared):
+        # the report in degree N reads the d5 out of (0,4) only for N = 4, 5
+        page3, report = run_ahss(Z2, 2, "SW", N, d5_zero=True)
+        records = [rec for rec in page3.log if rec["kind"] == "declaration"]
+        assert bool(records) == declared
+        assert ("declared d5 from (0,4) rank 0" in report.provenance) == declared
 
 
 class TestFrozenRun:

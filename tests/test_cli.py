@@ -251,6 +251,22 @@ class TestExitContract:
         assert code == 5
         assert "d2 squared nonzero on chain (2,2) -> (4,1)" in err
 
+    @pytest.mark.parametrize("spectrum_name, row, degrees",
+                             [("SH", 3, range(4, 8)), ("Spin", 5, range(5, 8))],
+                             ids=["SH-row3", "Spin-row5"])
+    def test_no_d2_rule_out_of_an_added_mod2_row(self, capsys, tmp_path, spectrum_name, row,
+                                                 degrees):
+        # d2 is defined from row 2 into row 1 and from row 1 into the circle
+        # row 0 only; a mod-2 row made elsewhere gets no rule invented for it
+        path = tmp_path / "ov.json"
+        path.write_text(json.dumps({"spectrum": {spectrum_name: {str(row): "Z/2"}}}))
+        for N in degrees:
+            code, out, err = run(capsys, ["ahss", "--spectrum", spectrum_name, "--group", "Z/2",
+                                          "--space-degree", "2", "--total-degree", str(N),
+                                          "--coeff-overrides", str(path)])
+            assert (code, out) == (3, ""), N
+            assert err == f"unsupported: no differential rule from row {row} into row {row - 1}\n"
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

@@ -11,14 +11,16 @@ degree n, total degree N) of the tier-1 grid; the twisted runs count under
 "SW --twist fermion-parity".  After a change that answers more, rewrite it
 with `PYTHONPATH=src python tests/test_coverage.py` and list the new cells.
 The full grid (n = 1..5, N = 0..10, both twist settings on every spectrum,
-with and without `--d5 zero`) runs in CI through `sweep` and
-`answered_counts`.
+with and without `--d5 zero`, each query as text and as `--json
+--dump-pages`) runs in CI through `sweep` and `answered_counts`.
 """
 
 import contextlib
 import io
 import json
+import os
 import sys
+import tempfile
 import traceback
 from itertools import product
 from pathlib import Path
@@ -58,21 +60,24 @@ def run_query(argv: list[str]) -> tuple[int | None, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def sweep(space_degrees, total_degrees, twisted_spectra, d5=False):
+def sweep(space_degrees, total_degrees, twisted_spectra, d5=False, dump_pages=False):
     """(label, n, N, argv, code, stderr) for each `ahss` query of the grid:
     every spectrum and group of the grid, untwisted, and also twisted on the
-    spectra named in twisted_spectra; each with `--d5 zero` if d5 asks."""
-    for spec in SPECTRA:
-        for twist in ([], TWIST) if spec in twisted_spectra else ([],):
-            flags = twist + (D5 if d5 else [])
-            label = " ".join([spec] + flags)
-            for group in GROUPS:
-                for n in space_degrees:
-                    for N in total_degrees:
-                        argv = ["ahss", "--spectrum", spec, "--group", group,
-                                "--space-degree", str(n), "--total-degree", str(N)] + flags
-                        code, _out, err = run_query(argv)
-                        yield label, n, N, argv, code, err
+    spectra named in twisted_spectra; each with `--d5 zero` if d5 asks, and
+    as `--json --dump-pages` into a temporary file if dump_pages asks."""
+    with tempfile.TemporaryDirectory() as tmp:
+        pages = ["--json", "--dump-pages", os.path.join(tmp, "pages.json")] if dump_pages else []
+        for spec in SPECTRA:
+            for twist in ([], TWIST) if spec in twisted_spectra else ([],):
+                flags = twist + (D5 if d5 else [])
+                label = " ".join([spec] + flags + pages[:2])
+                for group in GROUPS:
+                    for n in space_degrees:
+                        for N in total_degrees:
+                            argv = ["ahss", "--spectrum", spec, "--group", group, "--space-degree",
+                                    str(n), "--total-degree", str(N)] + flags + pages
+                            code, _out, err = run_query(argv)
+                            yield label, n, N, argv, code, err
 
 
 def answered_counts(results) -> tuple[dict, list[str]]:
@@ -128,6 +133,32 @@ def test_survey_answers_on_every_branch():
          for statistic, level in product(("bosonic", "fermionic"), ("braided", "symmetric"))),
         {0},
     )
+
+
+# rows made Z/2 where the model defines no d2, a row made C^x, circle-row
+# and comparison overrides, and malformed files (exit 2)
+OVERRIDES = (
+    {"spectrum": {"SH": {"3": "Z/2"}}},
+    {"spectrum": {"SW": {"0": "Z/2"}, "Spin": {"5": "Z/2"}}},
+    {"spectrum": {"SW": {"3": "Z/2", "4": "0"}}},
+    {"spectrum": {"SH": {"1": "C^x"}}},
+    {"circle_row": {"Z/2|2": {"5": "0"}, "Z/4|2": {"6": "Z/2"}}},
+    {"comparison": {"Z/2|2|5": {"Sq2 Sq1(i2)": [1]}}},
+    {"spectrum": {"SW": ["4"]}},
+    {"spectrum": {"SW": {"4": "Z/x"}}},
+    ["not", "an", "object"],
+)
+
+
+def test_ahss_override_grid_exits_are_documented(tmp_path):
+    queries = []
+    for k, raw in enumerate(OVERRIDES):
+        path = tmp_path / f"ov{k}.json"
+        path.write_text(json.dumps(raw))
+        for spec, group, n, N in product(SPECTRA, ("Z/2", "Z/4", "Z/2 x Z/2"), (2, 4), range(8)):
+            queries.append(["ahss", "--spectrum", spec, "--group", group, "--space-degree",
+                            str(n), "--total-degree", str(N), "--coeff-overrides", str(path)])
+    assert_exits(queries, DOCUMENTED_EXITS)
 
 
 LEVELS = ("fusion", "braided", "sylleptic", "symmetric")
