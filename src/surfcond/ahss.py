@@ -523,7 +523,7 @@ def page_to_dict(page: Page) -> dict:
     def plain(rec: Mapping) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in rec.items()}
 
-    def basis(i: int, j: int, expr: GroupExpr) -> list[str]:
+    def basis(i: int, j: int, expr: GroupExpr | None) -> list[str]:
         if page.row_kind(j) != "z2" or len(expr.finite.invariant_factors) != alg.dimension(i):
             return []
         return [alg.format_monomial(m) for m in alg.basis(i)]
