@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+
+from .record import Frozen
 
 
 class UnsupportedRangeError(ValueError):
@@ -42,19 +43,26 @@ def _invariant_factors_from_prime_powers(prime_powers: dict[int, list[int]]) -> 
     return tuple(f for f in factors if f > 1)
 
 
-@dataclass(frozen=True, order=True)
-class FinAbGroup:
+class FinAbGroup(Frozen):
     """Finite abelian group ``Z_{d_1} + ... + Z_{d_r}`` with d_i | d_{i+1}."""
 
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self):
-        for d in self.invariant_factors:
+    def __init__(self, invariant_factors: tuple[int, ...] = ()):
+        for d in invariant_factors:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+        for a, b in zip(invariant_factors, invariant_factors[1:]):
             if b % a != 0:
                 raise ValueError(f"divisibility chain violated: {a} does not divide {b}")
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+
+    def __eq__(self, other):
+        return (self.invariant_factors == other.invariant_factors
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.invariant_factors,))
 
     @staticmethod
     def from_factors(factors) -> "FinAbGroup":
@@ -142,23 +150,31 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class GroupExpr:
+class GroupExpr(Frozen):
     """Entry of a spectral-sequence table.
 
     Componentwise combination of a finite abelian group, copies of the circle
     group, and opaque symbols (SW, SW2) on which no arithmetic is permitted.
     """
 
-    finite: FinAbGroup = field(default_factory=FinAbGroup)
-    circle_rank: int = 0
-    opaque: tuple[str, ...] = ()
+    __slots__ = ("finite", "circle_rank", "opaque")
 
-    def __post_init__(self):
-        for s in self.opaque:
+    def __init__(self, finite: FinAbGroup = FinAbGroup(), circle_rank: int = 0,
+                 opaque: tuple[str, ...] = ()):
+        for s in opaque:
             if s not in OPAQUE_SYMBOLS:
                 raise ValueError(f"unknown opaque symbol {s!r}")
-        object.__setattr__(self, "opaque", tuple(sorted(self.opaque)))
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "circle_rank", circle_rank)
+        object.__setattr__(self, "opaque", tuple(sorted(opaque)))
+
+    def __eq__(self, other):
+        return (self.finite == other.finite and self.circle_rank == other.circle_rank
+                and self.opaque == other.opaque if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.finite, self.circle_rank, self.opaque))
 
     @staticmethod
     def zero() -> "GroupExpr":

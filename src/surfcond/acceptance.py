@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 from .abelian import (
     FinAbGroup,
@@ -32,6 +31,7 @@ from .condense import (
     parse_subgroup,
 )
 from .em_cohomology import EmSpace, algebra_for, poincare_series
+from .record import Record
 from .steenrod import (
     SteenrodMonomial,
     SteenrodWord,
@@ -40,12 +40,11 @@ from .steenrod import (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+class CheckResult(Record):
+    __slots__ = ("name", "ok", "detail", "seconds")
+
+    def __init__(self, name: str, ok: bool, detail: str, seconds: float):
+        self.name, self.ok, self.detail, self.seconds = name, ok, detail, seconds
 
 
 def _check(name, fn) -> CheckResult:

@@ -16,7 +16,6 @@ in its log, and without it the report is inconclusive.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
@@ -30,11 +29,11 @@ from .abelian import (
 from .coefficients import CircleRow, CoeffOverrides, SpectrumTable, circle_row, spectrum
 from .em_cohomology import EmAlgebra, EmSpace, algebra_for, reduced_smash_basis
 from .gf2 import Echelon, Gf2Matrix
+from .record import Frozen
 from .steenrod import margolis_homology
 
 
-@dataclass(frozen=True)
-class Page:
+class Page(Frozen):
     """One page of a run, read-only so that run_ahss can share it.
 
     entries maps (i, j) to its group for i + j <= max_total, None where the
@@ -43,17 +42,15 @@ class Page:
     The space is algebra.space, and the query's E and n are circle.E and
     circle.n.  entries and log are read-only, down to each record, and a
     declared differential is a log record of kind "declaration"; apply_d2
-    returns a new page.
+    returns a new page, whose previous is the page it was turned from.
     """
 
-    number: int
-    spectrum: SpectrumTable
-    max_total: int
-    entries: Mapping[tuple[int, int], GroupExpr | None]
-    circle: CircleRow
-    algebra: EmAlgebra
-    log: tuple[Mapping, ...] = ()
-    previous: "Page | None" = None  # the page this one was turned from
+    __slots__ = ("number", "spectrum", "max_total", "entries", "circle", "algebra", "log", "previous")
+
+    def __init__(self, number: int, spectrum: SpectrumTable, max_total: int,
+                 entries: Mapping[tuple[int, int], GroupExpr | None], circle: CircleRow,
+                 algebra: EmAlgebra, log: tuple[Mapping, ...] = (), previous: Page | None = None):
+        self._set(number, spectrum, max_total, entries, circle, algebra, log, previous)
 
     def entry(self, i: int, j: int) -> GroupExpr | None:
         if (i, j) in self.entries:
@@ -250,8 +247,8 @@ def apply_d2(page: Page) -> Page:
             raise AssertionError(f"negative dimension at ({i},{j})")
         entries[(i, j)] = GroupExpr.of(FinAbGroup((2,) * new_dim))
     log.append(_record(kind="d2_squared", chains_checked=checked_chains))
-    return replace(
-        page, number=3, entries=MappingProxyType(entries), log=tuple(log), previous=page
+    return page.replace(
+        number=3, entries=MappingProxyType(entries), log=tuple(log), previous=page
     )
 
 
@@ -259,8 +256,7 @@ def apply_d2(page: Page) -> Page:
 # Reports
 
 
-@dataclass(frozen=True)
-class TotalDegreeReport:
+class TotalDegreeReport(Frozen):
     """What one spectral-sequence run says about total degree N.
 
     Immutable, so that run_ahss can hand the same instance to every
@@ -270,12 +266,11 @@ class TotalDegreeReport:
     blockers and provenance are tuples of notes.  to_dict emits lists.
     """
 
-    N: int
-    entries: tuple[tuple[int, int, str], ...]
-    verdict: str
-    group: GroupExpr | None
-    blockers: tuple[str, ...]
-    provenance: tuple[str, ...]
+    __slots__ = ("N", "entries", "verdict", "group", "blockers", "provenance")
+
+    def __init__(self, N: int, entries: tuple[tuple[int, int, str], ...], verdict: str,
+                 group: GroupExpr | None, blockers: tuple[str, ...], provenance: tuple[str, ...]):
+        self._set(N, entries, verdict, group, blockers, provenance)
 
     @property
     def inconclusive(self) -> bool:
@@ -388,7 +383,7 @@ def _run_ahss(E, n, spectrum_name, N, twist, d5_zero, overrides):
     page3 = apply_d2(page)
     if d5_zero and N in (4, 5) and page3.entry(0, 4).is_opaque:
         declared = _record(kind="declaration", r=5, source=(0, 4), rank=0)
-        page3 = replace(page3, log=page3.log + (declared,))
+        page3 = page3.replace(log=page3.log + (declared,))
     return page3, total_degree_report(page3)
 
 

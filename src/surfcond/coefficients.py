@@ -10,7 +10,6 @@ outside the supported range raises instead of fabricating a value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .abelian import (
     CIRCLE,
@@ -25,6 +24,7 @@ from .abelian import (
 )
 from .em_cohomology import EmSpace, _two_part, algebra_for
 from .gf2 import Gf2Matrix
+from .record import Frozen, Record
 
 DEFAULT_CAP = 12  # the mod-2 degree range of the tables and their overrides
 
@@ -33,14 +33,14 @@ class UnspecifiedComparisonError(UnsupportedRangeError):
     """No declared image for a mod-2 class under the (-1)^X comparison map."""
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(Frozen):
     """Point coefficients h^j(pt) by degree j, with provenance per entry."""
 
-    name: str
-    entries: tuple[GroupExpr, ...]
-    provenance: tuple[str, ...]
-    notes: tuple[str, ...] = ()  # overrides applied to this table
+    __slots__ = ("name", "entries", "provenance", "notes")
+
+    def __init__(self, name: str, entries: tuple[GroupExpr, ...], provenance: tuple[str, ...],
+                 notes: tuple[str, ...] = ()):  # overrides applied to this table
+        self._set(name, entries, provenance, notes)
 
     @property
     def twisted(self) -> bool:
@@ -105,8 +105,7 @@ def spectrum(name: str, overrides: "CoeffOverrides | None" = None) -> SpectrumTa
 # Circle rows
 
 
-@dataclass
-class CircleRow:
+class CircleRow(Record):
     """H^i(K(E, n); C^x) by degree i, with declared comparison-map data.
 
     comparison[i] maps basis-monomial names of H^i(K(E,n); Z2) to elements
@@ -114,12 +113,14 @@ class CircleRow:
     image).  A class whose monomials are not all covered raises.
     """
 
-    E: FinAbGroup
-    n: int
-    entries: dict[int, GroupExpr]
-    provenance: dict[int, str]
-    comparison: dict[int, dict[str, tuple[int, ...] | None]] = field(default_factory=dict)
-    notes: tuple[str, ...] = ()  # overrides applied to this row
+    __slots__ = ("E", "n", "entries", "provenance", "comparison", "notes")
+
+    def __init__(self, E: FinAbGroup, n: int, entries: dict[int, GroupExpr],
+                 provenance: dict[int, str],
+                 comparison: dict[int, dict[str, tuple[int, ...] | None]],
+                 notes: tuple[str, ...] = ()):  # overrides applied to this row
+        self.E, self.n, self.entries, self.provenance = E, n, entries, provenance
+        self.comparison, self.notes = comparison, notes
 
     def entry(self, i: int) -> GroupExpr:
         if i < 0:
@@ -237,9 +238,12 @@ def circle_row(
             put(6, _Z2, "tabulated value for E = Z/2")
             put(7, _Z2, "tabulated value for E = Z/2")
             put(8, _Z2, "tabulated value for E = Z/2")
+        if sum(d % 2 == 0 for d in E.invariant_factors) == 1:
+            # a cyclic 2-part; its degree-2 class is i2' after an odd factor
+            (i2,) = _monomial_names(E, 2, 2)
+            comparison[2] = {i2: _order2_element(dual(E))}
+            comparison[4] = {f"{i2}^2": _order2_element(quad_group(E, CIRCLE))}
         if cyclic and k:
-            comparison[2] = {"i2": _order2_element(dual(E))}
-            comparison[4] = {"i2^2": _order2_element(quad_group(E, CIRCLE))}
             names5 = _monomial_names(E, 2, 5)
             comparison[5] = {name: (1,) for name in names5}
             if d == 2:
@@ -282,8 +286,7 @@ def circle_row(
 # Overrides
 
 
-@dataclass(frozen=True, eq=False)
-class CoeffOverrides:
+class CoeffOverrides(Frozen):
     """Optional replacements for spectrum or circle-row table entries.
 
     JSON schema (all sections optional)::
@@ -310,11 +313,12 @@ class CoeffOverrides:
     identity, so a loaded file can key a cache (ahss.run_ahss).
     """
 
-    spectrum_overrides: dict[str, dict[int, GroupExpr]] = field(default_factory=dict)
-    circle_overrides: dict[tuple[str, int], dict[int, GroupExpr]] = field(default_factory=dict)
-    comparison_overrides: dict[tuple[str, int, int], dict[str, tuple[int, ...] | None]] = field(
-        default_factory=dict
-    )
+    __slots__ = ("spectrum_overrides", "circle_overrides", "comparison_overrides")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, spectrum_overrides=None, circle_overrides=None, comparison_overrides=None):
+        self._set(spectrum_overrides or {}, circle_overrides or {}, comparison_overrides or {})
 
     @staticmethod
     def load(path: str) -> "CoeffOverrides":

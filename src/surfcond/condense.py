@@ -11,11 +11,10 @@ algebra of functions turns a 2Rep identity component into 2Vec or 2SVec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .abelian import FinAbGroup, GroupExpr, parse_group, quotient_by_subgroup_image
 from .ahss import product_split, run_ahss
 from .coefficients import circle_row
+from .record import Frozen, Record
 
 LEVELS = ("fusion", "braided", "sylleptic", "symmetric")
 STATISTICS = ("bosonic", "fermionic")
@@ -26,26 +25,25 @@ def _fermionic_identity(identity: str) -> bool:
     return identity == "2SVec" or identity.endswith(",z)")
 
 
-@dataclass(frozen=True)
-class SkeletalCategory:
+class SkeletalCategory(Frozen):
     """Connected-component skeleton of a fusion 2-category."""
 
-    level: str
-    statistic: str
-    identity: str  # 2Vec | 2SVec | 2Rep(<name>) | 2Rep(<name>,z)
-    pi0: FinAbGroup = field(default_factory=FinAbGroup.trivial)
+    __slots__ = ("level", "statistic", "identity", "pi0")
 
-    def __post_init__(self):
-        if self.level not in LEVELS:
-            raise ValueError(f"unknown level {self.level!r}")
-        if self.statistic not in STATISTICS:
-            raise ValueError(f"unknown statistic {self.statistic!r}")
-        rep = self.identity.startswith("2Rep(") and self.identity.endswith(")")
-        name = self.identity[5:-1].removesuffix(",z") if rep else ""
-        if self.identity not in ("2Vec", "2SVec") and not name:
-            raise ValueError(f"unknown identity component tag {self.identity!r}")
-        if self.statistic == "bosonic" and _fermionic_identity(self.identity):
-            raise ValueError(f"a bosonic statistic contradicts the fermionic identity {self.identity}")
+    def __init__(self, level: str, statistic: str,
+                 identity: str,  # 2Vec | 2SVec | 2Rep(<name>) | 2Rep(<name>,z)
+                 pi0: FinAbGroup = FinAbGroup.trivial()):
+        if level not in LEVELS:
+            raise ValueError(f"unknown level {level!r}")
+        if statistic not in STATISTICS:
+            raise ValueError(f"unknown statistic {statistic!r}")
+        rep = identity.startswith("2Rep(") and identity.endswith(")")
+        name = identity[5:-1].removesuffix(",z") if rep else ""
+        if identity not in ("2Vec", "2SVec") and not name:
+            raise ValueError(f"unknown identity component tag {identity!r}")
+        if statistic == "bosonic" and _fermionic_identity(identity):
+            raise ValueError(f"a bosonic statistic contradicts the fermionic identity {identity}")
+        self._set(level, statistic, identity, pi0)
 
     @classmethod
     def of(cls, level: str, identity: str, pi0: FinAbGroup, fermionic: bool | None = None):
@@ -151,7 +149,7 @@ def condense_group_algebra(cat: SkeletalCategory, subgroup: str) -> SkeletalCate
         return cat
     quotient = quotient_by_subgroup_image(GroupExpr.of(cat.pi0), gens).finite
     level = _DEGRADE_GROUP_ALGEBRA.get(cat.level, cat.level)
-    return replace(cat, pi0=quotient, level=level)
+    return cat.replace(pi0=quotient, level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +169,21 @@ def condense_phi(cat: SkeletalCategory) -> SkeletalCategory:
         raise ValueError(f"condense_phi needs a 2Rep identity component, got {cat.identity}")
     fermionic = cat.statistic == "fermionic"  # as a 2Rep(...,z) identity forces
     new_level = "fusion" if cat.level == "braided" else cat.level
-    return replace(cat, identity="2SVec" if fermionic else "2Vec", level=new_level)
+    return cat.replace(identity="2SVec" if fermionic else "2Vec", level=new_level)
 
 
 # ---------------------------------------------------------------------------
 # Obstruction verdicts
 
 
-@dataclass
-class Verdict:
-    branch: str
-    verdict: str
-    group: str | None
-    provenance: list[str] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+class Verdict(Record):
+    _fields = ("branch", "verdict", "group", "provenance", "details")  # kept in a __dict__
+
+    def __init__(self, branch: str, verdict: str, group: str | None,
+                 provenance: list[str] | None = None, details: dict | None = None):
+        self.branch, self.verdict, self.group = branch, verdict, group
+        self.provenance = [] if provenance is None else provenance
+        self.details = {} if details is None else details
 
     def to_dict(self) -> dict:
         return {

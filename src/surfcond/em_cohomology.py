@@ -14,11 +14,11 @@ Odd-cyclic factors are carried along but contribute the unit algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import FinAbGroup, UnsupportedRangeError
 from .gf2 import Gf2Matrix, bits
+from .record import Frozen
 from .steenrod import (
     SteenrodMonomial,
     SteenrodWord,
@@ -40,18 +40,25 @@ def _two_part(modulus: int) -> tuple[int, int]:
     return k, modulus
 
 
-@dataclass(frozen=True)
-class EmSpace:
+class EmSpace(Frozen):
     """Finite product of Eilenberg-MacLane spaces, one factor per cyclic group."""
 
-    factors: tuple[tuple[int, int], ...]  # (modulus, degree)
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        for modulus, degree in self.factors:
+    def __init__(self, factors: tuple[tuple[int, int], ...]):  # (modulus, degree) each
+        for modulus, degree in factors:
             if modulus < 2:
                 raise ValueError(f"cyclic order {modulus} < 2")
             if degree < 1:
                 raise ValueError(f"space degree {degree} < 1")
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other):
+        return (self.factors == other.factors
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
     @staticmethod
     def single(modulus: int, degree: int) -> "EmSpace":
@@ -76,13 +83,13 @@ class EmSpace:
         return " x ".join(f"K(Z/{m},{n})" for m, n in self.factors)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Frozen):
     """Serre generator: an admissible word applied to a fundamental class."""
 
-    factor: int
-    word: SteenrodMonomial
-    space_degree: int
+    __slots__ = ("factor", "word", "space_degree")
+
+    def __init__(self, factor: int, word: SteenrodMonomial, space_degree: int):
+        self._set(factor, word, space_degree)
 
     @property
     def degree(self) -> int:

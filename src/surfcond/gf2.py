@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Frozen
 
 
 def bits(vec: int) -> list[int]:
@@ -15,16 +15,25 @@ def bits(vec: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Gf2Matrix:
+class Gf2Matrix(Frozen):
     """Matrix over GF(2); rows[i] is an int bitmask of row i (nrows x ncols).
 
     Viewed as a linear map sending basis vector i of the domain (dimension
     nrows) to the vector encoded by rows[i] in the codomain (dimension ncols).
     """
 
-    rows: tuple[int, ...]
-    ncols: int
+    __slots__ = ("rows", "ncols")
+
+    def __init__(self, rows: tuple[int, ...], ncols: int):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ncols", ncols)
+
+    def __eq__(self, other):
+        return (self.rows == other.rows and self.ncols == other.ncols
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.ncols))
 
     @staticmethod
     def from_rows(rows, ncols: int) -> "Gf2Matrix":

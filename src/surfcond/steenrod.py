@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf2 import Echelon, Gf2Matrix
+from .record import Frozen
 
 
 def binom_mod2(n: int, k: int) -> int:
@@ -25,24 +25,31 @@ def binom_mod2(n: int, k: int) -> int:
     return 1 if (n - k) & k == 0 else 0
 
 
-@dataclass(frozen=True, order=True)
-class SteenrodMonomial:
+class SteenrodMonomial(Frozen):
     """Sq^{i_1} ... Sq^{i_m} (beta_k), with the Bockstein acting innermost.
 
     bockstein == 0 means no marker; values >= 2 are power Bocksteins.
     beta_1 is never stored as a marker (it is the trailing Sq1).
     """
 
-    squares: tuple[int, ...] = ()
-    bockstein: int = 0
+    __slots__ = ("squares", "bockstein")
 
-    def __post_init__(self):
-        if self.squares and min(self.squares) < 1:
+    def __init__(self, squares: tuple[int, ...] = (), bockstein: int = 0):
+        if squares and min(squares) < 1:
             raise ValueError("Sq indices must be positive")
-        if self.bockstein == 1:
+        if bockstein == 1:
             raise ValueError("beta_1 is Sq1; store it as a trailing index")
-        if self.bockstein < 0:
+        if bockstein < 0:
             raise ValueError("bockstein marker must be >= 2 or absent")
+        object.__setattr__(self, "squares", squares)
+        object.__setattr__(self, "bockstein", bockstein)
+
+    def __eq__(self, other):
+        return (self.squares == other.squares and self.bockstein == other.bockstein
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.squares, self.bockstein))
 
     @property
     def degree(self) -> int:
@@ -75,11 +82,20 @@ def excess(mono: SteenrodMonomial) -> int:
     return idx[0] - sum(idx[1:])
 
 
-@dataclass(frozen=True)
-class SteenrodWord:
+class SteenrodWord(Frozen):
     """F2-sum of Steenrod monomials (presence = coefficient 1)."""
 
-    monomials: frozenset[SteenrodMonomial] = frozenset()
+    __slots__ = ("monomials",)
+
+    def __init__(self, monomials: frozenset[SteenrodMonomial] = frozenset()):
+        object.__setattr__(self, "monomials", monomials)
+
+    def __eq__(self, other):
+        return (self.monomials == other.monomials
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.monomials,))
 
     @staticmethod
     def zero() -> "SteenrodWord":

@@ -138,6 +138,22 @@ class TestComparisonMap:
         others = sum(1 << pos for pos, other in enumerate(names) if other != name)
         row.comparison_matrix(alg, 8, Gf2Matrix.from_rows([others], len(names)))
 
+    @pytest.mark.parametrize("factors, degree2, degree4", [
+        ((6,), {"i2": (3,)}, {"i2^2": (6,)}),
+        ((3, 6), {"i2'": (0, 3)}, {"i2'^2": (0, 0, 6)}),
+        ((3, 12), {"i2'": (0, 6)}, {"i2'^2": (0, 0, 12)}),
+    ])
+    def test_cyclic_two_part_declares_degrees_two_and_four(self, factors, degree2, degree4):
+        # one mod-2 class in degree 2, named from the algebra: after K(Z/3,2)
+        # it is i2'; it hits the order-2 element of dual(E), its square that
+        # of Quad(E, C^x)
+        row = circle_row(FinAbGroup(factors), 2)
+        assert (row.comparison[2], row.comparison[4]) == (degree2, degree4)
+
+    @pytest.mark.parametrize("factors", [(3,), (3, 3), (2, 2), (2, 6)])
+    def test_no_comparison_data_without_a_cyclic_two_part(self, factors):
+        assert circle_row(FinAbGroup(factors), 2).comparison == {}
+
     def test_image_outside_two_torsion_rejected(self):
         alg = algebra_for(EmSpace.from_group(Z4, 2), DEFAULT_CAP)
         iota = alg.fundamental_class()

@@ -1,0 +1,117 @@
+"""The engine's record types behave as the frozen and plain records they
+replace: immutable values refuse assignment, `replace` validates again,
+equality is per type and field, and a value hashes as the tuple of its
+fields, so set order, and every output built from it, is unchanged."""
+
+import pytest
+
+from surfcond.abelian import FinAbGroup, GroupExpr
+from surfcond.acceptance import CheckResult
+from surfcond.ahss import TotalDegreeReport, assemble_e2, run_ahss
+from surfcond.coefficients import CoeffOverrides, circle_row, spectrum
+from surfcond.condense import SkeletalCategory, Verdict
+from surfcond.em_cohomology import EmSpace, Generator
+from surfcond.gf2 import Gf2Matrix
+from surfcond.steenrod import SteenrodMonomial, SteenrodWord
+
+Z2 = FinAbGroup((2,))
+
+# each builds a fresh instance with the same value on every call
+VALUES = {
+    "FinAbGroup": lambda: FinAbGroup((2, 4)),
+    "GroupExpr": lambda: GroupExpr(Z2, 1, ("SW2", "SW")),
+    "Gf2Matrix": lambda: Gf2Matrix((1, 6), 3),
+    "SteenrodMonomial": lambda: SteenrodMonomial((4, 2), 3),
+    "SteenrodWord": lambda: SteenrodWord.sq(2, 2) + SteenrodWord.sq(3, 1),
+    "EmSpace": lambda: EmSpace.single(4, 2),
+    "Generator": lambda: Generator(1, SteenrodMonomial((2,)), 2),
+    "SpectrumTable": lambda: spectrum("SW"),
+    "SkeletalCategory": lambda: SkeletalCategory("braided", "bosonic", "2Vec", FinAbGroup((3,))),
+    "TotalDegreeReport": lambda: TotalDegreeReport(
+        2, ((0, 2, "Z/2"),), "Z/2", GroupExpr.of(Z2), (), ("a note",)),
+    "Page": lambda: assemble_e2(Z2, 2, spectrum("SW"), 3),
+}
+FROZEN = {**VALUES, "CoeffOverrides": CoeffOverrides}
+
+
+def fields(record) -> tuple:
+    return tuple(getattr(record, name) for name in record.__slots__)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_fields_refuse_assignment_and_deletion(name):
+    record = FROZEN[name]()
+    for field in record.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+
+@pytest.mark.parametrize("record, changes, message", [
+    (SkeletalCategory("braided", "bosonic", "2Vec"), {"level": "modular"}, "unknown level"),
+    (GroupExpr(), {"opaque": ("SW3",)}, "unknown opaque symbol"),
+    (FinAbGroup((2, 4)), {"invariant_factors": (4, 6)}, "divisibility chain"),
+])
+def test_replace_validates_again(record, changes, message):
+    with pytest.raises(ValueError, match=message):
+        record.replace(**changes)
+
+
+def test_replace_changes_only_what_it_names():
+    page = run_ahss(Z2, 2, "SW", 5)[0]
+    turned = page.replace(number=4)
+    assert turned.number == 4 and page.number == 3
+    assert fields(turned)[1:] == fields(page)[1:]
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_equal_values_hash_as_their_field_tuple(name):
+    a, b = VALUES[name](), VALUES[name]()
+    assert a == b and not a != b
+    if name == "Page":  # its entries are a read-only dict: unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+        return
+    assert hash(a) == hash(b) == hash(fields(a))
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_no_record_equals_a_tuple_or_another_type(name):
+    record = VALUES[name]()
+    twin = type("Twin", (type(record),), {})(*fields(record))
+    assert fields(twin) == fields(record)
+    for other in (fields(record), list(fields(record)), twin):
+        assert record != other and other != record
+
+
+def test_overrides_compare_and_hash_by_identity():
+    a, b = CoeffOverrides(), CoeffOverrides()
+    assert a != b and a == a
+    assert hash(a) == object.__hash__(a)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: circle_row(Z2, 2), "notes"),
+    (lambda: Verdict("braided/bosonic", "obstructed", None, ["a note"]), "group"),
+    (lambda: CheckResult("check", True, "detail", 0.5), "detail"),
+])
+def test_mutable_records_compare_by_field_and_do_not_hash(make, field):
+    a, b = make(), make()
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
+    setattr(a, field, "changed")
+    setattr(b, field, "changed")
+    assert a == b and a != make()
+
+
+def test_verdict_keeps_its_fields_in_a_dict():
+    verdict = Verdict("braided/bosonic", "obstructed", "Z/2")
+    assert vars(verdict) == {"branch": "braided/bosonic", "verdict": "obstructed",
+                             "group": "Z/2", "provenance": [], "details": {}}
+    assert Verdict(**vars(verdict)) == verdict
+    assert repr(verdict) == ("Verdict(branch='braided/bosonic', verdict='obstructed', "
+                             "group='Z/2', provenance=[], details={})")
