@@ -22,7 +22,7 @@ modules `import surfcond.cli` has loaded. The engine modules themselves
 import eagerly: a library caller pays for its imports when it imports, not
 inside the first call it makes or times.  For the same reason the engine's
 records are plain classes with __slots__ (`record`), not standard-library
-data classes: that module loads inspect, ast, dis and tokenize, 8-11 ms of
+data classes: that module loads inspect, ast, dis and tokenize, 8-12 ms of
 a fresh process, and each decorated class compiles its generated methods at
 import, about 0.7 ms a class (Python 3.11.7, 2-vCPU Xeon).
 """

@@ -378,7 +378,7 @@ print(json.dumps([code, at_import, loaded()]))
 """
 CLI_BASE = {"surfcond", "surfcond.cli", "surfcond.abelian", "surfcond.gf2", "surfcond.steenrod",
             "surfcond.em_cohomology", "surfcond.record"}
-# dataclasses imports inspect, ast, dis and tokenize: 8-11 ms of every query
+# dataclasses imports inspect, ast, dis and tokenize: 8-12 ms of every query
 NOT_AT_START_UP = {"dataclasses", "inspect"}
 
 
