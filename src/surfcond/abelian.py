@@ -57,13 +57,6 @@ class FinAbGroup(Frozen):
                 raise ValueError(f"divisibility chain violated: {a} does not divide {b}")
         object.__setattr__(self, "invariant_factors", invariant_factors)
 
-    def __eq__(self, other):
-        return (self.invariant_factors == other.invariant_factors
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash((self.invariant_factors,))
-
     @staticmethod
     def from_factors(factors) -> "FinAbGroup":
         """Normalize an arbitrary list of cyclic orders (order of input irrelevant)."""
@@ -168,14 +161,6 @@ class GroupExpr(Frozen):
         object.__setattr__(self, "circle_rank", circle_rank)
         object.__setattr__(self, "opaque", tuple(sorted(opaque)))
 
-    def __eq__(self, other):
-        return (self.finite == other.finite and self.circle_rank == other.circle_rank
-                and self.opaque == other.opaque if other.__class__ is self.__class__
-                else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash((self.finite, self.circle_rank, self.opaque))
-
     @staticmethod
     def zero() -> "GroupExpr":
         return GroupExpr()
@@ -183,10 +168,6 @@ class GroupExpr(Frozen):
     @staticmethod
     def of(group: FinAbGroup) -> "GroupExpr":
         return GroupExpr(finite=group)
-
-    @staticmethod
-    def circle(rank: int = 1) -> "GroupExpr":
-        return GroupExpr(circle_rank=rank)
 
     @staticmethod
     def symbol(name: str) -> "GroupExpr":
@@ -372,10 +353,23 @@ def dual(A: FinAbGroup) -> FinAbGroup:
     return FinAbGroup(A.invariant_factors)
 
 
+def two_part(order: int) -> tuple[int, int]:
+    """Split a cyclic order into (2-adic valuation, odd part)."""
+    k = 0
+    while order % 2 == 0:
+        order //= 2
+        k += 1
+    return k, order
+
+
+def even_count(orders) -> int:
+    """How many cyclic orders are even (for E: the 2-primary factors of K(E, n))."""
+    return sum(1 for d in orders if d % 2 == 0)
+
+
 def two_torsion(A: FinAbGroup) -> FinAbGroup:
     """Subgroup of elements of order <= 2: one Z/2 per even invariant factor."""
-    s = sum(1 for d in A.invariant_factors if d % 2 == 0)
-    return FinAbGroup((2,) * s)
+    return FinAbGroup((2,) * even_count(A.invariant_factors))
 
 
 # ---------------------------------------------------------------------------

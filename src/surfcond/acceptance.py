@@ -31,7 +31,7 @@ from .condense import (
     parse_subgroup,
 )
 from .em_cohomology import EmSpace, algebra_for, poincare_series
-from .record import Record
+from .record import Frozen
 from .steenrod import (
     SteenrodMonomial,
     SteenrodWord,
@@ -40,11 +40,11 @@ from .steenrod import (
 )
 
 
-class CheckResult(Record):
+class CheckResult(Frozen):
     __slots__ = ("name", "ok", "detail", "seconds")
 
     def __init__(self, name: str, ok: bool, detail: str, seconds: float):
-        self.name, self.ok, self.detail, self.seconds = name, ok, detail, seconds
+        self._set(name, ok, detail, seconds)
 
 
 def _check(name, fn) -> CheckResult:

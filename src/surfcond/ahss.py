@@ -24,6 +24,7 @@ from .abelian import (
     FinAbGroup,
     GroupExpr,
     UnsupportedRangeError,
+    even_count,
     quotient_by_subgroup_image,
 )
 from .coefficients import CircleRow, CoeffOverrides, SpectrumTable, circle_row, spectrum
@@ -105,7 +106,7 @@ def assemble_e2(
     row is the one of degree n even when E is trivial and X is a point.
     """
     space = EmSpace.from_group(E, n)
-    if sum(1 for m, _n in space.factors if m % 2 == 0) > 1:
+    if even_count(E.invariant_factors) > 1:
         raise UnsupportedRangeError(
             "more than one 2-primary factor; decompose via product_split"
         )

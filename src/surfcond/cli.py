@@ -6,9 +6,10 @@ so a --json dump re-rendered through the same functions reproduces the text
 output byte for byte.
 
 Exit codes: 0 success, 1 selftest FAILURES, 2 parse error (including a
-negative degree or order argument), 3 unsupported range or missing table
-data, 4 inconclusive (undetermined differential), 5 internal invariant
-failure (an engine self-check such as d2 o d2 = 0 did not hold).
+negative degree or order argument), 3 unsupported range, missing table
+data or a query too large for the process's memory (MemoryError), 4
+inconclusive (undetermined differential), 5 internal invariant failure (an
+engine self-check such as d2 o d2 = 0 did not hold).
 
 Every query runs in a fresh process, and most of its cost is interpreter
 start and import. So this module imports `abelian`, `steenrod` and
@@ -21,10 +22,12 @@ so deferring it would spare that one query alone; and perfbench's traced
 modules `import surfcond.cli` has loaded. The engine modules themselves
 import eagerly: a library caller pays for its imports when it imports, not
 inside the first call it makes or times.  For the same reason the engine's
-records are plain classes with __slots__ (`record`), not standard-library
-data classes: that module loads inspect, ast, dis and tokenize, 8-12 ms of
-a fresh process, and each decorated class compiles its generated methods at
-import, about 0.7 ms a class (Python 3.11.7, 2-vCPU Xeon).
+records are plain classes with __slots__ on one immutable base that reads
+their fields through one operator.attrgetter per class (`record.Frozen`),
+not standard-library data classes: that module loads inspect, ast, dis and
+tokenize, 8-12 ms of a fresh process, and each decorated class compiles its
+generated methods at import, about 0.7 ms a class (Python 3.11.7, 2-vCPU
+Xeon).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import argparse
 import json
 import sys
 
-from .abelian import FinAbGroup, UnsupportedRangeError, groups_up_to, parse_group
+from .abelian import FinAbGroup, UnsupportedRangeError, even_count, groups_up_to, parse_group
 from .em_cohomology import EmSpace, algebra_for
 from .steenrod import adem_normalize, excess, parse_word
 
@@ -229,8 +232,7 @@ def _cmd_ahss(args) -> tuple[dict, int]:
         "twist": args.twist,
         "d5": args.d5,
     }
-    even = sum(1 for d in E.invariant_factors if d % 2 == 0)
-    if even > 1:
+    if even_count(E.invariant_factors) > 1:
         for flag, value in (("--twist", args.twist), ("--dump-pages", args.dump_pages)):
             if value:
                 raise UnsupportedRangeError(
@@ -335,10 +337,7 @@ def _cmd_selftest(args) -> tuple[dict, int]:
     from .acceptance import run_all
 
     results = run_all()
-    checks = [
-        {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds}
-        for r in results
-    ]
+    checks = [r.as_dict() for r in results]
     ok = all(r.ok for r in results)
     result = {"checks": checks, "verdict": "all checks passed" if ok else "FAILURES"}
     return _payload("selftest", {}, [], result), (EXIT_OK if ok else EXIT_FAILURES)
@@ -425,6 +424,9 @@ def main(argv=None) -> int:
         payload, code = COMMANDS[args.command](args)
     except UnsupportedRangeError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except MemoryError:
+        print("unsupported: out of memory; try a smaller group or degree", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

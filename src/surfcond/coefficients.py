@@ -10,6 +10,7 @@ outside the supported range raises instead of fabricating a value.
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 
 from .abelian import (
     CIRCLE,
@@ -17,14 +18,16 @@ from .abelian import (
     GroupExpr,
     UnsupportedRangeError,
     dual,
+    even_count,
     ext_group,
     parse_group,
     quad_group,
+    two_part,
     two_torsion,
 )
-from .em_cohomology import EmSpace, _two_part, algebra_for
+from .em_cohomology import EmSpace, algebra_for
 from .gf2 import Gf2Matrix
-from .record import Frozen, Record
+from .record import Frozen
 
 DEFAULT_CAP = 12  # the mod-2 degree range of the tables and their overrides
 
@@ -62,7 +65,7 @@ class SpectrumTable(Frozen):
 
 
 _Z2 = GroupExpr.of(FinAbGroup((2,)))
-_CX = GroupExpr.circle()
+_CX = GroupExpr(circle_rank=1)
 _0 = GroupExpr.zero()
 _SW = GroupExpr.symbol("SW")
 _SW2 = GroupExpr.symbol("SW2")
@@ -105,12 +108,13 @@ def spectrum(name: str, overrides: "CoeffOverrides | None" = None) -> SpectrumTa
 # Circle rows
 
 
-class CircleRow(Record):
+class CircleRow(Frozen):
     """H^i(K(E, n); C^x) by degree i, with declared comparison-map data.
 
     comparison[i] maps basis-monomial names of H^i(K(E,n); Z2) to elements
     of the degree-i entry's finite part (None meaning a declared zero
-    image).  A class whose monomials are not all covered raises.
+    image).  A class whose monomials are not all covered raises.  Its
+    mappings are read-only views, down to each image table: runs share it.
     """
 
     __slots__ = ("E", "n", "entries", "provenance", "comparison", "notes")
@@ -119,8 +123,8 @@ class CircleRow(Record):
                  provenance: dict[int, str],
                  comparison: dict[int, dict[str, tuple[int, ...] | None]],
                  notes: tuple[str, ...] = ()):  # overrides applied to this row
-        self.E, self.n, self.entries, self.provenance = E, n, entries, provenance
-        self.comparison, self.notes = comparison, notes
+        self._set(E, n, MappingProxyType(entries), MappingProxyType(provenance),
+                  _read_only(comparison), notes)
 
     def entry(self, i: int) -> GroupExpr:
         if i < 0:
@@ -169,6 +173,11 @@ class CircleRow(Record):
         return Gf2Matrix.from_rows(rows, len(group.invariant_factors) if group else 0)
 
 
+def _read_only(tables: dict) -> MappingProxyType:
+    """A read-only view of a mapping of tables, each table read-only too."""
+    return MappingProxyType({key: MappingProxyType(t) for key, t in tables.items()})
+
+
 def _order2_bits(group: FinAbGroup, elt) -> int:
     bits = 0
     for pos, (c, d) in enumerate(zip(elt, group.invariant_factors)):
@@ -208,7 +217,7 @@ def circle_row(
         raise UnsupportedRangeError(f"circle rows only tabulated for n in {{2, 4}}, not {n}")
     cyclic = len(E.invariant_factors) <= 1
     d = E.invariant_factors[0] if E.invariant_factors else 1
-    k, _odd = _two_part(d) if cyclic else (0, 0)
+    k, _odd = two_part(d) if cyclic else (0, 0)
 
     entries: dict[int, GroupExpr] = {}
     prov: dict[int, str] = {}
@@ -238,7 +247,7 @@ def circle_row(
             put(6, _Z2, "tabulated value for E = Z/2")
             put(7, _Z2, "tabulated value for E = Z/2")
             put(8, _Z2, "tabulated value for E = Z/2")
-        if sum(d % 2 == 0 for d in E.invariant_factors) == 1:
+        if even_count(E.invariant_factors) == 1:
             # a cyclic 2-part; its degree-2 class is i2' after an odd factor
             (i2,) = _monomial_names(E, 2, 2)
             comparison[2] = {i2: _order2_element(dual(E))}
@@ -310,7 +319,8 @@ class CoeffOverrides(Frozen):
     degree.  The tables built from an override carry a note
     for each value it replaced (SpectrumTable.notes, CircleRow.notes), and
     the E2 page logs those notes once each.  Instances compare and hash by
-    identity, so a loaded file can key a cache (ahss.run_ahss).
+    identity, so a loaded file can key a cache (ahss.run_ahss); their tables
+    are read-only views, so no edit can leave such a cache stale.
     """
 
     __slots__ = ("spectrum_overrides", "circle_overrides", "comparison_overrides")
@@ -318,7 +328,8 @@ class CoeffOverrides(Frozen):
     __hash__ = object.__hash__
 
     def __init__(self, spectrum_overrides=None, circle_overrides=None, comparison_overrides=None):
-        self._set(spectrum_overrides or {}, circle_overrides or {}, comparison_overrides or {})
+        tables = (spectrum_overrides, circle_overrides, comparison_overrides)
+        self._set(*(_read_only(t or {}) for t in tables))
 
     @staticmethod
     def load(path: str) -> "CoeffOverrides":
@@ -337,21 +348,21 @@ class CoeffOverrides(Frozen):
                 f"unknown spectra in {path}: {', '.join(unknown)}"
                 + (hint if _TWISTED_SW in unknown else "")
             )
-        out = CoeffOverrides()
+        spectra, rows, images = {}, {}, {}
         for name, table in sections["spectrum"].items():
             top = len(_SPECTRA[name]) - 1
-            out.spectrum_overrides[name] = _expr_table("spectrum", name, table, top)
+            spectra[name] = _expr_table("spectrum", name, table, top)
         for key, table in sections["circle_row"].items():
             group, n = _key("circle_row", key, "group|n")
-            out.circle_overrides[(group, n)] = _expr_table("circle_row", key, table, DEFAULT_CAP)
+            rows[(group, n)] = _expr_table("circle_row", key, table, DEFAULT_CAP)
         for key, table in sections["comparison"].items():
             group, n, i = _key("comparison", key, "group|n|degree")
             if not 0 <= i <= DEFAULT_CAP:
                 raise ValueError(
                     f"override comparison key {key!r}: degree {i} is outside 0..{DEFAULT_CAP}"
                 )
-            out.comparison_overrides[(group, n, i)] = _image_table(key, table)
-        return out
+            images[(group, n, i)] = _image_table(key, table)
+        return CoeffOverrides(spectra, rows, images)
 
     def apply_circle_row(self, E, n, entries, prov, comparison) -> tuple[str, ...]:
         notes = []

@@ -11,10 +11,10 @@ algebra of functions turns a 2Rep identity component into 2Vec or 2SVec.
 
 from __future__ import annotations
 
-from .abelian import FinAbGroup, GroupExpr, parse_group, quotient_by_subgroup_image
+from .abelian import FinAbGroup, GroupExpr, even_count, parse_group, quotient_by_subgroup_image
 from .ahss import product_split, run_ahss
 from .coefficients import circle_row
-from .record import Frozen, Record
+from .record import Frozen
 
 LEVELS = ("fusion", "braided", "sylleptic", "symmetric")
 STATISTICS = ("bosonic", "fermionic")
@@ -176,23 +176,17 @@ def condense_phi(cat: SkeletalCategory) -> SkeletalCategory:
 # Obstruction verdicts
 
 
-class Verdict(Record):
+class Verdict(Frozen):
     _fields = ("branch", "verdict", "group", "provenance", "details")  # kept in a __dict__
 
     def __init__(self, branch: str, verdict: str, group: str | None,
                  provenance: list[str] | None = None, details: dict | None = None):
-        self.branch, self.verdict, self.group = branch, verdict, group
-        self.provenance = [] if provenance is None else provenance
-        self.details = {} if details is None else details
+        # one C-level update of the __dict__, where _set would loop in Python
+        vars(self).update(branch=branch, verdict=verdict, group=group,
+                          provenance=provenance or [], details=details or {})
 
     def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "verdict": self.verdict,
-            "group": self.group,
-            "provenance": list(self.provenance),
-            "details": self.details,
-        }
+        return {**self.as_dict(), "provenance": list(self.provenance)}
 
 
 def obstruction_verdict(E: FinAbGroup, statistic: str, level: str) -> Verdict:
@@ -223,7 +217,7 @@ def obstruction_verdict(E: FinAbGroup, statistic: str, level: str) -> Verdict:
             ],
             {"supercohomology_split": ps},
         )
-    even = sum(1 for d in E.invariant_factors if d % 2 == 0)
+    even = even_count(E.invariant_factors)
     if level == "braided" and statistic == "fermionic":
         if even == 0:
             group = circle_row(E, 2).entry(5)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .abelian import FinAbGroup, UnsupportedRangeError
+from .abelian import FinAbGroup, UnsupportedRangeError, even_count, two_part
 from .gf2 import Gf2Matrix, bits
 from .record import Frozen
 from .steenrod import (
@@ -29,15 +29,6 @@ from .steenrod import (
 
 class CapExceededError(UnsupportedRangeError):
     """A product or Steenrod image landed above the algebra's degree cap."""
-
-
-def _two_part(modulus: int) -> tuple[int, int]:
-    """Split a cyclic order into (2-adic valuation, odd part)."""
-    k = 0
-    while modulus % 2 == 0:
-        modulus //= 2
-        k += 1
-    return k, modulus
 
 
 class EmSpace(Frozen):
@@ -53,13 +44,6 @@ class EmSpace(Frozen):
                 raise ValueError(f"space degree {degree} < 1")
         object.__setattr__(self, "factors", factors)
 
-    def __eq__(self, other):
-        return (self.factors == other.factors
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
-
     @staticmethod
     def single(modulus: int, degree: int) -> "EmSpace":
         return EmSpace(((modulus, degree),))
@@ -69,7 +53,7 @@ class EmSpace(Frozen):
         """K(E, n) as the product over cyclic pieces, 2-part split off."""
         factors = []
         for d in E.invariant_factors:
-            k, odd = _two_part(d)
+            k, odd = two_part(d)
             if k:
                 factors.append((2**k, degree))
             if odd > 1:
@@ -124,7 +108,7 @@ def serre_generators(modulus: int, n: int, cap: int) -> list[tuple[SteenrodMonom
     """
     if cap < n:
         raise ValueError("cap below the space degree")
-    k, _odd = _two_part(modulus)
+    k, _odd = two_part(modulus)
     if k == 0:
         return []
     if k >= 2 and n == 1:
@@ -262,20 +246,19 @@ class EmAlgebra:
         self.cap = cap
         self._head: EmAlgebra | None = None
         self._tail: EmAlgebra | None = None
-        self.generators: list[Generator] = []
-        if sum(1 for modulus, _n in space.factors if modulus % 2 == 0) > 1:
+        if even_count(modulus for modulus, _n in space.factors) > 1:
             self._head = algebra_for(EmSpace(space.factors[:1]), cap)
             self._tail = algebra_for(EmSpace(space.factors[1:]), cap)
-            self.generators = list(self._head.generators) + [
+            generators = self._head.generators + tuple(
                 Generator(g.factor + 1, g.word, g.space_degree) for g in self._tail.generators
-            ]
+            )
         else:
-            for fi, (modulus, n) in enumerate(space.factors):
-                for word, _deg in serre_generators(modulus, n, cap):
-                    self.generators.append(Generator(fi, word, n))
-        self.generators.sort(
-            key=lambda g: (g.degree, g.factor, g.word.squares, g.word.bockstein)
-        )
+            generators = [Generator(fi, word, n) for fi, (modulus, n) in enumerate(space.factors)
+                          for word, _deg in serre_generators(modulus, n, cap)]
+        # a tuple: the algebra is shared by every caller of algebra_for
+        self.generators: tuple[Generator, ...] = tuple(sorted(
+            generators, key=lambda g: (g.degree, g.factor, g.word.squares, g.word.bockstein)
+        ))
         self._gen_index = {
             (g.factor, g.word): i for i, g in enumerate(self.generators)
         }
@@ -495,7 +478,7 @@ class EmAlgebra:
         Bockstein of such a class is zero).
         """
         modulus, n = self.space.factors[factor]
-        k, _ = _two_part(modulus)
+        k, _ = two_part(modulus)
         if k >= 2 and not word.bockstein and word.squares and word.squares[-1] == 1:
             return None
         e = excess(word)

@@ -28,13 +28,6 @@ class Gf2Matrix(Frozen):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "ncols", ncols)
 
-    def __eq__(self, other):
-        return (self.rows == other.rows and self.ncols == other.ncols
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.ncols))
-
     @staticmethod
     def from_rows(rows, ncols: int) -> "Gf2Matrix":
         return Gf2Matrix(tuple(int(r) for r in rows), ncols)

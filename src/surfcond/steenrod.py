@@ -44,13 +44,6 @@ class SteenrodMonomial(Frozen):
         object.__setattr__(self, "squares", squares)
         object.__setattr__(self, "bockstein", bockstein)
 
-    def __eq__(self, other):
-        return (self.squares == other.squares and self.bockstein == other.bockstein
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash((self.squares, self.bockstein))
-
     @property
     def degree(self) -> int:
         return sum(self.squares) + (1 if self.bockstein else 0)
@@ -89,17 +82,6 @@ class SteenrodWord(Frozen):
 
     def __init__(self, monomials: frozenset[SteenrodMonomial] = frozenset()):
         object.__setattr__(self, "monomials", monomials)
-
-    def __eq__(self, other):
-        return (self.monomials == other.monomials
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash((self.monomials,))
-
-    @staticmethod
-    def zero() -> "SteenrodWord":
-        return SteenrodWord(frozenset())
 
     @staticmethod
     def of(*monos: SteenrodMonomial) -> "SteenrodWord":
@@ -248,7 +230,7 @@ _B_RE = re.compile(r"^b_?(\d+)$")
 
 def parse_word(text: str) -> SteenrodWord:
     """Parse sums of monomials like "Sq2 Sq1 + Sq3", case-insensitively."""
-    out = SteenrodWord.zero()
+    out = SteenrodWord()
     for part in text.split("+"):
         toks = part.split()
         if not toks:

@@ -193,6 +193,17 @@ class TestFrozenRun:
         with pytest.raises(TypeError):
             page3.entries[(2, 2)] = page3.entry(0, 0)
 
+    def test_circle_row_of_a_shared_run_is_read_only(self):
+        page3 = run_ahss(Z2, 2, "SW", 5, twist=True, d5_zero=True)[0]
+        circle = page3.circle
+        entries = dict(circle.entries)
+        for mapping, key in ((circle.entries, 4), (circle.provenance, 4),
+                             (circle.comparison, 5), (circle.comparison[5], "i2*Sq1(i2)")):
+            with pytest.raises(TypeError):
+                mapping[key] = None
+        again = run_ahss(Z2, 2, "SW", 5, twist=True, d5_zero=True)[0]
+        assert again.circle is circle and circle.entries == entries
+
     def test_every_spelling_of_a_query_shares_one_run(self):
         page3, report = run_ahss(Z4, 2, "SW", 5, d5_zero=True)
         for spelled in (

@@ -55,6 +55,18 @@ class TestExitCodes:
         assert code == 3
         assert "unsupported" in err
 
+    def test_out_of_memory_is_unsupported(self, capsys, monkeypatch):
+        # stands in for a query too large for the process's address space
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(surfcond.cli, "algebra_for", exhausted)
+        code, out, err = run(
+            capsys, ["emcoh", "--group", "Z/2 x Z/4", "--space-degree", "2", "--max-degree", "8"]
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("unsupported: out of memory") and err.count("\n") == 1
+
     def test_inconclusive(self, capsys):
         code, out, _ = run(
             capsys, ["ahss", "--spectrum", "SW", "--group", "Z/2",

@@ -157,8 +157,9 @@ class TestComparisonMap:
     def test_image_outside_two_torsion_rejected(self):
         alg = algebra_for(EmSpace.from_group(Z4, 2), DEFAULT_CAP)
         iota = alg.fundamental_class()
-        row = circle_row(Z4, 2)
-        row.comparison[2] = {"i2": (1,)}  # a generator of Z/4, not of order 2
+        # a generator of Z/4, not of order 2
+        overrides = CoeffOverrides(comparison_overrides={("Z/4", 2, 2): {"i2": (1,)}})
+        row = circle_row(Z4, 2, overrides)
         with pytest.raises(ValueError, match="not 2-torsion"):
             row.comparison_matrix(alg, 2, class_matrix(alg, iota))
 
@@ -244,6 +245,27 @@ class TestOverrides:
             page3, report = run_ahss(Z2, 2, "SW", 4, twist=twist, overrides=ov)
             assert {"kind": "override", "note": note} in [dict(r) for r in page3.log]
             assert (0, 4, "Z/2") in report.entries and not report.inconclusive
+
+    def test_loaded_tables_are_read_only(self, tmp_path):
+        # a loaded file keys the run_ahss memo by identity: an edit to it
+        # would leave the memo's runs stale
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps({
+            "spectrum": {"SW": {"4": "Z/2"}},
+            "circle_row": {"Z/2|2": {"5": "0"}},
+            "comparison": {"Z/2|2|5": {"Sq2 Sq1(i2)": None}},
+        }))
+        ov = CoeffOverrides.load(str(path))
+        report = run_ahss(Z2, 2, "SW", 4, overrides=ov)[1]
+        for tables, key, inner in ((ov.spectrum_overrides, "SW", 4),
+                                   (ov.circle_overrides, ("Z/2", 2), 5),
+                                   (ov.comparison_overrides, ("Z/2", 2, 5), "Sq2 Sq1(i2)")):
+            with pytest.raises(TypeError):
+                tables[key][inner] = None
+            with pytest.raises(TypeError):
+                tables[key] = {}
+        assert run_ahss(Z2, 2, "SW", 4, overrides=ov)[1] is report
+        assert (0, 4, "Z/2") in report.entries
 
     def test_notes_do_not_accumulate(self, tmp_path):
         path = tmp_path / "overrides.json"

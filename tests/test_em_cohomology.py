@@ -204,6 +204,13 @@ class TestAlgebraCache:
             algebra_for(space, cap=12)
         assert algebra_for(space, 12) is algebra_for(space, 12)
 
+    def test_generators_of_a_shared_algebra_are_a_tuple(self):
+        alg = algebra_for(EmSpace.single(2, 2), 12)
+        count = len(alg.generators)
+        with pytest.raises(AttributeError):
+            alg.generators.append(alg.generators[0])
+        assert len(algebra_for(EmSpace.single(2, 2), 12).generators) == count
+
     def test_no_default_cap(self):
         X = EmSpace.single(2, 2)
         with pytest.raises(TypeError):

@@ -1,10 +1,15 @@
-"""The engine's record types behave as the frozen and plain records they
-replace: immutable values refuse assignment, `replace` validates again,
+"""The engine's record types behave as the frozen data classes they
+replace: every record refuses assignment, `replace` validates again,
 equality is per type and field, and a value hashes as the tuple of its
-fields, so set order, and every output built from it, is unchanged."""
+fields, so set order, and every output built from it, is unchanged.  Each
+reads its fields through the one getter that `record.Frozen` builds."""
+
+import importlib
+import pkgutil
 
 import pytest
 
+import surfcond
 from surfcond.abelian import FinAbGroup, GroupExpr
 from surfcond.acceptance import CheckResult
 from surfcond.ahss import TotalDegreeReport, assemble_e2, run_ahss
@@ -12,6 +17,7 @@ from surfcond.coefficients import CoeffOverrides, circle_row, spectrum
 from surfcond.condense import SkeletalCategory, Verdict
 from surfcond.em_cohomology import EmSpace, Generator
 from surfcond.gf2 import Gf2Matrix
+from surfcond.record import Frozen
 from surfcond.steenrod import SteenrodMonomial, SteenrodWord
 
 Z2 = FinAbGroup((2,))
@@ -30,18 +36,23 @@ VALUES = {
     "TotalDegreeReport": lambda: TotalDegreeReport(
         2, ((0, 2, "Z/2"),), "Z/2", GroupExpr.of(Z2), (), ("a note",)),
     "Page": lambda: assemble_e2(Z2, 2, spectrum("SW"), 3),
+    "CircleRow": lambda: circle_row(Z2, 2),
+    "Verdict": lambda: Verdict("braided/bosonic", "obstructed", None, ["a note"]),
+    "CheckResult": lambda: CheckResult("check", True, "detail", 0.5),
 }
+# a read-only mapping or a list among their fields: equal, but unhashable
+UNHASHABLE = {"Page", "CircleRow", "Verdict"}
 FROZEN = {**VALUES, "CoeffOverrides": CoeffOverrides}
 
 
 def fields(record) -> tuple:
-    return tuple(getattr(record, name) for name in record.__slots__)
+    return tuple(getattr(record, name) for name in record._fields)
 
 
 @pytest.mark.parametrize("name", FROZEN)
 def test_fields_refuse_assignment_and_deletion(name):
     record = FROZEN[name]()
-    for field in record.__slots__:
+    for field in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
@@ -71,11 +82,19 @@ def test_replace_changes_only_what_it_names():
 def test_equal_values_hash_as_their_field_tuple(name):
     a, b = VALUES[name](), VALUES[name]()
     assert a == b and not a != b
-    if name == "Page":  # its entries are a read-only dict: unhashable
+    if name in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(a)
         return
     assert hash(a) == hash(b) == hash(fields(a))
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_one_getter_per_class_returns_the_field_tuple(name):
+    record = FROZEN[name]()
+    assert record._values(record) == fields(record)
+    # a subclass that names no fields reads them through its base's getter
+    assert type("Twin", (type(record),), {})._values is type(record)._values
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -93,19 +112,27 @@ def test_overrides_compare_and_hash_by_identity():
     assert hash(a) == object.__hash__(a)
 
 
-@pytest.mark.parametrize("make, field", [
-    (lambda: circle_row(Z2, 2), "notes"),
-    (lambda: Verdict("braided/bosonic", "obstructed", None, ["a note"]), "group"),
-    (lambda: CheckResult("check", True, "detail", 0.5), "detail"),
-])
-def test_mutable_records_compare_by_field_and_do_not_hash(make, field):
-    a, b = make(), make()
-    assert a == b
-    with pytest.raises(TypeError):
-        hash(a)
-    setattr(a, field, "changed")
-    setattr(b, field, "changed")
-    assert a == b and a != make()
+def _records():
+    for info in pkgutil.iter_modules(surfcond.__path__):
+        importlib.import_module(f"surfcond.{info.name}")
+    found, stack = [], [Frozen]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            if cls.__module__.startswith("surfcond."):
+                found.append(cls)
+                stack.append(cls)
+    return found
+
+
+def test_records_take_equality_and_hash_from_the_base():
+    records = {cls.__name__: cls for cls in _records()}
+    assert set(records) == set(FROZEN)
+    for name, cls in records.items():
+        own = {"__eq__", "__hash__"} & set(vars(cls))
+        if name == "CoeffOverrides":  # a loaded file compares by identity
+            assert (cls.__eq__, cls.__hash__) == (object.__eq__, object.__hash__)
+        else:
+            assert not own, f"{name} defines {sorted(own)}"
 
 
 def test_verdict_keeps_its_fields_in_a_dict():
