@@ -26,23 +26,6 @@ class UnsupportedRangeError(ValueError):
 OPAQUE_SYMBOLS = ("SW", "SW2")
 
 
-def _invariant_factors_from_prime_powers(prime_powers: dict[int, list[int]]) -> tuple[int, ...]:
-    """Recombine prime-power exponents into a divisibility chain via CRT."""
-    if not prime_powers:
-        return ()
-    length = max(len(v) for v in prime_powers.values())
-    factors = []
-    for i in range(1, length + 1):
-        d = 1
-        for p, exps in prime_powers.items():
-            if len(exps) >= i:
-                # largest factors pair up first
-                d *= p ** sorted(exps, reverse=True)[i - 1]
-        factors.append(d)
-    factors.reverse()
-    return tuple(f for f in factors if f > 1)
-
-
 class FinAbGroup(Frozen):
     """Finite abelian group ``Z_{d_1} + ... + Z_{d_r}`` with d_i | d_{i+1}."""
 
@@ -59,17 +42,25 @@ class FinAbGroup(Frozen):
 
     @staticmethod
     def from_factors(factors) -> "FinAbGroup":
-        """Normalize an arbitrary list of cyclic orders (order of input irrelevant)."""
-        prime_powers: dict[int, list[int]] = {}
+        """Normalize a list of cyclic orders, in any order, to invariant factors.
+
+        Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), applied to each pair i < j in
+        turn, leaves every order dividing each later one; the 1s drop out.
+        """
+        orders = []
         for n in factors:
             n = int(n)
-            if n == 1:
-                continue
             if n < 1:
                 raise ValueError(f"cyclic order {n} < 1")
-            for p, e in _factorize(n).items():
-                prime_powers.setdefault(p, []).append(e)
-        return FinAbGroup(_invariant_factors_from_prime_powers(prime_powers))
+            orders.append(n)
+        for i, a in enumerate(orders):
+            for j in range(i + 1, len(orders)):
+                b = orders[j]
+                g = math.gcd(a, b)
+                orders[j] = a // g * b
+                a = g
+            orders[i] = a
+        return FinAbGroup(tuple(d for d in orders if d > 1))
 
     @staticmethod
     def cyclic(n: int) -> "FinAbGroup":
@@ -128,19 +119,6 @@ def groups_up_to(max_order: int):
 
     for chain in chains(max_order, 1):
         yield FinAbGroup(chain)
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 class GroupExpr(Frozen):
@@ -327,16 +305,11 @@ def _diagonal(rows: list[dict[int, int]], ncols: int, D: int) -> list[int]:
 # Group functors
 
 
-def _biadditive(A: FinAbGroup, B: FinAbGroup) -> FinAbGroup:
-    factors = [
-        math.gcd(a, b) for a in A.invariant_factors for b in B.invariant_factors
-    ]
-    return FinAbGroup.from_factors(factors)
-
-
 def hom_group(A: FinAbGroup, B: FinAbGroup) -> FinAbGroup:
     """hom(Z_m, Z_n) = Z_gcd(m,n), extended biadditively."""
-    return _biadditive(A, B)
+    return FinAbGroup.from_factors(
+        [math.gcd(a, b) for a in A.invariant_factors for b in B.invariant_factors]
+    )
 
 
 def ext_group(A: FinAbGroup, B: FinAbGroup) -> FinAbGroup:
@@ -345,7 +318,7 @@ def ext_group(A: FinAbGroup, B: FinAbGroup) -> FinAbGroup:
     Ext into the circle group vanishes (divisible coefficients); callers that
     need that rule go through GroupExpr-level tables instead.
     """
-    return _biadditive(A, B)
+    return hom_group(A, B)
 
 
 def dual(A: FinAbGroup) -> FinAbGroup:

@@ -28,7 +28,7 @@ from .abelian import (
     quotient_by_subgroup_image,
 )
 from .coefficients import CircleRow, CoeffOverrides, SpectrumTable, circle_row, spectrum
-from .em_cohomology import EmAlgebra, EmSpace, algebra_for, reduced_smash_basis
+from .em_cohomology import EmAlgebra, EmSpace, algebra_for
 from .gf2 import Echelon, Gf2Matrix
 from .record import Frozen
 from .steenrod import margolis_homology
@@ -414,13 +414,16 @@ def _a1_submodule(alg, seed_cls, lo: int, hi: int) -> dict[int, list[int]]:
 def smash_freeness_check(X: EmSpace, Y: EmSpace, degree: int, window: tuple[int, int]) -> dict:
     """Reduced smash classes in one degree and their Margolis certificates.
 
-    Each class generates an A(1)-submodule of the reduced smash cohomology;
+    A reduced class is a sorted basis monomial of X x Y with generators (each
+    of positive degree) on both sides; it generates an A(1)-submodule, and
     vanishing Q0 and Q1 Margolis homology through the window certifies a
     free summand (hence a nonzero contribution to the reduced theory).
     """
     lo, hi = window
     alg = algebra_for(X.product(Y), hi)
-    classes = reduced_smash_basis(X, Y, degree, hi)
+    on_x = [g.factor < len(X.factors) for g in alg.generators]
+    classes = [alg.monomial_class(mono) for mono in sorted(alg.basis(degree))
+               if len({on_x[gi] for gi, _e in mono}) == 2]
     results = []
     all_free = bool(classes)
     for cls in classes:
@@ -454,12 +457,21 @@ def product_split(
     factor runs through the spectral sequence, with d5 = 0 declared when
     d5_zero asks; each pair of factors gives one smash summand.  The split's
     verdict is the direct sum when every summand is computed, "nonzero" when
-    a smash summand is certified, and "inconclusive" otherwise.
+    a smash summand is certified, and "inconclusive" otherwise.  The split
+    reads only its cyclic factors' circle rows, so a circle-row or
+    comparison override keyed by E itself raises UnsupportedRangeError.
     """
     spec_table = spectrum(spectrum_name, overrides)
     # each cyclic factor as a group and as its own Eilenberg-MacLane space
     factors = EmSpace.from_group(E, n).factors
     pieces = [(FinAbGroup.cyclic(m), EmSpace(((m, d),))) for m, d in factors]
+    keys = [*overrides.circle_overrides, *overrides.comparison_overrides] if overrides else []
+    for key in keys:
+        if key[:2] == (str(E), n) and E not in [F for F, _X in pieces]:
+            section = "circle_row" if len(key) == 2 else "comparison"
+            raise UnsupportedRangeError(
+                f"override {section} key {'|'.join(map(str, key))!r} is for {E} itself: "
+                "the product split reads only its cyclic factors' rows")
     point = str(spec_table.entry(N)) if N <= spec_table.max_degree else None
     summands = [_summand("point", "unknown" if point is None else "computed", point)]
     for idx, (F, _X) in enumerate(pieces):

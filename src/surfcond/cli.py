@@ -57,11 +57,13 @@ def _payload(command: str, inputs: dict, provenance: list[str], result: dict) ->
 
 
 def render_emcoh(payload: dict) -> str:
-    r = payload["result"]
-    lines = [f"H*(K({payload['inputs']['group']},{payload['inputs']['space_degree']}); Z2)"]
+    r, inputs = payload["result"], payload["inputs"]
+    lines = [f"H*(K({inputs['group']},{inputs['space_degree']}); Z2)"]
     lines.append("generators:")
-    if not r["generators"]:
-        lines.append("  (none: unit algebra)")
+    if not r["generators"]:  # below the space degree none is reached, whatever E is
+        top = inputs["max_degree"]
+        lines.append("  (none: unit algebra)" if top >= inputs["space_degree"]
+                     else f"  (none in degrees <= {top})")
     for g in r["generators"]:
         lines.append(f"  {g['name']}  (degree {g['degree']})")
     series = ",".join(str(d) for d in r["poincare_series"])

@@ -4,12 +4,15 @@ sequence engine.
 These are configurable known-value tables: the circle rows are imported
 data evaluated through the group functors of :mod:`surfcond.abelian`, not
 computed from cochains.  Every entry carries a provenance note, and access
-outside the supported range raises instead of fabricating a value.
+outside the supported range raises instead of fabricating a value.  Each
+read-only table is built once per key, however `spectrum` or `circle_row`
+is called; a build that raises is not kept.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from types import MappingProxyType
 
 from .abelian import (
@@ -86,17 +89,19 @@ def spectrum(name: str, overrides: "CoeffOverrides | None" = None) -> SpectrumTa
     with SH below degree 4 and has the opaque Witt-group entry SW in degree
     4.  Spin carries C^x in degree 4 instead.  The twisted variant of SW has
     SW's point coefficients, and SW's overrides; its name only changes which
-    d2 rule the page engine applies.
+    d2 rule the page engine applies.  Built once per key.
     """
+    return _spectrum(name, overrides)
+
+
+@lru_cache(maxsize=None)  # keyed by positional arguments, as ahss._run_ahss is
+def _spectrum(name, overrides):
     base = "SW" if name == _TWISTED_SW else name
     if base not in _SPECTRA:
         raise UnsupportedRangeError(f"unknown spectrum {name!r}")
-    entries = _SPECTRA[base]
-    provenance = tuple(f"{name}^{j}(pt) = {e} [known value]" for j, e in enumerate(entries))
-    table = overrides.spectrum_overrides.get(base) if overrides else None
-    if not table:
-        return SpectrumTable(name, entries, provenance)
-    entries, provenance = list(entries), list(provenance)
+    entries = list(_SPECTRA[base])
+    provenance = [f"{name}^{j}(pt) = {e} [known value]" for j, e in enumerate(entries)]
+    table = overrides.spectrum_overrides.get(base, {}) if overrides else {}
     for j, expr in table.items():
         entries[j] = expr
         provenance[j] = f"{name}^{j}(pt) = {expr} [override]"
@@ -211,8 +216,13 @@ def circle_row(
     The n = 2 row is [C^x, 0, dual(E), 0, Quad(E, C^x), ...]; the n = 4 row
     has dual(two_torsion(E)) in degree 7.  For trivial E, K(E, n) is a
     point, and every untabulated degree through DEFAULT_CAP is 0.  Entries
-    beyond the tabulated range raise on access.
+    beyond the tabulated range raise on access.  Built once per key.
     """
+    return _circle_row(E, n, overrides)
+
+
+@lru_cache(maxsize=None)
+def _circle_row(E, n, overrides):
     if n not in (2, 4):
         raise UnsupportedRangeError(f"circle rows only tabulated for n in {{2, 4}}, not {n}")
     cyclic = len(E.invariant_factors) <= 1

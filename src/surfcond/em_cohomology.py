@@ -221,7 +221,7 @@ class PolyClass:
         return f"<{self} in degree {self.degree}>"
 
 
-class EmAlgebra:
+class EmAlgebra(Frozen):
     """Truncated polynomial algebra on the Serre generators of an EmSpace.
 
     A space with at most one factor of even order is the base case (an odd
@@ -237,39 +237,42 @@ class EmAlgebra:
     the two algebras' Sq matrices.
 
     A class is its bitmask in the basis of its degree (`PolyClass.vec`),
-    on which Sq^i acts by `sq_matrix`.  Immutable after construction but
-    for its one memo table, the Sq matrices by (i, degree).
+    on which Sq^i acts by `sq_matrix`.  Read-only, as `algebra_for` shares
+    it: only its memo of Sq matrices by (i, degree) fills.  It equals only
+    itself, as classes compare their algebras with `is`.
     """
 
+    _fields = ("space", "cap")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __init__(self, space: EmSpace, cap: int):
-        self.space = space
-        self.cap = cap
-        self._head: EmAlgebra | None = None
-        self._tail: EmAlgebra | None = None
+        self._set(space, cap)
+        head = tail = None
         if even_count(modulus for modulus, _n in space.factors) > 1:
-            self._head = algebra_for(EmSpace(space.factors[:1]), cap)
-            self._tail = algebra_for(EmSpace(space.factors[1:]), cap)
-            generators = self._head.generators + tuple(
-                Generator(g.factor + 1, g.word, g.space_degree) for g in self._tail.generators
+            head = algebra_for(EmSpace(space.factors[:1]), cap)
+            tail = algebra_for(EmSpace(space.factors[1:]), cap)
+            generators = head.generators + tuple(
+                Generator(g.factor + 1, g.word, g.space_degree) for g in tail.generators
             )
         else:
             generators = [Generator(fi, word, n) for fi, (modulus, n) in enumerate(space.factors)
                           for word, _deg in serre_generators(modulus, n, cap)]
-        # a tuple: the algebra is shared by every caller of algebra_for
-        self.generators: tuple[Generator, ...] = tuple(sorted(
+        generators = tuple(sorted(
             generators, key=lambda g: (g.degree, g.factor, g.word.squares, g.word.bockstein)
         ))
-        self._gen_index = {
-            (g.factor, g.word): i for i, g in enumerate(self.generators)
-        }
-        self._gen_degrees: tuple[int, ...] = tuple(g.degree for g in self.generators)
-        if self._head is None:
-            self._basis: dict[int, tuple[Monomial, ...]] = self._build_basis()
+        # set here once, past the refusing __setattr__
+        attrs = vars(self)
+        attrs.update(_head=head, _tail=tail, generators=generators,
+                     _gen_index={(g.factor, g.word): i for i, g in enumerate(generators)},
+                     _gen_degrees=tuple(g.degree for g in generators))
+        if head is None:
+            attrs["_basis"] = self._build_basis()
         else:
-            self._basis = self._build_tensor_basis()
+            attrs["_basis"], attrs["_offsets"] = self._build_tensor_basis()
         # a monomial's position in the basis of its own degree
-        self._basis_pos = {m: i for ms in self._basis.values() for i, m in enumerate(ms)}
-        self._sq_matrix_cache: dict[tuple[int, int], Gf2Matrix] = {}
+        attrs["_basis_pos"] = {m: i for ms in self._basis.values() for i, m in enumerate(ms)}
+        attrs["_sq_matrix_cache"] = {}
 
     # -- construction -------------------------------------------------
 
@@ -292,10 +295,10 @@ class EmAlgebra:
         extend((), 0, 0)
         return {d: tuple(sorted(ms)) for d, ms in by_degree.items()}
 
-    def _build_tensor_basis(self) -> dict[int, tuple[Monomial, ...]]:
+    def _build_tensor_basis(self) -> tuple[dict[int, tuple[Monomial, ...]], list[list[int]]]:
         """Bases of H (x) T in tensor order, renumbered to this algebra's
-        generators.  Sets `_offsets[D][a]`, the position in degree D where
-        the block H^a (x) T^(D-a) starts."""
+        generators, and `_offsets[D][a]`, the position in degree D where the
+        block H^a (x) T^(D-a) starts."""
 
         def embedded(alg: EmAlgebra, shift: int) -> list[list[Monomial]]:
             index = [self._gen_index[(g.factor + shift, g.word)] for g in alg.generators]
@@ -305,7 +308,7 @@ class EmAlgebra:
             ]
 
         heads, tails = embedded(self._head, 0), embedded(self._tail, 1)
-        self._offsets: list[list[int]] = []
+        all_offsets: list[list[int]] = []
         basis = {}
         for D in range(self.cap + 1):
             out: list[Monomial] = []
@@ -313,9 +316,9 @@ class EmAlgebra:
             for a in range(D + 1):
                 offsets.append(len(out))
                 out += [tuple(sorted(h + t)) for h in heads[a] for t in tails[D - a]]
-            self._offsets.append(offsets)
+            all_offsets.append(offsets)
             basis[D] = tuple(out)
-        return basis
+        return basis, all_offsets
 
     # -- basic queries ------------------------------------------------
 
@@ -532,30 +535,10 @@ def algebra_for(space: EmSpace, cap: int, /) -> EmAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Series and smash decompositions
+# Series
 
 
 def poincare_series(space: EmSpace, cap: int) -> list[int]:
     """dim H^d(space; Z2) for 0 <= d <= cap."""
     alg = algebra_for(space, cap)
     return [alg.dimension(d) for d in range(cap + 1)]
-
-
-def _side_degrees(alg: EmAlgebra, mono: Monomial, split: int) -> tuple[int, int]:
-    degrees, gens = alg._gen_degrees, alg.generators
-    left = sum(degrees[gi] * e for gi, e in mono if gens[gi].factor < split)
-    return left, alg.monomial_degree(mono) - left
-
-
-def reduced_smash_basis(X: EmSpace, Y: EmSpace, degree: int, cap: int):
-    """Basis of reduced H^degree(X smash Y; Z2): Kunneth tensors with positive
-    degree on both sides, inside the product algebra of X x Y."""
-    space = X.product(Y)
-    alg = algebra_for(space, cap)
-    split = len(X.factors)
-    out = []
-    for mono in sorted(alg.basis(degree)):
-        dl, dr = _side_degrees(alg, mono, split)
-        if dl > 0 and dr > 0:
-            out.append(alg.monomial_class(mono))
-    return out

@@ -34,6 +34,27 @@ class TestFinAbGroup:
         assert FinAbGroup.from_factors([4, 6]) == FinAbGroup((2, 12))
         assert FinAbGroup.from_factors([1, 1]).is_trivial
 
+    @given(st.lists(st.integers(1, 48), max_size=5))
+    def test_from_factors_is_a_chain_that_kills_what_its_input_kills(self, orders):
+        # d kills prod gcd(d, n) elements of a sum of cyclic groups Z/n: an
+        # oracle that shares no code with the normal form
+        factors = FinAbGroup.from_factors(orders).invariant_factors
+        assert all(d > 1 for d in factors)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        lcm = math.lcm(1, *orders)
+        small = [d for d in range(1, math.isqrt(lcm) + 1) if lcm % d == 0]
+        for d in small + [lcm // d for d in small]:
+            killed = math.prod(math.gcd(d, n) for n in orders)
+            assert killed == math.prod(math.gcd(d, f) for f in factors)
+
+    @pytest.mark.parametrize("orders, bad", [([0], 0), ([4, 1, -3], -3)])
+    def test_from_factors_refuses_orders_below_one(self, orders, bad):
+        with pytest.raises(ValueError, match=rf"^cyclic order {bad} < 1$"):
+            FinAbGroup.from_factors(orders)
+
+    def test_from_factors_reads_each_order_as_an_int(self):
+        assert FinAbGroup.from_factors(["4", 6.0]) == FinAbGroup((2, 12))
+
     def test_divisibility_chain_enforced(self):
         with pytest.raises(ValueError):
             FinAbGroup((4, 2))

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import surfcond
-from surfcond.abelian import CIRCLE, FinAbGroup, UnsupportedRangeError, _factorize, quad_group
+from surfcond.abelian import CIRCLE, FinAbGroup, UnsupportedRangeError, quad_group
 from surfcond.acceptance import CheckResult
 from surfcond.ahss import product_split, run_ahss
 from surfcond.cli import COMMANDS, main, render_payload
@@ -194,6 +194,22 @@ class TestRouting:
         assert "i2" in out and "b2(i2)" in out
         assert "poincare series: 1,0,1,1,1,2,2" in out
 
+    @pytest.mark.parametrize("group, n, d, line", [
+        ("Z/2", 3, 1, "  (none in degrees <= 1)"),
+        ("Z/2", 3, 2, "  (none in degrees <= 2)"),
+        ("Z/3", 3, 3, "  (none: unit algebra)"),
+        ("0", 2, 0, "  (none in degrees <= 0)"),
+        ("0", 2, 5, "  (none: unit algebra)"),
+    ])
+    def test_emcoh_without_generators(self, capsys, group, n, d, line):
+        # below the space degree no generator is reached, whatever E is
+        argv = ["emcoh", "--group", group, "--space-degree", str(n), "--max-degree", str(d)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[2] == line
+        code, out, _ = run(capsys, argv + ["--json"])
+        assert json.loads(out)["result"]["generators"] == []
+
     def test_overrides_are_honoured(self, capsys, tmp_path):
         path = tmp_path / "ov.json"
         path.write_text(json.dumps({"spectrum": {"SW": {"4": "0"}}}))
@@ -228,6 +244,29 @@ class TestRouting:
                    if s["summand"].startswith("reduced factor")]
         assert [s["group"] for s in factors] == ["Z/2", "Z/2"]
         assert fresh[tuple(plain)]["result"]["verdict"] == "0"
+
+    @pytest.mark.parametrize("section, table, group, key", [
+        ("circle_row", {"Z/4 x Z/2|2": {"5": "Z/2"}}, "Z/2 x Z/4", "circle_row key 'Z/2 x Z/4|2'"),
+        ("comparison", {"Z/2 x Z/2|2|5": {"nonsense": [1]}}, "Z/2 x Z/2",
+         "comparison key 'Z/2 x Z/2|2|5'"),
+    ])
+    def test_override_keyed_by_the_product_group_is_refused(self, capsys, tmp_path, section,
+                                                              table, group, key):
+        # the split builds circle rows for the cyclic factors only, so such
+        # an override would neither be applied nor checked
+        path = tmp_path / "ov.json"
+        path.write_text(json.dumps({section: table}))
+
+        def argv(n, N):
+            return ["ahss", "--spectrum", "SW", "--group", group, "--space-degree", str(n),
+                    "--total-degree", str(N), "--coeff-overrides", str(path)]
+
+        code, out, err = run(capsys, argv(2, 5))
+        assert (code, out) == (3, "")
+        assert err == (f"unsupported: override {key} is for {group} itself: the product "
+                       "split reads only its cyclic factors' rows\n")
+        # the same key at another space degree is not this split's
+        assert run(capsys, argv(4, 7)) == run(capsys, argv(4, 7)[:-2])
 
 
 SW_Z2_DEG5 = ["ahss", "--spectrum", "SW", "--group", "Z/2", "--space-degree", "2",
@@ -706,7 +745,7 @@ ISO_ARGV = {
 )
 def test_isomorphic_literals_give_identical_payloads(factors, command, rnd, data):
     # Z/6, Z/2 x Z/3 and Z/3 x Z/2 name one group
-    prime_powers = [p**e for m in factors for p, e in _factorize(m).items()]
+    prime_powers = [q for m in factors for q in _prime_powers(m)]
     rnd.shuffle(prime_powers)
     argv = data.draw(ISO_ARGV[command])
     literals = (literal(factors), literal(prime_powers), str(FinAbGroup.from_factors(factors)))
@@ -737,6 +776,19 @@ def test_product_split_agrees_with_the_direct_run(odd, even, spectrum, n, N):
     assert _direct_sum(s["group"] for s in split["summands"]) == _direct_sum(
         g for _i, _j, g in report.entries
     )
+
+
+def _prime_powers(m: int) -> list[int]:
+    """The prime-power orders whose cyclic groups sum to Z/m."""
+    out, p = [], 2
+    while m > 1:
+        q = 1
+        while m % p == 0:
+            m, q = m // p, q * p
+        if q > 1:
+            out.append(q)
+        p += 1
+    return out
 
 
 def _direct_sum(groups) -> tuple:

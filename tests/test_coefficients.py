@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from surfcond.abelian import FinAbGroup, UnsupportedRangeError
+from surfcond.abelian import FinAbGroup, GroupExpr, UnsupportedRangeError
 from surfcond.ahss import run_ahss
 from surfcond.coefficients import (
     DEFAULT_CAP,
@@ -52,6 +52,29 @@ class TestSpectrumTables:
         with pytest.raises(UnsupportedRangeError):
             spectrum("Spin").entry(9)
         assert spectrum("SH").entry(-1).is_zero
+
+
+class TestMemo:
+    """Each table is built once per key, however its arguments are spelled."""
+
+    def test_spectrum_once_per_key(self):
+        assert spectrum("SW") is spectrum("SW", None)
+        assert spectrum("SW") is not spectrum("SW_twisted_by_Z2F")
+
+    def test_circle_row_shared_with_the_run(self):
+        # condense asks for circle_row(E, n); assemble_e2 passes the overrides
+        assert run_ahss(Z2, 2, "SW", 5)[0].circle is circle_row(Z2, 2)
+        assert circle_row(Z2, 2) is circle_row(Z2, 2, None)
+
+    def test_overrides_key_their_own_tables(self):
+        ov = CoeffOverrides(circle_overrides={("Z/2", 2): {5: GroupExpr.zero()}})
+        assert circle_row(Z2, 2, ov) is circle_row(Z2, 2, ov) is not circle_row(Z2, 2)
+        assert circle_row(Z2, 2, ov).entry(5).is_zero and not circle_row(Z2, 2).entry(5).is_zero
+
+    def test_a_build_that_raises_is_not_kept(self):
+        for _ in range(2):
+            with pytest.raises(UnsupportedRangeError, match="not 3"):
+                circle_row(Z2, 3)
 
 
 class TestCircleRows:

@@ -12,13 +12,14 @@ degree n, total degree N) of the tier-1 grid; the twisted runs count under
 with `PYTHONPATH=src python tests/test_coverage.py` and list the new cells.
 The full grid (n = 1..5, N = 0..10, both twist settings on every spectrum,
 with and without `--d5 zero`, each query as text and as `--json
---dump-pages`) runs in CI through `sweep` and `answered_counts`.
+--dump-pages`) runs in CI through `sweep` and `answered_counts`; that step
+also prints one sha256 over every query's argv, exit code, stdout, stderr
+and pages-file text.
 """
 
 import contextlib
 import io
 import json
-import os
 import sys
 import tempfile
 import traceback
@@ -61,12 +62,15 @@ def run_query(argv: list[str]) -> tuple[int | None, str, str]:
 
 
 def sweep(space_degrees, total_degrees, twisted_spectra, d5=False, dump_pages=False):
-    """(label, n, N, argv, code, stderr) for each `ahss` query of the grid:
-    every spectrum and group of the grid, untwisted, and also twisted on the
-    spectra named in twisted_spectra; each with `--d5 zero` if d5 asks, and
-    as `--json --dump-pages` into a temporary file if dump_pages asks."""
+    """(label, n, N, argv, code, stdout, stderr, pages text) for each `ahss`
+    query of the grid: every spectrum and group of the grid, untwisted, and
+    also twisted on the spectra named in twisted_spectra; each with `--d5
+    zero` if d5 asks, and as `--json --dump-pages pages.json` if dump_pages
+    asks.  That file is written in a temporary directory, and its text is
+    "" where the query wrote none."""
     with tempfile.TemporaryDirectory() as tmp:
-        pages = ["--json", "--dump-pages", os.path.join(tmp, "pages.json")] if dump_pages else []
+        path = Path(tmp, "pages.json")
+        pages = ["--json", "--dump-pages", path.name] if dump_pages else []
         for spec in SPECTRA:
             for twist in ([], TWIST) if spec in twisted_spectra else ([],):
                 flags = twist + (D5 if d5 else [])
@@ -76,8 +80,11 @@ def sweep(space_degrees, total_degrees, twisted_spectra, d5=False, dump_pages=Fa
                         for N in total_degrees:
                             argv = ["ahss", "--spectrum", spec, "--group", group, "--space-degree",
                                     str(n), "--total-degree", str(N)] + flags + pages
-                            code, _out, err = run_query(argv)
-                            yield label, n, N, argv, code, err
+                            # argv names the pages file alone, so it reads the same in every run
+                            code, out, err = run_query(argv[:-1] + [str(path)] if pages else argv)
+                            text = path.read_text() if path.exists() else ""
+                            path.unlink(missing_ok=True)
+                            yield label, n, N, argv, code, out, err, text
 
 
 def answered_counts(results) -> tuple[dict, list[str]]:
@@ -85,7 +92,7 @@ def answered_counts(results) -> tuple[dict, list[str]]:
     an exit outside DOCUMENTED_EXITS or a traceback on stderr."""
     counts: dict[str, dict[str, dict[int, int]]] = {}
     failures = []
-    for label, n, N, argv, code, err in results:
+    for label, n, N, argv, code, _out, err, _pages in results:
         if code not in DOCUMENTED_EXITS or "Traceback" in err:
             failures.append(f"{' '.join(argv)}: exit {code}\n{err}")
         row = counts.setdefault(label, {}).setdefault(str(n), {})

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfcond.abelian import FinAbGroup, UnsupportedRangeError
+from surfcond.ahss import run_ahss, smash_freeness_check
 from surfcond.em_cohomology import (
     CapExceededError,
     EmAlgebra,
     EmSpace,
     algebra_for,
     poincare_series,
-    reduced_smash_basis,
     serre_generators,
 )
 from surfcond.gf2 import Gf2Matrix, bits
@@ -215,8 +215,25 @@ class TestAlgebraCache:
         X = EmSpace.single(2, 2)
         with pytest.raises(TypeError):
             EmAlgebra(X)
-        with pytest.raises(TypeError):
-            reduced_smash_basis(X, X, 5)
+
+    def test_shared_algebra_is_read_only(self):
+        # an edited cap would poison every later run that shares the algebra
+        alg = algebra_for(EmSpace.single(2, 2), 7)
+        for name in ("cap", "space", "generators", "_basis_pos", "fresh"):
+            with pytest.raises(AttributeError):
+                setattr(alg, name, 3)
+        for name in ("cap", "_sq_matrix_cache"):
+            with pytest.raises(AttributeError):
+                delattr(alg, name)
+        assert alg.cap == 7
+        report = run_ahss(FinAbGroup((2,)), 2, "SW", 5)[1]
+        assert report.verdict == "0"
+
+    def test_equal_and_hashed_by_identity(self):
+        space = EmSpace.single(2, 2)
+        fresh = EmAlgebra(space, 7)
+        assert fresh != algebra_for(space, 7) and fresh == fresh
+        assert len({fresh, algebra_for(space, 7)}) == 2
 
 
 class TestForeignClasses:
@@ -407,9 +424,17 @@ def test_product_sq_is_the_cartan_sum_over_single_factors(factors, cap):
 
 
 class TestSmash:
+    """The reduced smash classes that smash_freeness_check certifies."""
+
+    @staticmethod
+    def classes(X, Y, degree, cap):
+        check = smash_freeness_check(X, Y, degree, (degree - 1, cap))
+        assert check["dimension"] == len(check["classes"])
+        return [c["class"] for c in check["classes"]]
+
     def test_classes_in_sorted_monomial_order(self):
-        # the certificate order of smash_freeness_check, whatever order the
-        # product algebra lists its basis in
+        # the certificate order, whatever order the product algebra lists
+        # its basis in
         X, Y = EmSpace.single(2, 2), EmSpace.single(4, 2)
         names = {
             5: ["i2*b2(i2')", "i2'*Sq1(i2)"],
@@ -417,25 +442,23 @@ class TestSmash:
             7: ["i2*i2'*Sq1(i2)", "i2*i2'*b2(i2')", "i2*Sq2 b2(i2')", "i2^2*b2(i2')",
                 "i2'*Sq2 Sq1(i2)", "i2'^2*Sq1(i2)"],
         }
+        alg = algebra_for(X.product(Y), 12)
         for degree, expected in names.items():
-            classes = reduced_smash_basis(X, Y, degree, 12)
-            monos = [m for c in classes for m in c.monomials]
-            assert monos == sorted(monos) and len(monos) == len(classes)
-            assert [str(c) for c in classes] == expected
+            assert self.classes(X, Y, degree, 12) == expected
+            monos = [m for m in alg.basis(degree) if alg.format_monomial(m) in expected]
+            assert [alg.format_monomial(m) for m in sorted(monos)] == expected
 
     def test_reduced_smash_degree_five(self):
         X = EmSpace.single(2, 2)
-        classes = reduced_smash_basis(X, X, 5, cap=9)
-        assert len(classes) == 2
-        assert all(not c.is_zero for c in classes)
+        assert self.classes(X, X, 5, 9) == ["i2*Sq1(i2')", "i2'*Sq1(i2)"]
 
     def test_reduced_smash_degree_four(self):
         X = EmSpace.single(2, 2)
-        assert len(reduced_smash_basis(X, X, 4, cap=9)) == 1
+        assert self.classes(X, X, 4, 9) == ["i2*i2'"]
 
     def test_nothing_below_connectivity(self):
         X = EmSpace.single(2, 2)
-        assert reduced_smash_basis(X, X, 3, cap=9) == []
+        assert self.classes(X, X, 3, 9) == []
 
 
 class TestFormatting:

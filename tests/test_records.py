@@ -15,7 +15,7 @@ from surfcond.acceptance import CheckResult
 from surfcond.ahss import TotalDegreeReport, assemble_e2, run_ahss
 from surfcond.coefficients import CoeffOverrides, circle_row, spectrum
 from surfcond.condense import SkeletalCategory, Verdict
-from surfcond.em_cohomology import EmSpace, Generator
+from surfcond.em_cohomology import EmAlgebra, EmSpace, Generator
 from surfcond.gf2 import Gf2Matrix
 from surfcond.record import Frozen
 from surfcond.steenrod import SteenrodMonomial, SteenrodWord
@@ -42,7 +42,13 @@ VALUES = {
 }
 # a read-only mapping or a list among their fields: equal, but unhashable
 UNHASHABLE = {"Page", "CircleRow", "Verdict"}
-FROZEN = {**VALUES, "CoeffOverrides": CoeffOverrides}
+# compared and hashed by identity: a loaded file keys a cache, and classes
+# compare their algebras with `is`
+BY_IDENTITY = {
+    "CoeffOverrides": CoeffOverrides,
+    "EmAlgebra": lambda: EmAlgebra(EmSpace.single(2, 2), 4),
+}
+FROZEN = {**VALUES, **BY_IDENTITY}
 
 
 def fields(record) -> tuple:
@@ -129,7 +135,7 @@ def test_records_take_equality_and_hash_from_the_base():
     assert set(records) == set(FROZEN)
     for name, cls in records.items():
         own = {"__eq__", "__hash__"} & set(vars(cls))
-        if name == "CoeffOverrides":  # a loaded file compares by identity
+        if name in BY_IDENTITY:
             assert (cls.__eq__, cls.__hash__) == (object.__eq__, object.__hash__)
         else:
             assert not own, f"{name} defines {sorted(own)}"
