@@ -184,23 +184,32 @@ def smith_normal_form(relation_matrix) -> FinAbGroup:
     The elimination runs modulo a D with D * Z^cols inside the row lattice,
     so every entry stays in [0, D) and none can grow (Domich-Kannan-Trotter
     modulo-determinant arithmetic).  D is the lcm over the columns j of the
-    gcd of the rows d * e_j.  The rows are streamed one at a time into an
-    echelon basis over Z/D of at most cols rows, whose Smith form over Z/D
-    gives the invariant factors gcd(d_i, D).  relation_matrix is read twice,
-    so it must be a sequence of rows.
+    gcd of the rows d * e_j.  relation_matrix is read twice, so it must be
+    a sequence of rows.
+
+    The rows are put in echelon form over Z/D (_echelon); while some row
+    has more than one entry, so is their transpose, as column operations
+    are row operations on the transpose (Cohen, Algorithm 2.4.14).  This
+    ends.  Sorted by pivot column, the first row's pivot, the corner, is
+    the only entry of its column, and the next pass reduces that column
+    first: Euclid over the corner row leaves its gcd as the new corner, a
+    divisor of the old one.  So either the corner strictly decreases, or
+    it divided its row, which is then cleared: its row and column are
+    clean, and stay clean.  Then the same holds for the next corner.  Each
+    diagonal entry d gives Z/gcd(d, D), and each column without one Z/D.
     """
     ncols = len(relation_matrix[0]) if relation_matrix else 0
     D = _modulus(relation_matrix, ncols)
     if ncols == 0 or D == 1:
         return FinAbGroup.trivial()
-    basis: dict[int, dict[int, int]] = {}
-    units: set[int] = set()
     columns = range(ncols)
-    for r in relation_matrix:
-        row = {j: v for j in itertools.compress(columns, r) if (v := int(r[j]) % D)}
-        if row:
-            _insert(basis, units, row, D)
-    return FinAbGroup.from_factors(_diagonal(list(basis.values()), ncols, D))
+    rows = _echelon(
+        [{j: v for j in itertools.compress(columns, r) if (v := int(r[j]) % D)}
+         for r in relation_matrix], D)
+    while any(len(row) > 1 for row in rows):
+        rows = _echelon([{i: row[j] for i, row in enumerate(rows) if j in row} for j in columns], D)
+    diagonal = [math.gcd(x, D) for row in rows for x in row.values()]
+    return FinAbGroup.from_factors(diagonal + [D] * (ncols - len(rows)))
 
 
 def _modulus(rows, ncols: int) -> int:
@@ -232,73 +241,25 @@ def _subtract(row: dict[int, int], q: int, b: dict[int, int], D: int) -> None:
             row.pop(j, None)
 
 
-def _insert(
-    basis: dict[int, dict[int, int]], units: set[int], row: dict[int, int], D: int
-) -> None:
-    """Reduce one sparse row into the echelon basis over Z/D (keyed by pivot column).
-
-    A basis row whose pivot is a unit mod D is scaled to pivot 1 and cleared
-    from every other basis row; its column is then in ``units``, and a row
-    is reduced at all of those columns in one pass.  At any other pivot the
-    two rows run Euclid's algorithm, which leaves the gcd of their entries
-    as the pivot.  Each step keeps the lattice spanned with D * Z^n
-    unchanged.
-    """
-    for c in [c for c in row if c in units]:
-        _subtract(row, row[c], basis[c], D)
-    while row:
-        c = min(row)
-        b = basis.get(c)
-        if b is None:
-            if math.gcd(row[c], D) == 1:
-                u = pow(row[c], -1, D)
-                row = {j: x * u % D for j, x in row.items()}
-                for other in basis.values():
-                    if c in other:
-                        _subtract(other, other[c], row, D)
-                units.add(c)
-            basis[c] = row
-            return
-        while c in row:
-            _subtract(row, row[c] // b[c], b, D)
-            if c in row:
-                b, row = row, b
-        basis[c] = b
-
-
-def _diagonal(rows: list[dict[int, int]], ncols: int, D: int) -> list[int]:
-    """Cokernel factors of the rows together with D * Z^ncols.
-
-    Smith form over Z/D by row and column operations: the smallest entry
-    reduces its column and its row, and a nonzero remainder becomes the
-    next, smaller, pivot.  Each finished pivot d contributes gcd(d, D), and
-    each column left without a pivot Z/D.
-    """
-    m = [[row.get(j, 0) for j in range(ncols)] for row in rows]
-    factors = []
-    while m:
-        p, i, j = min((x, i, j) for i, r in enumerate(m) for j, x in enumerate(r) if x)
-        piv = m[i]
-        done = True
-        for k, r in enumerate(m):
-            if k != i and r[j]:
-                q = r[j] // p
-                m[k] = r = [(x - q * y) % D for x, y in zip(r, piv)]
-                done = done and not r[j]
-        for k in range(ncols):
-            if k != j and piv[k]:
-                q = piv[k] // p
-                for r in m:
-                    r[k] = (r[k] - q * r[j]) % D
-                done = done and not piv[k]
-        if done:
-            factors.append(math.gcd(p, D))
-            del m[i]
-            for r in m:
-                del r[j]
-            ncols -= 1
-        m = [r for r in m if any(r)]
-    return factors + [D] * ncols
+def _echelon(rows, D: int) -> list[dict[int, int]]:
+    """Echelon form over Z/D of sparse rows, reduced in place and sorted by
+    pivot column (a row's smallest).  Two rows with the same pivot run
+    Euclid, which leaves the gcd of their pivot entries; no step moves the
+    lattice spanned with D * Z^n."""
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            b = basis.get(c)
+            if b is None:
+                basis[c] = row
+                break
+            while c in row:
+                _subtract(row, row[c] // b[c], b, D)
+                if c in row:
+                    b, row = row, b
+            basis[c] = b
+    return [basis[c] for c in sorted(basis)]
 
 
 # ---------------------------------------------------------------------------

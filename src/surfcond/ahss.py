@@ -54,14 +54,14 @@ class Page(Frozen):
         self._set(number, spectrum, max_total, entries, circle, algebra, log, previous)
 
     def entry(self, i: int, j: int) -> GroupExpr | None:
-        if (i, j) in self.entries:
-            return self.entries[(i, j)]
-        if 0 <= i and 0 <= j and i + j <= self.max_total:
-            raise UnsupportedRangeError(f"entry ({i},{j}) missing from page")
-        return GroupExpr.zero()
+        """The entry at (i, j); zero off the page, which holds every i + j <= max_total."""
+        return self.entries.get((i, j), _ZERO)
 
     def row_kind(self, j: int) -> str:
         return _row_kind(self.spectrum, j)
+
+
+_ZERO = GroupExpr.zero()  # read-only, so one instance serves every off-page entry
 
 
 def _record(**fields) -> Mapping:
@@ -162,6 +162,9 @@ def _opaque_entry(i: int, j: int, spec_table: SpectrumTable, algebra) -> GroupEx
 # ---------------------------------------------------------------------------
 # d2 and the E3 page
 
+# the model's only d2: (source row, target row kind) -> rule
+_D2_RULES = {(2, "z2"): "sq2", (1, "circle"): "exp_sq2"}
+
 
 def apply_d2(page: Page) -> Page:
     """Turn the page once: a new E3 page, final in the target total degree.
@@ -200,7 +203,8 @@ def apply_d2(page: Page) -> Page:
         target = page.row_kind(j - 1) if j >= 1 else "zero"
         if target == "zero":
             return None, 0
-        if (j, target) not in ((2, "z2"), (1, "circle")):
+        rule = _D2_RULES.get((j, target))
+        if rule is None:
             raise UnsupportedRangeError(f"no differential rule from row {j} into row {j - 1}")
         mat = alg.sq_matrix(2, i)
         if tw:
@@ -208,10 +212,8 @@ def apply_d2(page: Page) -> Page:
         if target == "circle":
             mat = mat.then(page.circle.comparison_matrix(alg, i + 2, mat))
         rank = mat.rank()
-        rule = ("exp_sq2" if target == "circle" else "sq2") + ("_twisted" if tw else "")
-        log.append(
-            _record(kind="d2", source=(i, j), target=(i + 2, j - 1), rank=rank, rule=rule)
-        )
+        log.append(_record(kind="d2", source=(i, j), target=(i + 2, j - 1), rank=rank,
+                           rule=rule + ("_twisted" if tw else "")))
         return mat, rank
 
     checked_chains = 0
@@ -221,8 +223,6 @@ def apply_d2(page: Page) -> Page:
         old = page.entry(i, j)
         if kind in ("zero", "opaque"):
             continue  # zero rows stay zero; opaque entries pass unchanged at d2
-        if kind == "circle" and old is None:
-            raise UnsupportedRangeError(f"circle entry ({i},{j}) not tabulated")
         outgoing, out_rank = d2_from(i, j) if kind == "z2" else (None, 0)
         above = page.row_kind(j + 1) if j + 1 <= page.spectrum.max_degree else "zero"
         if above not in ("zero", "z2") and (kind == "z2" or i >= 2):
@@ -457,21 +457,12 @@ def product_split(
     factor runs through the spectral sequence, with d5 = 0 declared when
     d5_zero asks; each pair of factors gives one smash summand.  The split's
     verdict is the direct sum when every summand is computed, "nonzero" when
-    a smash summand is certified, and "inconclusive" otherwise.  The split
-    reads only its cyclic factors' circle rows, so a circle-row or
-    comparison override keyed by E itself raises UnsupportedRangeError.
+    a smash summand is certified, and "inconclusive" otherwise.
     """
     spec_table = spectrum(spectrum_name, overrides)
     # each cyclic factor as a group and as its own Eilenberg-MacLane space
     factors = EmSpace.from_group(E, n).factors
     pieces = [(FinAbGroup.cyclic(m), EmSpace(((m, d),))) for m, d in factors]
-    keys = [*overrides.circle_overrides, *overrides.comparison_overrides] if overrides else []
-    for key in keys:
-        if key[:2] == (str(E), n) and E not in [F for F, _X in pieces]:
-            section = "circle_row" if len(key) == 2 else "comparison"
-            raise UnsupportedRangeError(
-                f"override {section} key {'|'.join(map(str, key))!r} is for {E} itself: "
-                "the product split reads only its cyclic factors' rows")
     point = str(spec_table.entry(N)) if N <= spec_table.max_degree else None
     summands = [_summand("point", "unknown" if point is None else "computed", point)]
     for idx, (F, _X) in enumerate(pieces):

@@ -33,6 +33,7 @@ from .gf2 import Gf2Matrix
 from .record import Frozen
 
 DEFAULT_CAP = 12  # the mod-2 degree range of the tables and their overrides
+_CIRCLE_N = (2, 4)  # the space degrees n with a circle row
 
 
 class UnspecifiedComparisonError(UnsupportedRangeError):
@@ -223,8 +224,9 @@ def circle_row(
 
 @lru_cache(maxsize=None)
 def _circle_row(E, n, overrides):
-    if n not in (2, 4):
-        raise UnsupportedRangeError(f"circle rows only tabulated for n in {{2, 4}}, not {n}")
+    if n not in _CIRCLE_N:
+        raise UnsupportedRangeError(
+            f"circle rows only tabulated for n in {set(_CIRCLE_N)}, not {n}")
     cyclic = len(E.invariant_factors) <= 1
     d = E.invariant_factors[0] if E.invariant_factors else 1
     k, _odd = two_part(d) if cyclic else (0, 0)
@@ -324,13 +326,16 @@ class CoeffOverrides(Frozen):
     degree key that is not an integer) raises ValueError naming the section
     and the key.  So does a degree outside the table it overrides: above the
     built-in spectrum's top degree, or above the mod-2 algebra cap
-    DEFAULT_CAP for circle rows and comparison data, or negative; and, when
-    the row is built, a comparison monomial name outside the basis of its
-    degree.  The tables built from an override carry a note
-    for each value it replaced (SpectrumTable.notes, CircleRow.notes), and
-    the E2 page logs those notes once each.  Instances compare and hash by
-    identity, so a loaded file can key a cache (ahss.run_ahss); their tables
-    are read-only views, so no edit can leave such a cache stale.
+    DEFAULT_CAP for circle rows and comparison data, or negative; a
+    comparison monomial name outside the basis of its degree; and a
+    circle_row or comparison key that no query reads: one whose n has no
+    circle row, or whose group has two or more even factors (the product
+    split reads only its cyclic factors' rows).  The tables built from an
+    override carry a note for each value it replaced (SpectrumTable.notes,
+    CircleRow.notes), and the E2 page logs those notes once each.
+    Instances compare and hash by identity, so a loaded file can key a
+    cache (ahss.run_ahss); their tables are read-only views, so no edit can
+    leave such a cache stale.
     """
 
     __slots__ = ("spectrum_overrides", "circle_overrides", "comparison_overrides")
@@ -364,14 +369,20 @@ class CoeffOverrides(Frozen):
             spectra[name] = _expr_table("spectrum", name, table, top)
         for key, table in sections["circle_row"].items():
             group, n = _key("circle_row", key, "group|n")
-            rows[(group, n)] = _expr_table("circle_row", key, table, DEFAULT_CAP)
+            rows[(str(group), n)] = _expr_table("circle_row", key, table, DEFAULT_CAP)
         for key, table in sections["comparison"].items():
             group, n, i = _key("comparison", key, "group|n|degree")
             if not 0 <= i <= DEFAULT_CAP:
                 raise ValueError(
                     f"override comparison key {key!r}: degree {i} is outside 0..{DEFAULT_CAP}"
                 )
-            images[(group, n, i)] = _image_table(key, table)
+            images[(str(group), n, i)] = _image_table(key, table)
+            unknown = sorted(set(table) - set(_monomial_names(group, n, i)))
+            if unknown:
+                raise ValueError(
+                    f"override comparison[{key!r}]: no basis monomial of "
+                    f"H^{i}(K({group},{n}); Z2) is named {', '.join(unknown)}"
+                )
         return CoeffOverrides(spectra, rows, images)
 
     def apply_circle_row(self, E, n, entries, prov, comparison) -> tuple[str, ...]:
@@ -382,12 +393,6 @@ class CoeffOverrides(Frozen):
             notes.append(f"override: circle row ({E}, {n}) degree {i} -> {expr}")
         for (g, nn, i), table in self.comparison_overrides.items():
             if g == str(E) and nn == n:
-                unknown = sorted(set(table) - set(_monomial_names(E, n, i)))
-                if unknown:
-                    raise ValueError(
-                        f"override comparison[{g}|{n}|{i}]: no basis monomial of "
-                        f"H^{i}(K({E},{n}); Z2) is named {', '.join(unknown)}"
-                    )
                 comparison.setdefault(i, {}).update(table)
                 notes.append(f"override: comparison data ({E}, {n}) degree {i}")
         return tuple(notes)
@@ -408,17 +413,24 @@ def _section(raw: dict, name: str) -> dict[str, dict]:
 
 
 def _key(section: str, key: str, shape: str) -> tuple:
-    """Split a `group|n` or `group|n|degree` key into (str(group), n[, degree])."""
+    """Split a `group|n` or `group|n|degree` key into (group, n[, degree]),
+    refusing one that no query reads."""
     parts = key.rsplit("|", shape.count("|"))
     if len(parts) != shape.count("|") + 1:
         raise ValueError(f"override {section} key {key!r} is not of the form {shape}")
     try:
-        group = str(parse_group(parts[0]))
-        return (group, *(int(p) for p in parts[1:]))
+        group, n, *degree = parse_group(parts[0]), *(int(p) for p in parts[1:])
     except ValueError as exc:
         raise ValueError(
             f"override {section} key {key!r} is not of the form {shape}: {exc}"
         ) from None
+    if n not in _CIRCLE_N:
+        raise ValueError(f"override {section} key {key!r}: circle rows are tabulated "
+                         f"for n in {set(_CIRCLE_N)}, not {n}")
+    if even_count(group.invariant_factors) > 1:
+        raise ValueError(f"override {section} key {key!r}: {group} has two or more even "
+                         "factors, and the product split reads only its cyclic factors' rows")
+    return (group, n, *degree)
 
 
 def _image_table(key: str, table: dict) -> dict[str, tuple[int, ...] | None]:

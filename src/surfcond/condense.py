@@ -229,8 +229,8 @@ def obstruction_verdict(E: FinAbGroup, statistic: str, level: str) -> Verdict:
                 ["degree-5 circle-coefficient group reported without interpretation"
                  " [computed]"],
             )
+        ps = product_split(E, "SW", 2, 5, d5_zero=True)
         if even == 1:
-            ps = product_split(E, "SW", 2, 5, d5_zero=True)
             ok = ps["verdict"] == "0"
             return Verdict(
                 "braided/fermionic/cyclic-2-part",
@@ -243,7 +243,6 @@ def obstruction_verdict(E: FinAbGroup, statistic: str, level: str) -> Verdict:
                  " [declared input]"],
                 {"split": ps},
             )
-        ps = product_split(E, "SW", 2, 5, d5_zero=True)
         return Verdict(
             "braided/fermionic/two-even-factors",
             "obstructed classes exist: smash summands contribute free A(1)"

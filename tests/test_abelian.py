@@ -107,8 +107,19 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError):
             smith_normal_form([[1, 1], [2, 2]])
 
+    @pytest.mark.parametrize("rows, expected", [
+        # the corner 2 does not divide its row [2, 1]: two column passes
+        ([[2, 1], [0, 2], [4, 0], [0, 4]], (4,)),
+        ([[4, 6], [12, 0], [0, 12]], (2, 12)),
+        # the corners shrink over several passes between rows and columns
+        ([[16, 0, 0, 0, 0], [0, 8, 0, 0, 0], [0, 0, 36, 0, 0], [0, 0, 0, 16, 0],
+          [0, 0, 0, 0, 12], [22, 13, 0, 22, 4], [28, 18, 29, 38, 9]], (4, 8, 16)),
+    ])
+    def test_row_and_column_passes(self, rows, expected):
+        assert smith_normal_form(rows) == FinAbGroup(expected)
+
     @given(
-        st.integers(min_value=1, max_value=4).flatmap(
+        st.integers(min_value=1, max_value=5).flatmap(
             lambda ncols: st.lists(
                 st.lists(st.integers(min_value=-9, max_value=9), min_size=ncols, max_size=ncols),
                 min_size=1,

@@ -246,27 +246,46 @@ class TestRouting:
         assert fresh[tuple(plain)]["result"]["verdict"] == "0"
 
     @pytest.mark.parametrize("section, table, group, key", [
-        ("circle_row", {"Z/4 x Z/2|2": {"5": "Z/2"}}, "Z/2 x Z/4", "circle_row key 'Z/2 x Z/4|2'"),
+        ("circle_row", {"Z/2 x Z/4|2": {"5": "Z/2"}}, "Z/2 x Z/4", "circle_row key 'Z/2 x Z/4|2'"),
         ("comparison", {"Z/2 x Z/2|2|5": {"nonsense": [1]}}, "Z/2 x Z/2",
          "comparison key 'Z/2 x Z/2|2|5'"),
     ])
     def test_override_keyed_by_the_product_group_is_refused(self, capsys, tmp_path, section,
                                                               table, group, key):
-        # the split builds circle rows for the cyclic factors only, so such
-        # an override would neither be applied nor checked
+        # the split builds circle rows for the cyclic factors only, so no
+        # query reads such a key: the file is refused when it is loaded
         path = tmp_path / "ov.json"
         path.write_text(json.dumps({section: table}))
+        for n, N in ((2, 5), (4, 7)):
+            code, out, err = run(capsys, ["ahss", "--spectrum", "SW", "--group", group,
+                                          "--space-degree", str(n), "--total-degree", str(N),
+                                          "--coeff-overrides", str(path)])
+            assert (code, out) == (2, "")
+            assert err == (f"error: override {key}: {group} has two or more even factors, and "
+                           "the product split reads only its cyclic factors' rows\n")
 
-        def argv(n, N):
-            return ["ahss", "--spectrum", "SW", "--group", group, "--space-degree", str(n),
-                    "--total-degree", str(N), "--coeff-overrides", str(path)]
+    @pytest.mark.parametrize("table, message", [
+        # no circle row has n = 3, so no query reads this key
+        ({"circle_row": {"Z/2|3": {"5": "0"}}},
+         "override circle_row key 'Z/2|3': circle rows are tabulated for n in {2, 4}, not 3"),
+        # a misspelt monomial of a row that this query does not build
+        ({"comparison": {"Z/8|4|7": {"nonsense": [1]}}},
+         "override comparison['Z/8|4|7']: no basis monomial of H^7(K(Z/8,4); Z2) is named "
+         "nonsense"),
+    ], ids=["n-without-circle-row", "monomial-of-another-row"])
+    def test_override_that_no_query_reads_is_refused_at_load(self, capsys, tmp_path, table,
+                                                             message):
+        path = tmp_path / "ov.json"
+        path.write_text(json.dumps(table))
+        argv = SW_Z2_DEG5 + ["--json", "--coeff-overrides", str(path)]
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
-        code, out, err = run(capsys, argv(2, 5))
-        assert (code, out) == (3, "")
-        assert err == (f"unsupported: override {key} is for {group} itself: the product "
-                       "split reads only its cyclic factors' rows\n")
-        # the same key at another space degree is not this split's
-        assert run(capsys, argv(4, 7)) == run(capsys, argv(4, 7)[:-2])
+    def test_override_that_other_queries_read_is_accepted(self, capsys, tmp_path):
+        # a Z/8, n = 2 row is not this Z/2 query's, but a Z/8 query reads it
+        path = tmp_path / "ov.json"
+        path.write_text(json.dumps({"circle_row": {"Z/8|2": {"5": "0"}}}))
+        argv = SW_Z2_DEG5 + ["--json"]
+        assert run(capsys, argv + ["--coeff-overrides", str(path)]) == run(capsys, argv)
 
 
 SW_Z2_DEG5 = ["ahss", "--spectrum", "SW", "--group", "Z/2", "--space-degree", "2",

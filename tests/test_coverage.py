@@ -12,18 +12,22 @@ degree n, total degree N) of the tier-1 grid; the twisted runs count under
 with `PYTHONPATH=src python tests/test_coverage.py` and list the new cells.
 The full grid (n = 1..5, N = 0..10, both twist settings on every spectrum,
 with and without `--d5 zero`, each query as text and as `--json
---dump-pages`) runs in CI through `sweep` and `answered_counts`; that step
-also prints one sha256 over every query's argv, exit code, stdout, stderr
-and pages-file text.
+--dump-pages`) runs in CI through `print_grid_hashes`, which also prints
+one sha256 over every query's argv, exit code, stdout, stderr and
+pages-file text, and one over the override grid's argv, exit code, stdout
+and stderr.  To reproduce both hashes locally:
+`PYTHONPATH=src:tests python -c 'import test_coverage as t; t.print_grid_hashes()'`.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 import traceback
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from unittest import mock
 
@@ -157,15 +161,55 @@ OVERRIDES = (
 )
 
 
-def test_ahss_override_grid_exits_are_documented(tmp_path):
+def override_queries(directory) -> list[list[str]]:
+    """Write each override file into directory, and return the `ahss`
+    queries of the override grid.  They name the files relative to
+    directory, so run there, no argv or error message holds its path."""
     queries = []
     for k, raw in enumerate(OVERRIDES):
-        path = tmp_path / f"ov{k}.json"
-        path.write_text(json.dumps(raw))
+        Path(directory, f"ov{k}.json").write_text(json.dumps(raw))
         for spec, group, n, N in product(SPECTRA, ("Z/2", "Z/4", "Z/2 x Z/2"), (2, 4), range(8)):
             queries.append(["ahss", "--spectrum", spec, "--group", group, "--space-degree",
-                            str(n), "--total-degree", str(N), "--coeff-overrides", str(path)])
-    assert_exits(queries, DOCUMENTED_EXITS)
+                            str(n), "--total-degree", str(N), "--coeff-overrides", f"ov{k}.json"])
+    return queries
+
+
+def test_ahss_override_grid_exits_are_documented(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert_exits(override_queries(tmp_path), DOCUMENTED_EXITS)
+
+
+def print_grid_hashes() -> int:
+    """Print the answered count per spectrum of the full `ahss` grid, one
+    sha256 over each of its queries' argv, exit code, stdout, stderr and
+    pages text, one sha256 over the override grid's argv, exit code, stdout
+    and stderr, and the full grid's failing queries; 1 if there are any."""
+    digest = hashlib.sha256()
+
+    def hashed(results):
+        for result in results:  # argv, exit code, stdout, stderr, pages text
+            digest.update(repr(result[3:]).encode())
+            yield result
+
+    counts, failures = answered_counts(hashed(chain.from_iterable(
+        sweep(range(1, 6), range(0, 11), twisted_spectra=SPECTRA, d5=d5, dump_pages=dump)
+        for d5, dump in product((False, True), repeat=2))))
+    for label, by_n in counts.items():
+        print("%-37s %4d answered" % (label, sum(map(sum, by_n.values()))))
+    print("sha256 over every query (argv, exit code, stdout, stderr, pages text): %s"
+          % digest.hexdigest())
+    overrides, cwd = hashlib.sha256(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for argv in override_queries(tmp):
+                overrides.update(repr((argv, *run_query(argv))).encode())
+        finally:
+            os.chdir(cwd)
+    print("sha256 over the override grid (argv, exit code, stdout, stderr): %s"
+          % overrides.hexdigest())
+    print("\n".join(failures))
+    return 1 if failures else 0
 
 
 LEVELS = ("fusion", "braided", "sylleptic", "symmetric")
