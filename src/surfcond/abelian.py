@@ -347,9 +347,13 @@ def quad_group_brute(E: FinAbGroup, target: str) -> FinAbGroup:
     """Independent enumeration: solve the linearized axioms element by element.
 
     Values live in Z/m with m = 2*exponent(E) (circle) or m = 2.  The axioms
-    are Z/m-linear conditions on the value vector (q(x))_{x != 0}; the
-    solution group is the cokernel of the stacked relations together with
-    m * identity.
+    are Z/m-linear conditions on the values q(x), x != 0; the solution group
+    is the cokernel of the stacked relations together with m * identity.
+
+    The axiom q(-x) = q(x) is solved by construction: x and -x share one
+    unknown, so there is one column per pair {x, -x} of nonzero elements.
+    Eliminating q(-x) by the unit-pivot row q(x) - q(-x) is a unimodular
+    step, so this leaves the cokernel as it is.
 
     Biadditivity is imposed on the generators of E only.  The cubic
     difference q(x+y+z) - q(x+y) - q(x+z) - q(y+z) + q(x) + q(y) + q(z) is
@@ -357,52 +361,50 @@ def quad_group_brute(E: FinAbGroup, target: str) -> FinAbGroup:
     all y, z contains 0 (q(0) = 0), and x, x' in S gives x + x' in S
     (expand b(x + (x'+y), z) twice), so S is a subgroup of the finite group
     E and equals E once it holds the invariant-factor generators
-    e_1..e_r.  So the relations are q(-x) = q(x), the cubic difference for
-    x = e_i and nonzero y <= z (r * n(n+1)/2 of them for the n = |E| - 1
-    nonzero elements, against the C(n+2, 3) triples x <= y <= z), and
-    m * identity.  Reduced mod m, the relations repeat a lot: each distinct
-    nonzero one is passed once.  For the 18 Quad groups of selftest that
-    leaves 1462 of the 3360 relation rows, beside the 192 rows of
-    m * identity.
+    e_1..e_r.  So the relations are the cubic difference for x = e_i and
+    nonzero y <= z (r * n(n+1)/2 of them for the n = |E| - 1 nonzero
+    elements, against the C(n+2, 3) triples x <= y <= z), and m * identity
+    (one row per column, which sets the modulus).  Reduced mod m, the
+    relations repeat a lot: each distinct nonzero one is passed once.  For
+    the 18 Quad groups of selftest that leaves 481 of the 3352 cubic
+    differences, beside the 140 rows of m * identity.
     """
     if E.is_trivial:
         return FinAbGroup.trivial()
     m = 2 * E.exponent if target == CIRCLE else 2
-    # elements by index, 0 the zero element; q(x) of element i is column i - 1
+    # elements by index, 0 the zero element
     elems = list(E.elements())
     index = {e: i for i, e in enumerate(elems)}
     add = [[index[E.add(x, y)] for y in elems] for x in elems]
-    n = len(elems) - 1
+    # col[i] is the column of q(x) for element i, shared by x and -x; the
+    # zero element gets the extra column n, which each row drops (q(0) = 0)
+    col = [0] * len(elems)
+    n = 0
+    for i, e in enumerate(elems[1:], 1):
+        j = index[E.neg(e)]
+        if j < i:
+            col[i] = col[j]
+        else:
+            col[i] = n
+            n += 1
+    col[0] = n
 
     # each relation reduced mod m, kept once: the rows m * e_i below span
     # m * Z^n, so neither step moves the row lattice
     relations: dict[tuple[int, ...], None] = {}
-
-    def relate(*terms):
-        row = [0] * n
-        for sign, i in terms:
-            if i:
-                row[i - 1] += sign
-        row = tuple([v % m for v in row])
-        if any(row):
-            relations[row] = None
-
-    for i, e in enumerate(elems[1:], 1):
-        relate((1, i), (-1, index[E.neg(e)]))
     r = len(E.invariant_factors)
     generators = [index[tuple(int(j == i) for j in range(r))] for i in range(r)]
     for x in generators:
-        for y, z in itertools.combinations_with_replacement(range(1, n + 1), 2):
+        for y, z in itertools.combinations_with_replacement(range(1, len(elems)), 2):
             xy = add[x][y]
-            relate(
-                (1, add[xy][z]),
-                (-1, xy),
-                (-1, add[x][z]),
-                (-1, add[y][z]),
-                (1, x),
-                (1, y),
-                (1, z),
-            )
+            row = [0] * (n + 1)
+            for c in (col[add[xy][z]], col[x], col[y], col[z]):
+                row[c] += 1
+            for c in (col[xy], col[add[x][z]], col[add[y][z]]):
+                row[c] -= 1
+            row = tuple([v % m for v in row[:n]])
+            if any(row):
+                relations[row] = None
     rows = list(relations)
     for i in range(n):
         row = [0] * n

@@ -246,8 +246,10 @@ NON_CYCLIC_UP_TO_32 = [
 def _quad_full_axioms(E, target):
     """Quad(E, target) from every cubic difference x <= y <= z, not just x = e_i.
 
-    The reference for the generator lemma in quad_group_brute: the same
-    solver, with biadditivity imposed on all of E.
+    The reference for the generator lemma in quad_group_brute, and for its
+    one column per pair {x, -x}: this solver keeps one column per nonzero
+    element, states q(x) = q(-x) as rows, and imposes biadditivity on all
+    of E.
     """
     m = 2 * E.exponent if target == CIRCLE else 2
     elems = list(E.elements())
@@ -296,7 +298,9 @@ class TestQuadraticForms:
         for target, m in ((CIRCLE, 2 * E.exponent), (Z2_TARGET, 2)):
             q = quad_group_brute(E, target)
             assert q == quad_group(E, target)
-            rows, n = [tuple(r) for r in seen.pop()], E.order - 1
+            # one column per pair {x, -x} of nonzero elements
+            pairs = {frozenset((x, E.neg(x))) for x in E.elements() if any(x)}
+            rows, n = [tuple(r) for r in seen.pop()], len(pairs)
             identity = {tuple(m * (j == i) for j in range(n)) for i in range(n)}
             relations = [r for r in rows if r not in identity]
             assert identity <= set(rows)
@@ -307,6 +311,10 @@ class TestQuadraticForms:
         # every divisibility chain d_1 | ... | d_r with r >= 2 and product <= 16
         groups = {G for G in groups_up_to(16) if len(G.invariant_factors) >= 2}
         assert len(groups) == 9
+        # and two of odd order, where -x != x for every nonzero x: x and -x
+        # share a column in quad_group_brute but not in _quad_full_axioms,
+        # which states q(x) = q(-x) as rows
+        groups |= {FinAbGroup((5, 5)), FinAbGroup((3, 9))}
         for E in groups:
             for target in (CIRCLE, Z2_TARGET):
                 assert quad_group_brute(E, target) == _quad_full_axioms(E, target), (E, target)

@@ -4,6 +4,8 @@ PASS/FAIL line each so the run log doubles as a checklist."""
 from surfcond import abelian, acceptance, ahss
 from surfcond.abelian import FinAbGroup, parse_group
 from surfcond.acceptance import CHECKS, _check
+from surfcond.em_cohomology import EmSpace, algebra_for
+from surfcond.gf2 import Gf2Matrix
 from surfcond.steenrod import SteenrodMonomial, SteenrodWord
 
 CHECK_MAP = dict(CHECKS)
@@ -103,6 +105,20 @@ def test_functor_check_catches_a_wrong_quad_brute_force(monkeypatch):
     assert detail.startswith("Quad(Z/2 x Z/4, ")
 
 
+def test_functor_check_catches_a_wrong_ext_group(monkeypatch):
+    real = acceptance.ext_group
+    bad = (parse_group("Z/2"), parse_group("Z/4"))
+
+    def wrong(A, B):
+        ext = real(A, B)
+        return FinAbGroup.from_factors(ext.invariant_factors + (2,)) if (A, B) == bad else ext
+
+    monkeypatch.setattr(acceptance, "ext_group", wrong)
+    ok, detail = acceptance.check_functor_brute_force()
+    assert not ok
+    assert detail.startswith("Ext(")
+
+
 def test_functor_check_catches_a_wrong_hom_order(monkeypatch):
     real = acceptance.hom_group
     monkeypatch.setattr(
@@ -134,3 +150,15 @@ def test_adem_oracle_catches_a_term_dropped_consistently(monkeypatch):
     ok, detail = acceptance.check_adem_oracle()
     assert not ok
     assert detail.startswith("evaluation mismatch at (2,3)")
+
+
+def test_cartan_check_catches_a_wrong_square_on_the_product(monkeypatch):
+    # Sq2 on degree 4 of K(Z/2,2) x K(Z/2,2), where every class is a product
+    # of two degree-2 classes, has one bit of its first row flipped
+    alg = algebra_for(EmSpace.single(2, 2).product(EmSpace.single(2, 2)), 12)
+    sq2 = alg.sq_matrix(2, 4)
+    flipped = Gf2Matrix((sq2.rows[0] ^ 1,) + sq2.rows[1:], sq2.ncols)
+    monkeypatch.setitem(alg._sq_matrix_cache, (2, 4), flipped)
+    ok, detail = acceptance.check_cartan_products()
+    assert not ok
+    assert detail.startswith("Cartan fails for Sq")
