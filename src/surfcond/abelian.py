@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from functools import lru_cache
 
 from .record import Frozen
 
@@ -364,14 +365,39 @@ def quad_group_brute(E: FinAbGroup, target: str) -> FinAbGroup:
     e_1..e_r.  So the relations are the cubic difference for x = e_i and
     nonzero y <= z (r * n(n+1)/2 of them for the n = |E| - 1 nonzero
     elements, against the C(n+2, 3) triples x <= y <= z), and m * identity
-    (one row per column, which sets the modulus).  Reduced mod m, the
-    relations repeat a lot: each distinct nonzero one is passed once.  For
-    the 18 Quad groups of selftest that leaves 481 of the 3352 cubic
+    (one row per column, which sets the modulus).
+
+    The enumeration does not depend on the target, so both targets share
+    one memoised list of distinct integer rows (`_quad_relations`); only
+    the reduction mod m is per target.  Reduced mod m, the relations repeat
+    a lot: each distinct nonzero one is passed once, and that set is the
+    same whether the integer rows were deduplicated first or not.  For the
+    18 Quad groups of selftest that leaves 481 of the 3352 cubic
     differences, beside the 140 rows of m * identity.
     """
     if E.is_trivial:
         return FinAbGroup.trivial()
     m = 2 * E.exponent if target == CIRCLE else 2
+    n, integer_rows = _quad_relations(E)
+    # each relation reduced mod m, kept once: the rows m * e_i below span
+    # m * Z^n, so neither step moves the row lattice
+    relations: dict[tuple[int, ...], None] = {}
+    for row in integer_rows:
+        row = tuple([v % m for v in row])
+        if any(row):
+            relations[row] = None
+    rows = list(relations)
+    for i in range(n):
+        row = [0] * n
+        row[i] = m
+        rows.append(row)
+    return smith_normal_form(rows)
+
+
+@lru_cache(maxsize=None)
+def _quad_relations(E: FinAbGroup) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The column count n and the distinct integer cubic differences of
+    quad_group_brute, for a nontrivial E."""
     # elements by index, 0 the zero element
     elems = list(E.elements())
     index = {e: i for i, e in enumerate(elems)}
@@ -389,8 +415,6 @@ def quad_group_brute(E: FinAbGroup, target: str) -> FinAbGroup:
             n += 1
     col[0] = n
 
-    # each relation reduced mod m, kept once: the rows m * e_i below span
-    # m * Z^n, so neither step moves the row lattice
     relations: dict[tuple[int, ...], None] = {}
     r = len(E.invariant_factors)
     generators = [index[tuple(int(j == i) for j in range(r))] for i in range(r)]
@@ -402,15 +426,8 @@ def quad_group_brute(E: FinAbGroup, target: str) -> FinAbGroup:
                 row[c] += 1
             for c in (col[xy], col[add[x][z]], col[add[y][z]]):
                 row[c] -= 1
-            row = tuple([v % m for v in row[:n]])
-            if any(row):
-                relations[row] = None
-    rows = list(relations)
-    for i in range(n):
-        row = [0] * n
-        row[i] = m
-        rows.append(row)
-    return smith_normal_form(rows)
+            relations[tuple(row[:n])] = None
+    return n, tuple(relations)
 
 
 def quotient_by_subgroup_image(expr: GroupExpr, generators) -> GroupExpr:

@@ -185,6 +185,11 @@ def _read_only(tables: dict) -> MappingProxyType:
 
 
 def _order2_bits(group: FinAbGroup, elt) -> int:
+    if len(elt) != len(group.invariant_factors):
+        raise ValueError(
+            f"comparison image {tuple(elt)} does not have one coordinate per"
+            f" invariant factor of {group}"
+        )
     bits = 0
     for pos, (c, d) in enumerate(zip(elt, group.invariant_factors)):
         if c == 0:

@@ -1,6 +1,9 @@
 """Acceptance gate: one test per end-to-end criterion, printing one
 PASS/FAIL line each so the run log doubles as a checklist."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from surfcond import abelian, acceptance, ahss
 from surfcond.abelian import FinAbGroup, parse_group
 from surfcond.acceptance import CHECKS, _check
@@ -82,6 +85,36 @@ def test_selftest_runs_each_query_once(monkeypatch):
     monkeypatch.setattr(ahss, "assemble_e2", lambda *a, **k: calls.append(a) or real(*a, **k))
     assert all(result.ok for result in acceptance.run_all())
     assert len(calls) == 9
+
+
+# ---------------------------------------------------------------------------
+# The arguments that let the oracles skip work
+
+
+def _swap(poly, n):
+    """x <-> y on a degree-n polynomial of _SqOnPolynomials: bit p to bit n - p."""
+    return sum(1 << (n - p) for p in range(n + 1) if poly >> p & 1)
+
+
+@given(
+    st.lists(st.integers(0, 8), max_size=3),
+    st.integers(0, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 ** (n + 1) - 1))),
+)
+def test_polynomial_squares_commute_with_the_swap(indices, poly_of_degree):
+    # check_adem_oracle evaluates x^e1 y^e2 with e1 <= e2 only
+    n, poly = poly_of_degree
+    oracle = acceptance._SqOnPolynomials(12 + 3 * 8)
+    out = oracle.act(indices, n, poly)
+    assert oracle.act(indices, n, _swap(poly, n)) == _swap(out, n + sum(indices))
+
+
+def test_functor_check_enumerates_each_quad_group_once():
+    # 9 non-cyclic groups, each solved for the circle and the Z2 target
+    abelian._quad_relations.cache_clear()
+    ok, detail = acceptance.check_functor_brute_force()
+    assert ok, detail
+    info = abelian._quad_relations.cache_info()
+    assert (info.misses, info.hits) == (9, 9)
 
 
 # ---------------------------------------------------------------------------

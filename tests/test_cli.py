@@ -321,6 +321,24 @@ class TestExitContract:
         assert code == 5
         assert "d2 squared nonzero on chain (2,2) -> (4,1)" in err
 
+    @pytest.mark.parametrize("raw, image", [
+        ({"circle_row": {"Z/2|2": {"5": "Z/2 x Z/8"}},
+          "comparison": {"Z/2|2|5": {"Sq2 Sq1(i2)": [1], "i2*Sq1(i2)": [1]}}}, (1,)),
+        ({"comparison": {"Z/2|2|5": {"Sq2 Sq1(i2)": [1, 0, 5], "i2*Sq1(i2)": [1, 0, 5]}}},
+         (1, 0, 5)),
+        # the built-in images (1,) stay when the entry is made 0; null images
+        # beside it would declare the map zero
+        ({"circle_row": {"Z/2|2": {"5": "0"}}}, (1,)),
+    ], ids=["too-few", "too-many", "entry-made-zero"])
+    def test_comparison_image_of_the_wrong_length_exits_2(self, capsys, tmp_path, raw, image):
+        # both degree-5 classes of K(Z/2,2) reach (5,0); each image used to be
+        # zipped against the entry's invariant factors and read as bit 0
+        path = tmp_path / "ov.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, SW_Z2_DEG5 + ["--coeff-overrides", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: comparison image {image} does not have one")
+
     @pytest.mark.parametrize("spectrum_name, row, degrees",
                              [("SH", 3, range(4, 8)), ("Spin", 5, range(5, 8))],
                              ids=["SH-row3", "Spin-row5"])

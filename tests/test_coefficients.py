@@ -10,6 +10,7 @@ from surfcond.coefficients import (
     CoeffOverrides,
     UnspecifiedComparisonError,
     _monomial_names,
+    _order2_bits,
     circle_row,
     spectrum,
 )
@@ -185,6 +186,11 @@ class TestComparisonMap:
         row = circle_row(Z4, 2, overrides)
         with pytest.raises(ValueError, match="not 2-torsion"):
             row.comparison_matrix(alg, 2, class_matrix(alg, iota))
+
+    def test_order2_bits_one_bit_per_factor(self):
+        # an image of the wrong length: tests/test_defects.py
+        assert _order2_bits(FinAbGroup((2, 8)), (1, 4)) == 0b11
+        assert _order2_bits(FinAbGroup((2, 8)), (0, 4)) == 0b10
 
 
 class TestMonomialNames:
