@@ -461,20 +461,31 @@ def quotient_by_subgroup_image(expr: GroupExpr, generators) -> GroupExpr:
 # Parsing
 
 _TOKEN_RE = re.compile(r"^z/?(\d+)$")
+# "x", "×" or "⊕" between factors; the x of the circle token C^x is not one
+_SEPARATOR_RE = re.compile(r"(?<!C\^)[x×⊕]")
+
+
+def parse_expr(text: str) -> GroupExpr:
+    """Parse table-entry literals: a group literal as parse_group reads it,
+    whose factors may also be the circle C^x and the symbols SW and SW2.
+
+    An empty factor, as a dangling separator in "Z/2 x" leaves, is refused."""
+    s = text.strip()
+    tokens = [tok.strip() for tok in _SEPARATOR_RE.split(s)] if s else []
+    factors = []
+    for tok in tokens:
+        if tok not in ("C^x", "0", "1", *OPAQUE_SYMBOLS):
+            mt = _TOKEN_RE.match(tok.lower())
+            if not mt:
+                raise ValueError(f"cannot parse group factor {tok.lower()!r} in {text!r}")
+            factors.append(int(mt.group(1)))
+    return GroupExpr(FinAbGroup.from_factors(factors), tokens.count("C^x"),
+                     tuple(tok for tok in tokens if tok in OPAQUE_SYMBOLS))
 
 
 def parse_group(text: str) -> FinAbGroup:
     """Parse group literals like "Z/2 x Z/4" (also "Z2", unicode direct sums)."""
-    s = text.strip().replace("⊕", "x").replace("×", "x")
-    if s in ("0", "1", ""):
-        return FinAbGroup.trivial()
-    factors = []
-    for tok in s.split("x"):
-        tok = tok.strip().lower()
-        if tok in ("0", "1"):
-            continue
-        mt = _TOKEN_RE.match(tok)
-        if not mt:
-            raise ValueError(f"cannot parse group factor {tok!r} in {text!r}")
-        factors.append(int(mt.group(1)))
-    return FinAbGroup.from_factors(factors)
+    expr = parse_expr(text)
+    if expr.circle_rank or expr.opaque:
+        raise ValueError(f"{text!r} is not a finite group: C^x, SW and SW2 are table entries")
+    return expr.finite

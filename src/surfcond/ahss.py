@@ -20,13 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
-from .abelian import (
-    FinAbGroup,
-    GroupExpr,
-    UnsupportedRangeError,
-    even_count,
-    quotient_by_subgroup_image,
-)
+from .abelian import FinAbGroup, GroupExpr, UnsupportedRangeError, even_count
 from .coefficients import CircleRow, CoeffOverrides, SpectrumTable, circle_row, spectrum
 from .em_cohomology import EmAlgebra, EmSpace, algebra_for
 from .gf2 import Echelon, Gf2Matrix
@@ -74,6 +68,11 @@ def _declarations(page: Page) -> tuple[Mapping, ...]:
     return tuple(rec for rec in page.log if rec["kind"] == "declaration")
 
 
+def _untabulated(i: int, j: int, N: int) -> UnsupportedRangeError:
+    """The refusal of a run that reads the untabulated entry (i, j) on its diagonal."""
+    return UnsupportedRangeError(f"entry ({i},{j}) in total degree {N} is not tabulated")
+
+
 def _row_kind(spec_table: SpectrumTable, j: int) -> str:
     coeff = spec_table.entry(j)
     if coeff.is_zero:
@@ -99,11 +98,12 @@ def assemble_e2(
     """E2 page H^i(X; h^j(pt)) over X = K(E, n) for i + j <= max_total_degree.
 
     A mod-2 entry is one Z/2 per monomial of algebra.basis(i); the circle row
-    comes from the
-    known-value tables; opaque rows carry the symbol at i = 0 and its
-    hom(-, Z2) companion at i = 2.  Bases with more than one 2-primary
-    factor are out of scope here (product_split handles them).  The circle
-    row is the one of degree n even when E is trivial and X is a point.
+    comes from the known-value tables, None where they have no entry (the
+    turn refuses it only on its diagonal); opaque rows carry the symbol at
+    i = 0 and its hom(-, Z2) companion at i = 2.  Bases with more than one
+    2-primary factor are out of scope here (product_split handles them).
+    The circle row is the one of degree n even when E is trivial and X is a
+    point.
     """
     space = EmSpace.from_group(E, n)
     if even_count(E.invariant_factors) > 1:
@@ -126,11 +126,7 @@ def assemble_e2(
             elif kind == "z2":
                 entries[(i, j)] = GroupExpr.of(FinAbGroup((2,) * algebra.dimension(i)))
             elif kind == "circle":
-                if not circle.has_entry(i):
-                    raise UnsupportedRangeError(
-                        f"missing circle-row data at ({i},{j}) within range"
-                    )
-                entries[(i, j)] = circle.entry(i)
+                entries[(i, j)] = circle.entries.get(i)
             else:  # opaque
                 entries[(i, j)] = _opaque_entry(i, j, spec_table, algebra)
     for j, note in enumerate(spec_table.provenance[: max_total_degree + 1]):
@@ -172,11 +168,13 @@ def apply_d2(page: Page) -> Page:
     Differentials with source in total degrees max_total - 1 and max_total
     are evaluated; that is exactly what the report in degree max_total
     consumes, and it keeps the engine away from untabulated circle entries
-    (a zero image never needs its target group).  Each d2 is one GF(2)
-    matrix, and d2 composed with itself is asserted zero on every evaluated
-    composable pair.  The fermion-parity twist adds multiplication by the
-    mod-2 reduction of iota_E: the fundamental class of E's one even
-    factor, or zero when E has none (odd E turns as if untwisted).
+    (a zero image never needs its target group); an untabulated circle
+    entry on the diagonal is refused as the report refuses one.  Each d2 is
+    one GF(2) matrix, and d2 composed with itself is asserted zero on every
+    evaluated composable pair.  The fermion-parity twist adds
+    multiplication by the mod-2 reduction of iota_E: the fundamental class
+    of E's one even factor, or zero when E has none (odd E turns as if
+    untwisted).
     """
     if page.number != 2:
         raise ValueError("apply_d2 expects an E2 page")
@@ -230,12 +228,9 @@ def apply_d2(page: Page) -> Page:
             raise UnsupportedRangeError(f"no differential rule from row {j + 1} into {into}")
         incoming, in_rank = d2_from(i - 2, j + 1) if above == "z2" and i >= 2 else (None, 0)
         if kind == "circle":
-            factors = old.finite.invariant_factors
-            gens = [
-                tuple(d // 2 if (row >> pos) & 1 else 0 for pos, d in enumerate(factors))
-                for row in (incoming.rows if incoming else ())
-            ]
-            entries[(i, j)] = quotient_by_subgroup_image(old, gens)
+            if old is None:
+                raise _untabulated(i, j, N)
+            entries[(i, j)] = page.circle.entry_modulo(i, incoming)
             continue
         if incoming is not None and outgoing is not None:
             if not incoming.then(outgoing).is_zero:
@@ -309,7 +304,7 @@ def total_degree_report(page: Page) -> TotalDegreeReport:
         j = N - i
         expr = page.entry(i, j)
         if expr is None:
-            raise UnsupportedRangeError(f"entry ({i},{j}) in total degree {N} is not tabulated")
+            raise _untabulated(i, j, N)
         survivors.append((i, j, expr))
     # undetermined differentials out of opaque entries, into or out of degree N;
     # a target lies on the degree-N diagonal, tabulated throughout (checked above)

@@ -23,8 +23,10 @@ from .abelian import (
     dual,
     even_count,
     ext_group,
+    parse_expr,
     parse_group,
     quad_group,
+    quotient_by_subgroup_image,
     two_part,
     two_torsion,
 )
@@ -141,8 +143,16 @@ class CircleRow(Frozen):
             )
         return self.entries[i]
 
-    def has_entry(self, i: int) -> bool:
-        return i < 0 or i in self.entries
+    def entry_modulo(self, i: int, d2: Gf2Matrix | None) -> GroupExpr:
+        """The degree-i entry modulo the image of a d2 into it, whose rows
+        name order-2 elements in the coordinates of comparison_matrix: bit
+        pos is half the pos-th invariant factor.  None is a zero d2."""
+        expr = self.entry(i)
+        factors = expr.finite.invariant_factors
+        return quotient_by_subgroup_image(expr, [
+            tuple(d // 2 if (row >> pos) & 1 else 0 for pos, d in enumerate(factors))
+            for row in (d2.rows if d2 else ())
+        ])
 
     def comparison_matrix(self, algebra, i: int, source: Gf2Matrix) -> Gf2Matrix:
         """X -> (-1)^X from H^i(K(E,n); Z2) onto the order-2 coordinates of
@@ -323,8 +333,10 @@ class CoeffOverrides(Frozen):
           "comparison": {"Z/2|2|5": {"Sq2 Sq1(i2)": [1], "i2*Sq1(i2)": null}}
         }
 
-    Group values use the usual literal syntax; comparison images are
-    coordinate lists in the entry's invariant factors (null = zero image).
+    Group values are literals of abelian.parse_expr (the --group grammar
+    with C^x, SW and SW2 as factors, a dangling separator refused);
+    comparison images are coordinate lists in the entry's invariant factors
+    (null = zero image).
     An unknown section, a spectrum name other than SH, SW and Spin (the
     twisted SW table takes SW's overrides), or a file of another shape (a
     section or table that is not an object, a key not of the form above, a
@@ -467,28 +479,8 @@ def _expr_table(section: str, key: str, table: dict, top: int) -> dict[int, Grou
         if not 0 <= degree <= top:
             raise ValueError(f"override {section}[{key!r}]: degree {degree} is outside 0..{top}")
         try:
-            out[degree] = _parse_expr(v)
+            out[degree] = parse_expr(v)
         except ValueError as exc:
             raise ValueError(f"override {section}[{key!r}][{j!r}]: {exc}") from None
     return out
 
-
-def _parse_expr(text: str) -> GroupExpr:
-    # protect the circle token before splitting on the product sign
-    normalized = text.replace("⊕", "x").replace("C^x", "circle").replace("C*", "circle")
-    parts = [p.strip() for p in normalized.split("x")]
-    finite: list[int] = []
-    circle_rank = 0
-    opaque: list[str] = []
-    for p in parts:
-        if p == "circle":
-            circle_rank += 1
-        elif p in ("SW", "SW2"):
-            opaque.append(p)
-        elif p in ("0", "1", ""):
-            continue
-        else:
-            finite.extend(parse_group(p).invariant_factors)
-    return GroupExpr(
-        finite=FinAbGroup.from_factors(finite), circle_rank=circle_rank, opaque=tuple(opaque)
-    )

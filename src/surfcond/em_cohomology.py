@@ -79,12 +79,6 @@ class Generator(Frozen):
     def degree(self) -> int:
         return self.space_degree + self.word.degree
 
-    def name(self, suffix: str) -> str:
-        iota = f"i{self.space_degree}{suffix}"
-        if self.word.is_identity:
-            return iota
-        return f"{self.word}({iota})"
-
 
 def _admissible_sequences(max_sum: int, min_last: int):
     """Admissible sequences (i_1 >= 2 i_2 >= ...) with sum <= max_sum and
@@ -131,6 +125,18 @@ def serre_generators(modulus: int, n: int, cap: int) -> list[tuple[SteenrodMonom
             out.append((mono, n + mono.degree))
     out.sort(key=lambda gd: (gd[1], gd[0].squares, gd[0].bockstein))
     return out
+
+
+def _generator_names(space: EmSpace, generators) -> tuple[str, ...]:
+    """Each generator's word on its fundamental class i<n>, primed once per
+    earlier factor of the same degree n."""
+    degrees = [n for _m, n in space.factors]
+    suffix = ["'" * degrees[:fi].count(n) for fi, n in enumerate(degrees)]
+    names = []
+    for g in generators:
+        iota = f"i{g.space_degree}{suffix[g.factor]}"
+        names.append(iota if g.word.is_identity else f"{g.word}({iota})")
+    return tuple(names)
 
 
 # monomial = tuple of (generator index, exponent), sorted by index
@@ -265,7 +271,8 @@ class EmAlgebra(Frozen):
         attrs = vars(self)
         attrs.update(_head=head, _tail=tail, generators=generators,
                      _gen_index={(g.factor, g.word): i for i, g in enumerate(generators)},
-                     _gen_degrees=tuple(g.degree for g in generators))
+                     _gen_degrees=tuple(g.degree for g in generators),
+                     _gen_names=_generator_names(space, generators))
         if head is None:
             attrs["_basis"] = self._build_basis()
         else:
@@ -500,16 +507,8 @@ class EmAlgebra(Frozen):
 
     # -- formatting ----------------------------------------------------
 
-    def _factor_suffix(self, factor: int) -> str:
-        same_degree = [
-            fi for fi, (_m, n) in enumerate(self.space.factors)
-            if n == self.space.factors[factor][1]
-        ]
-        return "'" * same_degree.index(factor) if len(same_degree) > 1 else ""
-
     def generator_name(self, gi: int) -> str:
-        gen = self.generators[gi]
-        return gen.name(self._factor_suffix(gen.factor))
+        return self._gen_names[gi]
 
     def format_monomial(self, mono: Monomial) -> str:
         if not mono:

@@ -14,6 +14,7 @@ from surfcond.abelian import (
     ext_group,
     groups_up_to,
     hom_group,
+    parse_expr,
     parse_group,
     quad_group,
     quad_group_brute,
@@ -367,3 +368,41 @@ class TestParsing:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             parse_group("Z/x")
+
+    @pytest.mark.parametrize("text", ["Z/2 x", "x Z/2", "Z/2 x x Z/4", "Z/2 ⊕", "× Z/2", "x"])
+    def test_dangling_separator_rejected(self, text):
+        for parse in (parse_group, parse_expr):
+            with pytest.raises(ValueError, match="cannot parse group factor ''"):
+                parse(text)
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("C^x", GroupExpr(circle_rank=1)),
+            ("C^x × Z/2", GroupExpr(FinAbGroup((2,)), 1)),
+            ("Z/2 x C^x x C^x", GroupExpr(FinAbGroup((2,)), 2)),
+            ("SW2 ⊕ SW x Z2", GroupExpr(FinAbGroup((2,)), 0, ("SW", "SW2"))),
+            ("Z/2 × Z/4", GroupExpr.of(FinAbGroup((2, 4)))),
+            ("0", GroupExpr.zero()),
+        ],
+    )
+    def test_table_entry_literals(self, text, expected):
+        assert parse_expr(text) == expected
+
+    @pytest.mark.parametrize("text", ["C^x", "Z/2 x C^x", "SW", "Z/4 x SW2"])
+    def test_group_refuses_table_entry_factors(self, text):
+        with pytest.raises(ValueError, match="is not a finite group"):
+            parse_group(text)
+
+    @given(st.lists(st.integers(1, 64), max_size=4).map(FinAbGroup.from_factors))
+    def test_group_round_trip(self, G):
+        assert parse_group(str(G)) == G
+
+    @given(
+        st.lists(st.integers(1, 64), max_size=3).map(FinAbGroup.from_factors),
+        st.integers(0, 2),
+        st.lists(st.sampled_from(["SW", "SW2"]), max_size=2),
+    )
+    def test_table_entry_round_trip(self, G, circle_rank, opaque):
+        expr = GroupExpr(G, circle_rank, tuple(opaque))
+        assert parse_expr(str(expr)) == expr

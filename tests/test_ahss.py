@@ -48,8 +48,22 @@ class TestAssembly:
             assemble_e2(Z2, 2, spectrum("Spin"), 9)
 
     def test_missing_circle_data_raises(self):
-        with pytest.raises(UnsupportedRangeError):
-            assemble_e2(Z4, 2, spectrum("SW"), 6)
+        # the page keeps an untabulated circle entry as None (dumps show
+        # "?"); the run refuses it where its report reads it
+        assert assemble_e2(Z3, 2, spectrum("SH"), 6).entry(6, 0) is None
+        with pytest.raises(UnsupportedRangeError,
+                           match=r"entry \(6,0\) in total degree 6 is not tabulated"):
+            run_ahss(Z3, 2, "SH", 6)
+        with pytest.raises(UnsupportedRangeError, match="no comparison data into H\\^7"):
+            run_ahss(Z4, 2, "SW", 6)
+
+    def test_untabulated_entry_off_the_diagonal_is_not_read(self):
+        # K(Z/3 x Z/3, 4) has no degree-6 circle entry, but degree 7 reads
+        # only (7,0) = dual of the 2-torsion subgroup = 0
+        page3, report = run_ahss(FinAbGroup((3, 3)), 4, "SH", 7)
+        assert page3.previous.entry(6, 0) is None
+        assert report.verdict == "0"
+        assert page_to_dict(page3)["entries"]["6,0"]["group"] == "?"
 
 
 class TestD2:

@@ -13,11 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import surfcond
-from surfcond.abelian import CIRCLE, FinAbGroup, UnsupportedRangeError, quad_group
+from surfcond.abelian import CIRCLE, FinAbGroup, UnsupportedRangeError, parse_expr, quad_group
 from surfcond.acceptance import CheckResult
 from surfcond.ahss import product_split, run_ahss
 from surfcond.cli import COMMANDS, main, render_payload
-from surfcond.coefficients import UnspecifiedComparisonError, _parse_expr
+from surfcond.coefficients import UnspecifiedComparisonError
 from surfcond.em_cohomology import CapExceededError
 
 
@@ -403,10 +403,14 @@ class TestExitContract:
              "circle_row['Z/2|2']: degree 13 is outside 0..12"),
             # above the built-in table this was padded with zeros and never read
             ({"spectrum": {"SW": {"10": "Z/2"}}}, "spectrum['SW']: degree 10 is outside 0..8"),
+            # values read with --group's grammar: a dangling separator used to be dropped
+            ({"circle_row": {"Z/2|2": {"5": "Z/2 x"}}},
+             "circle_row['Z/2|2']['5']: cannot parse group factor ''"),
         ],
         ids=[
             "table-list", "row-key-no-n", "comparison-key-no-degree", "degree-word",
             "unknown-monomial", "comparison-above-cap", "row-above-cap", "spectrum-above-table",
+            "dangling-separator",
         ],
     )
     def test_malformed_overrides_exit_2(self, capsys, tmp_path, raw, message):
@@ -829,7 +833,7 @@ def _prime_powers(m: int) -> list[int]:
 
 
 def _direct_sum(groups) -> tuple:
-    exprs = [_parse_expr(g) for g in groups]
+    exprs = [parse_expr(g) for g in groups]
     finite = [d for e in exprs for d in e.finite.invariant_factors]
     return (FinAbGroup.from_factors(finite), sum(e.circle_rank for e in exprs),
             sorted(s for e in exprs for s in e.opaque))

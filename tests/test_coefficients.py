@@ -107,7 +107,6 @@ class TestCircleRows:
 
     def test_out_of_table_raises(self):
         row = circle_row(Z4, 2)
-        assert not row.has_entry(6)
         with pytest.raises(UnsupportedRangeError):
             row.entry(6)
         with pytest.raises(UnsupportedRangeError):
@@ -191,6 +190,18 @@ class TestComparisonMap:
         # an image of the wrong length: tests/test_defects.py
         assert _order2_bits(FinAbGroup((2, 8)), (1, 4)) == 0b11
         assert _order2_bits(FinAbGroup((2, 8)), (0, 4)) == 0b10
+
+    def test_entry_modulo_reads_the_bits_back(self):
+        # bit pos names half the pos-th invariant factor of the entry, as
+        # _order2_bits writes it: H^2(K(Z/2 x Z/4, 2); C^x) = Z/2 x Z/4
+        row = circle_row(FinAbGroup((2, 4)), 2)
+        assert row.entry_modulo(2, None) == row.entry(2) == GroupExpr.of(FinAbGroup((2, 4)))
+        assert row.entry_modulo(2, Gf2Matrix.from_rows([0], 2)) == row.entry(2)
+        assert row.entry_modulo(2, Gf2Matrix.from_rows([0b01], 2)) == GroupExpr.of(Z4)
+        assert row.entry_modulo(2, Gf2Matrix.from_rows([0b10, 0b10], 2)) == GroupExpr.of(
+            FinAbGroup((2, 2)))
+        assert row.entry_modulo(2, Gf2Matrix.from_rows([0b01, 0b10], 2)) == GroupExpr.of(
+            FinAbGroup((2,)))
 
 
 class TestMonomialNames:
@@ -352,6 +363,13 @@ class TestOverrides:
         assert str(spectrum("SW", ov).entry(8)) == "Z/2"
         assert spectrum("SW", ov).max_degree == 8
         assert circle_row(Z2, 2, ov).entry(12).is_zero
+
+    def test_values_read_with_the_group_grammar(self, tmp_path):
+        # "×" separates a circle factor as it does a finite one
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps({"spectrum": {"Spin": {"4": "C^x × Z/2"}}}))
+        ov = CoeffOverrides.load(str(path))
+        assert spectrum("Spin", ov).entry(4) == GroupExpr(FinAbGroup((2,)), circle_rank=1)
 
     def test_unknown_comparison_monomial_rejected(self, tmp_path):
         path = tmp_path / "overrides.json"

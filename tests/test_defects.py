@@ -250,7 +250,6 @@ def fresh_circle_rows():
     ahss._run_ahss.cache_clear()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 15")
 def test_bosonic_symmetric_check_fails_under_a_wrong_two_torsion(monkeypatch, fresh_circle_rows):
     """The elements of order <= 2 in Z/2 x Z/4 are (a, 2b), four of them:
     the 2-torsion subgroup is Z/2 x Z/2, so the degree-7 group there is
@@ -262,6 +261,5 @@ def test_bosonic_symmetric_check_fails_under_a_wrong_two_torsion(monkeypatch, fr
         return FinAbGroup((2,)) if A == bad else real(A)
 
     monkeypatch.setattr(coefficients, "two_torsion", wrong)
-    monkeypatch.setattr(acceptance, "two_torsion", wrong)
     ok, detail = acceptance.check_bosonic_symmetric_obstruction()
     assert not ok, detail

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfcond.abelian import FinAbGroup, UnsupportedRangeError
+from surfcond.abelian import Z2_TARGET, FinAbGroup, UnsupportedRangeError, groups_up_to, quad_group
 from surfcond.ahss import run_ahss, smash_freeness_check
 from surfcond.em_cohomology import (
     CapExceededError,
@@ -60,6 +60,14 @@ class TestPoincareSeries:
         prod = poincare_series(EmSpace.single(2, 2).product(EmSpace.single(4, 2)), cap)
         conv = [sum(a[k] * b[d - k] for k in range(d + 1)) for d in range(cap + 1)]
         assert prod == conv
+
+    def test_degree4_is_quad_into_z2(self):
+        # universal coefficients with H_3(K(E,2)) = 0 and H_4 = Gamma(E):
+        # H^4(K(E,2); F2) = Hom(Gamma(E), Z/2) = Quad(E, Z/2), whose order
+        # comes from abelian's closed form, not from the basis
+        for E in groups_up_to(64):
+            alg = algebra_for(EmSpace.from_group(E, 2), 4)
+            assert quad_group(E, Z2_TARGET).order == 2 ** alg.dimension(4), E
 
 
 class TestSteenrodAction:

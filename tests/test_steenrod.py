@@ -12,7 +12,6 @@ from surfcond.steenrod import (
     SteenrodMonomial,
     SteenrodWord,
     adem_normalize,
-    binom_mod2,
     excess,
     margolis_homology,
     parse_word,
@@ -28,7 +27,8 @@ def _sq_poly(i, poly):
     out = {}
     for (a, b), c in poly.items():
         for j in range(i + 1):
-            if binom_mod2(a, j) and binom_mod2(b, i - j):
+            # binomials of their own, not the engine's binom_mod2 that adem_expand uses
+            if math.comb(a, j) % 2 and math.comb(b, i - j) % 2:
                 key = (a + j, b + i - j)
                 out[key] = out.get(key, 0) ^ c
     return {k: v for k, v in out.items() if v}
