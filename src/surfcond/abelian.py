@@ -18,10 +18,9 @@ from .record import Frozen
 
 
 class UnsupportedRangeError(ValueError):
-    """A table or functor was queried outside its supported range.
-
-    `CapExceededError` and `UnspecifiedComparisonError` subclass it, so the
-    CLI maps one family to exit 3."""
+    """A table, functor or algebra was queried outside its supported range:
+    a degree above an algebra's cap, an undeclared comparison image, an
+    untabulated entry.  The CLI maps it to exit 3."""
 
 
 OPAQUE_SYMBOLS = ("SW", "SW2")

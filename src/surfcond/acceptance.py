@@ -74,19 +74,16 @@ def check_twisted_degree5_point() -> tuple[bool, str]:
     t0 = time.perf_counter()
     page, rep = run_ahss(FinAbGroup.cyclic(2), 2, "SW", 5, twist=True, d5_zero=True)
     dt = time.perf_counter() - t0
-    # E2 value of (4,0) is logged on the assembled page; recompute directly
+    # the (4,0) entry against the quadratic-form group computed directly
     q = quad_group(FinAbGroup.cyclic(2), CIRCLE)
-    e2_40 = None
-    for entry in page.log:
-        if entry.get("kind") == "circle_row" and entry.get("i") == 4:
-            e2_40 = entry["note"]
     ok = (
         rep.verdict == "Z/2"
         and q == FinAbGroup((4,))
         and str(page.circle.entry(4)) == "Z/4"
         and dt < 1.0
     )
-    return ok, f"verdict={rep.verdict}, quad(Z/2, circle)={q}, (4,0)={page.circle.entry(4)} [{e2_40}]"
+    return ok, (f"verdict={rep.verdict}, quad(Z/2, circle)={q},"
+                f" (4,0)={page.circle.entry(4)} [{page.circle.provenance[4]}]")
 
 
 def check_supercohomology_degree7() -> tuple[bool, str]:

@@ -422,19 +422,10 @@ def smash_freeness_check(X: EmSpace, Y: EmSpace, degree: int, window: tuple[int,
     results = []
     all_free = bool(classes)
     for cls in classes:
-        module = _a1_submodule(alg, cls, lo, hi)
-        q0 = margolis_homology(alg.sq_matrix, module, "Q0")
-        q1 = margolis_homology(alg.sq_matrix, module, "Q1")
+        q0, q1 = margolis_homology(alg.sq_matrix, _a1_submodule(alg, cls, lo, hi))
         free = not any(q0.values()) and not any(q1.values())
         all_free = all_free and free
-        results.append(
-            {
-                "class": str(cls),
-                "q0_homology": q0,
-                "q1_homology": q1,
-                "free_a1": free,
-            }
-        )
+        results.append({"class": str(cls), "q0_homology": q0, "q1_homology": q1, "free_a1": free})
     return {"degree": degree, "dimension": len(classes), "classes": results, "all_free": all_free}
 
 

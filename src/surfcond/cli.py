@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 selftest FAILURES, 2 parse error (including a
 negative degree or order argument), 3 unsupported range, missing table
 data or a query too large for the process's memory (MemoryError), 4
 inconclusive (undetermined differential), 5 internal invariant failure (an
-engine self-check such as d2 o d2 = 0 did not hold).
+engine self-check such as d2 o d2 = 0 did not hold).  A reader that closes
+the pipe early (`| head`) ends the query quietly, with its own exit code.
 
 Every query runs in a fresh process, and most of its cost is interpreter
 start and import. So this module imports `abelian`, `steenrod` and
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .abelian import FinAbGroup, UnsupportedRangeError, even_count, groups_up_to, parse_group
@@ -83,13 +85,9 @@ def render_steenrod(payload: dict) -> str:
 
 def render_page_text(dump: dict) -> str:
     """Aligned grid of a page dump (rows j descending, columns i)."""
-    coords = [tuple(map(int, key.split(","))) for key in dump["entries"]]
-    max_i = max((i for i, _j in coords), default=0)
-    max_j = max((j for _i, j in coords), default=0)
-    grid = {}
-    for key, val in dump["entries"].items():
-        i, j = map(int, key.split(","))
-        grid[(i, j)] = val["group"]
+    grid = {tuple(map(int, key.split(","))): val["group"] for key, val in dump["entries"].items()}
+    max_i = max((i for i, _j in grid), default=0)
+    max_j = max((j for _i, j in grid), default=0)
     rows = []
     for j in range(max_j, -1, -1):
         cells = [grid.get((i, j), ".") for i in range(max_i + 1)]
@@ -436,10 +434,11 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
-    else:
-        print(render_payload(payload))
+    try:
+        print(json.dumps(payload, indent=2) if getattr(args, "json", False)
+              else render_payload(payload), flush=True)
+    except BrokenPipeError:  # the reader has gone; what is left of the output goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

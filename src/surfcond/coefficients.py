@@ -38,10 +38,6 @@ DEFAULT_CAP = 12  # the mod-2 degree range of the tables and their overrides
 _CIRCLE_N = (2, 4)  # the space degrees n with a circle row
 
 
-class UnspecifiedComparisonError(UnsupportedRangeError):
-    """No declared image for a mod-2 class under the (-1)^X comparison map."""
-
-
 class SpectrumTable(Frozen):
     """Point coefficients h^j(pt) by degree j, with provenance per entry."""
 
@@ -171,7 +167,7 @@ class CircleRow(Frozen):
             return Gf2Matrix.from_rows(rows, 0)
         data = self.comparison.get(i)
         if data is None:
-            raise UnspecifiedComparisonError(
+            raise UnsupportedRangeError(
                 f"no comparison data into H^{i}(K({self.E},{self.n}); C^x)"
             )
         group = None
@@ -180,7 +176,7 @@ class CircleRow(Frozen):
                 continue
             name = algebra.format_monomial(mono)
             if name not in data:
-                raise UnspecifiedComparisonError(
+                raise UnsupportedRangeError(
                     f"comparison image of {name} in degree {i} not declared"
                 )
             if data[name] is not None:
@@ -282,8 +278,11 @@ def _circle_row(E, n, overrides):
         if cyclic and k:
             names5 = _monomial_names(E, 2, 5)
             comparison[5] = {name: (1,) for name in names5}
+            if k == 1:
+                # Sq1(i2)^2 = Sq1(i2*Sq1(i2)) lies in the image of Sq1, where rho vanishes
+                comparison[6] = {"Sq1(i2)^2": None}
             if d == 2:
-                comparison[6] = {"i2^3": (1,), "Sq1(i2)^2": None}
+                comparison[6]["i2^3"] = (1,)
                 comparison[7] = {"i2*Sq2 Sq1(i2)": (1,), "i2^2*Sq1(i2)": None}
                 # Sq1(i2)*Sq2 Sq1(i2) stays undeclared: its Sq1 is
                 # Sq1(i2)^3 != 0, so its image is not zero
@@ -314,8 +313,16 @@ def _circle_row(E, n, overrides):
             if i not in entries:
                 put(i, _0, "K(0, n) is a point")
 
-    notes = overrides.apply_circle_row(E, n, entries, prov, comparison) if overrides else ()
-    return CircleRow(E, n, entries, prov, comparison, notes)
+    notes = []
+    if overrides:
+        for i, expr in overrides.circle_overrides.get((str(E), n), {}).items():
+            put(i, expr, f"H^{i}(K({E},{n}); C^x) = {expr} [override]")
+            notes.append(f"override: circle row ({E}, {n}) degree {i} -> {expr}")
+        for (g, nn, i), table in overrides.comparison_overrides.items():
+            if (g, nn) == (str(E), n):
+                comparison.setdefault(i, {}).update(table)
+                notes.append(f"override: comparison data ({E}, {n}) degree {i}")
+    return CircleRow(E, n, entries, prov, comparison, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +408,6 @@ class CoeffOverrides(Frozen):
                     f"H^{i}(K({group},{n}); Z2) is named {', '.join(unknown)}"
                 )
         return CoeffOverrides(spectra, rows, images)
-
-    def apply_circle_row(self, E, n, entries, prov, comparison) -> tuple[str, ...]:
-        notes = []
-        for i, expr in self.circle_overrides.get((str(E), n), {}).items():
-            entries[i] = expr
-            prov[i] = f"H^{i}(K({E},{n}); C^x) = {expr} [override]"
-            notes.append(f"override: circle row ({E}, {n}) degree {i} -> {expr}")
-        for (g, nn, i), table in self.comparison_overrides.items():
-            if g == str(E) and nn == n:
-                comparison.setdefault(i, {}).update(table)
-                notes.append(f"override: comparison data ({E}, {n}) degree {i}")
-        return tuple(notes)
 
 
 _SECTIONS = ("spectrum", "circle_row", "comparison")

@@ -27,10 +27,6 @@ from .steenrod import (
 )
 
 
-class CapExceededError(UnsupportedRangeError):
-    """A product or Steenrod image landed above the algebra's degree cap."""
-
-
 class EmSpace(Frozen):
     """Finite product of Eilenberg-MacLane spaces, one factor per cyclic group."""
 
@@ -93,8 +89,9 @@ def _admissible_sequences(max_sum: int, min_last: int):
             stack.append((nxt,) + seq)
 
 
-def serre_generators(modulus: int, n: int, cap: int) -> list[tuple[SteenrodMonomial, int]]:
-    """All polynomial generators of H*(K(Z_{2^k}, n); Z2) up to degree cap.
+def serre_generators(modulus: int, n: int, cap: int) -> list[SteenrodMonomial]:
+    """All polynomial generators of H*(K(Z_{2^k}, n); Z2) up to degree cap,
+    as the words applied to iota (a word of degree d gives degree n + d).
 
     Plain words Sq^I iota with excess(I) < n; for k >= 2 sequences ending in
     Sq1 are dropped and replaced by the power-Bockstein family Sq^J b_k iota.
@@ -116,14 +113,13 @@ def serre_generators(modulus: int, n: int, cap: int) -> list[tuple[SteenrodMonom
         mono = SteenrodMonomial(seq)
         if seq and excess(mono) >= n:
             continue
-        out.append((mono, n + mono.degree))
+        out.append(mono)
     if k >= 2:
         for seq in _admissible_sequences(cap - n - 1, 2):
             mono = SteenrodMonomial(seq, bockstein=k)
             if excess(mono) >= n:
                 continue
-            out.append((mono, n + mono.degree))
-    out.sort(key=lambda gd: (gd[1], gd[0].squares, gd[0].bockstein))
+            out.append(mono)
     return out
 
 
@@ -187,9 +183,6 @@ class PolyClass:
             and self.vec == other.vec
         )
 
-    def __hash__(self):
-        return hash((id(self.algebra), self.degree, self.vec))
-
     @property
     def is_zero(self) -> bool:
         return not self.vec
@@ -212,7 +205,7 @@ class PolyClass:
         if self.is_zero or other.is_zero:
             return self.algebra.zero_class(degree)
         if degree > self.algebra.cap:
-            raise CapExceededError(f"product degree {degree} above cap {self.algebra.cap}")
+            raise UnsupportedRangeError(f"product degree {degree} above cap {self.algebra.cap}")
         pos = self.algebra._basis_pos
         vec = 0
         for a in self.monomials:
@@ -263,7 +256,7 @@ class EmAlgebra(Frozen):
             )
         else:
             generators = [Generator(fi, word, n) for fi, (modulus, n) in enumerate(space.factors)
-                          for word, _deg in serre_generators(modulus, n, cap)]
+                          for word in serre_generators(modulus, n, cap)]
         generators = tuple(sorted(
             generators, key=lambda g: (g.degree, g.factor, g.word.squares, g.word.bockstein)
         ))
@@ -333,7 +326,7 @@ class EmAlgebra(Frozen):
         if degree < 0:
             return ()
         if degree > self.cap:
-            raise CapExceededError(f"degree {degree} above cap {self.cap}")
+            raise UnsupportedRangeError(f"degree {degree} above cap {self.cap}")
         return self._basis[degree]
 
     def dimension(self, degree: int) -> int:
@@ -390,7 +383,7 @@ class EmAlgebra(Frozen):
                 raise ValueError("negative Steenrod index")
             target = degree + i
             if target > self.cap:
-                raise CapExceededError(f"Sq{i} image degree {target} above cap {self.cap}")
+                raise UnsupportedRangeError(f"Sq{i} image degree {target} above cap {self.cap}")
             if i == 0:
                 rows = [1 << p for p in range(self.dimension(degree))]
             elif self._head is None:
@@ -495,15 +488,13 @@ class EmAlgebra(Frozen):
         if word.is_identity or e < n:
             gi = self._gen_index.get((factor, word))
             if gi is None:
-                raise CapExceededError(f"generator {word}(iota_{n}) above cap {self.cap}")
+                raise UnsupportedRangeError(f"generator {word}(iota_{n}) above cap {self.cap}")
             return ((gi, 1),)
         if e > n:
             return None
         tail = SteenrodMonomial(word.squares[1:], word.bockstein)
-        inner = self._resolve_on_iota(tail, factor)
-        if inner is None:
-            return None
-        return tuple((gi, 2 * exp) for gi, exp in inner)
+        # excess(tail) <= n as s1 >= 2 s2, and it ends as the word does: never None
+        return tuple((gi, 2 * exp) for gi, exp in self._resolve_on_iota(tail, factor))
 
     # -- formatting ----------------------------------------------------
 

@@ -182,25 +182,23 @@ def adem_normalize(word: SteenrodWord) -> SteenrodWord:
 
 
 def margolis_homology(
-    sq: Callable[[int, int], Gf2Matrix], spans: Mapping[int, Sequence[int]], which: str
-) -> dict[int, int]:
-    """ker/im dimensions of Q0 = Sq1 or Q1 = Sq1 Sq2 + Sq2 Sq1 on a module M.
+    sq: Callable[[int, int], Gf2Matrix], spans: Mapping[int, Sequence[int]]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """ker/im dimensions of Q0 = Sq1 and of Q1 = Sq1 Sq2 + Sq2 Sq1 on a module M.
 
     spans[d] holds vectors spanning M^d, bitmasks in the ambient basis of
     degree d; sq(i, d) is the ambient Sq^i from degree d to d + i in those
     bases (EmAlgebra.sq_matrix).  Below its top degree M must be closed
-    under Sq1 and Sq2, else AssertionError.  dim H_d = dim M^d - rank Q(M^d)
-    - rank Q(M^{d - shift}) for d from M's lowest degree while d + shift is
-    at most its top.  ValueError: an unknown differential, or Q_i Q_i != 0.
+    under Sq1 and Sq2, else AssertionError; M is reduced and checked once
+    for both.  For Q of degree shift, dim H_d = dim M^d - rank Q(M^d) -
+    rank Q(M^{d - shift}) for d from M's lowest degree while d + shift is at
+    most its top.  ValueError: Q0 Q0 or Q1 Q1 != 0.
     """
-    if which not in ("Q0", "Q1"):
-        raise ValueError(f"unknown Margolis differential {which!r}")
-    shift = 1 if which == "Q0" else 3
 
     def act(i: int, d: int, vec: int) -> int:  # a zero vector needs no matrix
         return sq(i, d).apply(vec) if vec else 0
 
-    def q(d: int, vec: int) -> int:
+    def q(shift: int, d: int, vec: int) -> int:  # Q0 has degree 1, Q1 degree 3
         if shift == 1:
             return act(1, d, vec)
         return act(1, d + 2, act(2, d, vec)) ^ act(2, d + 1, act(1, d, vec))
@@ -213,12 +211,17 @@ def margolis_homology(
             up = module.get(d + k, empty)
             if d + k <= hi and any(sq(k, d).apply(v) not in up for v in span.vectors):
                 raise AssertionError(f"module not closed under Sq{k} from degree {d}")
-    image = {d: [q(d, v) for v in module.get(d, empty).vectors] for d in range(lo, hi - shift + 1)}
-    for d, vecs in image.items():
-        if d + shift in image and any(q(d + shift, w) for w in vecs):
-            raise ValueError(f"{which} squared is nonzero starting in degree {d}")
-    rank = {d: Echelon(vecs).dim for d, vecs in image.items()}
-    return {d: module.get(d, empty).dim - rank[d] - rank.get(d - shift, 0) for d in rank}
+    homology = []
+    for shift in (1, 3):
+        image = {d: [q(shift, d, v) for v in module.get(d, empty).vectors]
+                 for d in range(lo, hi - shift + 1)}
+        for d, vecs in image.items():
+            if d + shift in image and any(q(shift, d + shift, w) for w in vecs):
+                raise ValueError(f"Q{shift // 2} squared is nonzero starting in degree {d}")
+        rank = {d: Echelon(vecs).dim for d, vecs in image.items()}
+        homology.append({d: module.get(d, empty).dim - rank[d] - rank.get(d - shift, 0)
+                         for d in rank})
+    return homology[0], homology[1]
 
 
 # ---------------------------------------------------------------------------

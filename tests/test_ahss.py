@@ -324,7 +324,7 @@ class TestSmashCheck:
         module = _a1_submodule(alg, cls, 4, 9)
         assert module[6]  # Sq1 of the degree-5 class is nonzero
         with pytest.raises(AssertionError, match="not closed under Sq1 from degree 5"):
-            margolis_homology(alg.sq_matrix, {**module, 6: []}, "Q0")
+            margolis_homology(alg.sq_matrix, {**module, 6: []})
 
 
 # the certificates perfbench/golden.json locks for the algebra workload

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfcond.abelian import FinAbGroup, parse_group
+from surfcond import condense
+from surfcond.abelian import FinAbGroup, GroupExpr, parse_group
 from surfcond.acceptance import orbit_count
 from surfcond.ahss import run_ahss
 from surfcond.cli import _survey_groups
@@ -211,6 +212,58 @@ class TestObstructionVerdicts:
             obstruction_verdict(parse_group("Z/2"), "anyonic", "braided")
         with pytest.raises(ValueError):
             obstruction_verdict(parse_group("Z/2"), "bosonic", "fusion")
+
+
+Z7 = GroupExpr.of(FinAbGroup((7,)))
+
+# branch: (query, the computations it calls, those whose result moves its
+# verdict or group).  A lock on what each branch reads today, not a claim
+# that it reads enough: the two-even-factors verdict ignores its split
+# (ROADMAP item 1), and symmetric/bosonic reads its split only into a
+# provenance line (item 9); the fixes flip those pairs and update this table.
+SENSITIVITY = {
+    "symmetric/fermionic": (("Z/2", "fermionic", "symmetric"), set(), set()),
+    "symmetric/bosonic": (("Z/2", "bosonic", "symmetric"),
+                          {"circle_row", "product_split"}, {"circle_row"}),
+    "braided/fermionic/odd": (("Z/3", "fermionic", "braided"), {"circle_row"}, {"circle_row"}),
+    "braided/fermionic/cyclic-2-part": (("Z/2", "fermionic", "braided"),
+                                        {"product_split"}, {"product_split"}),
+    "braided/fermionic/two-even-factors": (("Z/2 x Z/2", "fermionic", "braided"),
+                                           {"product_split"}, set()),
+    "braided/bosonic": (("Z/2", "bosonic", "braided"), {"run_ahss"}, {"run_ahss"}),
+}
+
+
+def _moved_to_z7(name, result):
+    """A copy of a computation's result whose answer is Z/7: every circle
+    entry, the split's verdict, or the report's verdict and group."""
+    if name == "circle_row":
+        return result.replace(entries=dict.fromkeys(result.entries, Z7))
+    if name == "product_split":
+        return {**result, "verdict": str(Z7)}
+    page, report = result
+    return page, report.replace(verdict=str(Z7), group=Z7)
+
+
+@pytest.mark.parametrize("branch", SENSITIVITY)
+def test_what_each_verdict_branch_reads(branch, monkeypatch):
+    (group, statistic, level), calls, moves = SENSITIVITY[branch]
+    E = parse_group(group)
+    base = obstruction_verdict(E, statistic, level)
+    assert base.branch == branch
+    called, moved = set(), set()
+    for name in ("circle_row", "product_split", "run_ahss"):
+        def perturbed(*args, _real=getattr(condense, name), _name=name, **kwargs):
+            called.add(_name)
+            return _moved_to_z7(_name, _real(*args, **kwargs))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(condense, name, perturbed)
+            v = obstruction_verdict(E, statistic, level)
+        assert v.branch == branch
+        if (v.verdict, v.group) != (base.verdict, base.group):
+            moved.add(name)
+    assert (called, moved) == (calls, moves)
 
 
 def clear_package_caches() -> None:

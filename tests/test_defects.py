@@ -194,7 +194,6 @@ def test_z3_x_z6_is_not_vacuum_condensable():
     assert "vacuum-condensable" not in v.verdict and v.group == "Z/3", (v.verdict, v.group)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
 def test_z6_answers_superwitt_degree_5(capsys):
     """`ahss --spectrum SW --group Z/6 --space-degree 2 --total-degree 5`
     answers 0, as Z/2 does.
@@ -203,9 +202,9 @@ def test_z6_answers_superwitt_degree_5(capsys):
     K(Z/2, 2), K(Z/3, 2) and their smash.  The last two have no mod-2
     cohomology, and their degree-5 homology is H_5(K(Z/3, 2)) = 0 and
     Z/2 (x) 0 + 0 (x) Z/3 + Tor(Z/2, Z/3) = 0.  So SW^5 of K(Z/6, 2) is that
-    of K(Z/2, 2), which is 0; the one comparison image the run lacks,
-    rho(Sq1(i2)^2), vanishes because Sq1(i2)^2 = Sq1(i2 Sq1 i2) is in the
-    image of Sq1.
+    of K(Z/2, 2), which is 0; the one comparison image the run reads
+    beyond Z/2's degree-5 data, rho(Sq1(i2)^2), vanishes because
+    Sq1(i2)^2 = Sq1(i2 Sq1 i2) is in the image of Sq1.
     """
     code = main(["ahss", "--spectrum", "SW", "--group", "Z/6", "--space-degree", "2",
                  "--total-degree", "5", "--json"])
