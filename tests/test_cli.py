@@ -301,14 +301,21 @@ class TestExitContract:
         assert out == ""
         assert err == "internal invariant failure: negative dimension at (2,3)\n"
 
-    def test_engine_range_errors_are_unsupported(self, capsys, monkeypatch):
+    # one message from each engine source of a range refusal: the EM
+    # cohomology cap and an undeclared comparison image (each id names the
+    # error type that source raised before both became UnsupportedRangeError)
+    @pytest.mark.parametrize("message", [
+        "degree 13 above cap 12",
+        "comparison image of Sq1(i2)^2 in degree 6 not declared",
+    ], ids=["CapExceededError", "UnspecifiedComparisonError"])
+    def test_engine_range_errors_are_unsupported(self, capsys, monkeypatch, message):
         def refused(*_args, **_kwargs):
-            raise UnsupportedRangeError("degree 13 above cap 12")
+            raise UnsupportedRangeError(message)
 
         monkeypatch.setattr("surfcond.ahss.run_ahss", refused)
         code, out, err = run(capsys, SW_Z2_DEG5)
         assert (code, out) == (3, "")
-        assert err == "unsupported: degree 13 above cap 12\n"
+        assert err == f"unsupported: {message}\n"
 
     def test_reader_closing_the_pipe_early_ends_quietly(self):
         # about 0.6 MB of JSON, ten times a 64 KiB pipe buffer: the print is

@@ -250,14 +250,18 @@ class TestMargolis:
         with pytest.raises(ValueError, match="Q0 squared is nonzero"):
             margolis_homology(sq, _whole(dims))
 
+    @pytest.mark.parametrize("which", ["Q0", "Q1"])
     @pytest.mark.parametrize("k", [1, 2])
-    def test_span_not_closed_under_sq_raises(self, k):
+    def test_span_not_closed_under_sq_raises(self, k, which):
         # Sq^k sends the degree-0 class to the second basis vector of degree
-        # k, which the span given for degree k leaves out
-        dims = {0: 1, 1: 2, 2: 2}
+        # k, which the span given for degree k leaves out.  With top degree 2
+        # only Q0 has degrees to compute; a degree-3 class lets Q1 run from
+        # degree 0 too, and the closure check still comes first.
+        dims = {0: 1, 1: 2, 2: 2, 3: 1}
+        spans = {0: [1], 1: [0b01], 2: [0b01]} | ({3: [1]} if which == "Q1" else {})
         sq = _toy_sq(dims, {(k, 0): Gf2Matrix.from_rows([0b10], 2)})
         with pytest.raises(AssertionError, match=f"not closed under Sq{k} from degree 0"):
-            margolis_homology(sq, {0: [1], 1: [0b01], 2: [0b01]})
+            margolis_homology(sq, spans)
 
     def test_redundant_spanning_vectors_change_nothing(self):
         dims = {0: 1, 1: 2, 2: 1}
