@@ -35,17 +35,19 @@ class Page(Frozen):
     group is not tabulated; the E3 page is final in total degree max_total
     alone, the one degree its report reads.
     The space is algebra.space, and the query's E and n are circle.E and
-    circle.n.  entries and log are read-only, down to each record, and a
+    circle.n; twisted says whether d2 takes the fermion-parity twist.
+    entries and log are read-only, down to each record, and a
     declared differential is a log record of kind "declaration"; apply_d2
     returns a new page, whose previous is the page it was turned from.
     """
 
-    __slots__ = ("number", "spectrum", "max_total", "entries", "circle", "algebra", "log", "previous")
+    __slots__ = ("number", "spectrum", "twisted", "max_total", "entries", "circle", "algebra",
+                 "log", "previous")
 
-    def __init__(self, number: int, spectrum: SpectrumTable, max_total: int,
+    def __init__(self, number: int, spectrum: SpectrumTable, twisted: bool, max_total: int,
                  entries: Mapping[tuple[int, int], GroupExpr | None], circle: CircleRow,
                  algebra: EmAlgebra, log: tuple[Mapping, ...] = (), previous: Page | None = None):
-        self._set(number, spectrum, max_total, entries, circle, algebra, log, previous)
+        self._set(number, spectrum, twisted, max_total, entries, circle, algebra, log, previous)
 
     def entry(self, i: int, j: int) -> GroupExpr | None:
         """The entry at (i, j); zero off the page, which holds every i + j <= max_total."""
@@ -94,8 +96,10 @@ def assemble_e2(
     spec_table: SpectrumTable,
     max_total_degree: int,
     overrides: CoeffOverrides | None = None,
+    twisted: bool = False,
 ) -> Page:
-    """E2 page H^i(X; h^j(pt)) over X = K(E, n) for i + j <= max_total_degree.
+    """E2 page H^i(X; h^j(pt)) over X = K(E, n) for i + j <= max_total_degree,
+    whose d2 takes the fermion-parity twist if twisted asks.
 
     A mod-2 entry is one Z/2 per monomial of algebra.basis(i); the circle row
     comes from the known-value tables, None where they have no entry (the
@@ -137,7 +141,7 @@ def assemble_e2(
     for note in spec_table.notes + circle.notes:
         log.append(_record(kind="override", note=note))
     return Page(
-        2, spec_table, max_total_degree, MappingProxyType(entries), circle, algebra,
+        2, spec_table, twisted, max_total_degree, MappingProxyType(entries), circle, algebra,
         tuple(log),
     )
 
@@ -171,14 +175,14 @@ def apply_d2(page: Page) -> Page:
     (a zero image never needs its target group); an untabulated circle
     entry on the diagonal is refused as the report refuses one.  Each d2 is
     one GF(2) matrix, and d2 composed with itself is asserted zero on every
-    evaluated composable pair.  The fermion-parity twist adds
-    multiplication by the mod-2 reduction of iota_E: the fundamental class
+    evaluated composable pair.  On a twisted page the fermion-parity twist
+    adds multiplication by the mod-2 reduction of iota_E: the fundamental class
     of E's one even factor, or zero when E has none (odd E turns as if
     untwisted).
     """
     if page.number != 2:
         raise ValueError("apply_d2 expects an E2 page")
-    tw = page.spectrum.twisted
+    tw = page.twisted
     alg = page.algebra
     N = page.max_total
     if tw and page.circle.n != 2:
@@ -367,15 +371,11 @@ def run_ahss(
 # keyed by positional arguments only, so every spelling of a query shares one entry
 @lru_cache(maxsize=None)
 def _run_ahss(E, n, spectrum_name, N, twist, d5_zero, overrides):
-    name = spectrum_name
-    if twist:
-        if spectrum_name != "SW":
-            raise UnsupportedRangeError(
-                f"twist fermion-parity is tabulated for SW only, not {spectrum_name}"
-            )
-        name = "SW_twisted_by_Z2F"
-    spec_table = spectrum(name, overrides)
-    page = assemble_e2(E, n, spec_table, N, overrides)
+    if twist and spectrum_name != "SW":
+        raise UnsupportedRangeError(
+            f"twist fermion-parity is tabulated for SW only, not {spectrum_name}"
+        )
+    page = assemble_e2(E, n, spectrum(spectrum_name, overrides), N, overrides, twist)
     page3 = apply_d2(page)
     if d5_zero and N in (4, 5) and page3.entry(0, 4).is_opaque:
         declared = _record(kind="declaration", r=5, source=(0, 4), rank=0)
@@ -519,7 +519,7 @@ def page_to_dict(page: Page) -> dict:
         "group": str(page.circle.E),
         "space_degree": page.circle.n,
         "spectrum": page.spectrum.name,
-        "twisted": page.spectrum.twisted,
+        "twisted": page.twisted,
         "max_total": page.max_total,
         "entries": {
             f"{i},{j}": {"group": "?" if e is None else str(e), "basis": basis(i, j, e)}

@@ -47,11 +47,6 @@ class SpectrumTable(Frozen):
                  notes: tuple[str, ...] = ()):  # overrides applied to this table
         self._set(name, entries, provenance, notes)
 
-    @property
-    def twisted(self) -> bool:
-        """Whether d2 takes the fermion-parity twist: the twisted SW only."""
-        return self.name == _TWISTED_SW
-
     def entry(self, j: int) -> GroupExpr:
         if j < 0:
             return GroupExpr.zero()
@@ -78,7 +73,6 @@ _SPECTRA = {
     "SW": (_CX, _Z2, _Z2, _0, _SW, _0, _0, _0, _0),
     "Spin": (_CX, _Z2, _Z2, _0, _CX, _0, _0, _0),
 }
-_TWISTED_SW = "SW_twisted_by_Z2F"  # SW's entries; the name switches on the twisted d2
 
 
 def spectrum(name: str, overrides: "CoeffOverrides | None" = None) -> SpectrumTable:
@@ -86,25 +80,25 @@ def spectrum(name: str, overrides: "CoeffOverrides | None" = None) -> SpectrumTa
 
     SH has layers C^x, Z2, Z2 in degrees 0..2 and nothing above.  SW agrees
     with SH below degree 4 and has the opaque Witt-group entry SW in degree
-    4.  Spin carries C^x in degree 4 instead.  The twisted variant of SW has
-    SW's point coefficients, and SW's overrides; its name only changes which
-    d2 rule the page engine applies.  Built once per key.
+    4.  Spin carries C^x in degree 4 instead.  The fermion-parity twist is
+    not a table: it changes SW's d2, not its point coefficients, so a
+    twisted run reads the SW table (ahss.assemble_e2's twisted flag).
+    Built once per key.
     """
     return _spectrum(name, overrides)
 
 
 @lru_cache(maxsize=None)  # keyed by positional arguments, as ahss._run_ahss is
 def _spectrum(name, overrides):
-    base = "SW" if name == _TWISTED_SW else name
-    if base not in _SPECTRA:
+    if name not in _SPECTRA:
         raise UnsupportedRangeError(f"unknown spectrum {name!r}")
-    entries = list(_SPECTRA[base])
+    entries = list(_SPECTRA[name])
     provenance = [f"{name}^{j}(pt) = {e} [known value]" for j, e in enumerate(entries)]
-    table = overrides.spectrum_overrides.get(base, {}) if overrides else {}
+    table = overrides.spectrum_overrides.get(name, {}) if overrides else {}
     for j, expr in table.items():
         entries[j] = expr
         provenance[j] = f"{name}^{j}(pt) = {expr} [override]"
-    notes = tuple(f"override: spectrum {base} degree {j} -> {e}" for j, e in table.items())
+    notes = tuple(f"override: spectrum {name} degree {j} -> {e}" for j, e in table.items())
     return SpectrumTable(name, tuple(entries), tuple(provenance), notes)
 
 
@@ -344,8 +338,8 @@ class CoeffOverrides(Frozen):
     with C^x, SW and SW2 as factors, a dangling separator refused);
     comparison images are coordinate lists in the entry's invariant factors
     (null = zero image).
-    An unknown section, a spectrum name other than SH, SW and Spin (the
-    twisted SW table takes SW's overrides), or a file of another shape (a
+    An unknown section, a spectrum name other than SH, SW and Spin (an SW
+    override reaches twisted runs too), or a file of another shape (a
     section or table that is not an object, a key not of the form above, a
     degree key that is not an integer) raises ValueError naming the section
     and the key.  So does a degree outside the table it overrides: above the
@@ -382,11 +376,7 @@ class CoeffOverrides(Frozen):
         sections = {name: _section(raw, name) for name in _SECTIONS}
         unknown = sorted(set(sections["spectrum"]) - set(_SPECTRA))
         if unknown:
-            hint = f" ({_TWISTED_SW} has SW's entries: override SW)"
-            raise ValueError(
-                f"unknown spectra in {path}: {', '.join(unknown)}"
-                + (hint if _TWISTED_SW in unknown else "")
-            )
+            raise ValueError(f"unknown spectra in {path}: {', '.join(unknown)}")
         spectra, rows, images = {}, {}, {}
         for name, table in sections["spectrum"].items():
             top = len(_SPECTRA[name]) - 1

@@ -70,22 +70,26 @@ class SkeletalCategory(Frozen):
 def parse_descriptor(text: str) -> SkeletalCategory:
     """Parse compact descriptors like "braided; pi0=Z/4; id=2Rep(S3); fermionic=no".
 
-    fermionic is yes/no/true/false/1/0, and implied (never no) by 2SVec or 2Rep(...,z)."""
+    fermionic is yes/no/true/false/1/0, and implied (never no) by 2SVec or 2Rep(...,z).
+    A descriptor gives each key, and its level, at most once."""
     level = "fusion"
     pi0 = FinAbGroup.trivial()
     identity = "2Vec"
     fermionic = None
+    seen = set()
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
-        if "=" not in part:
+        key, val = (s.strip() for s in part.split("=", 1)) if "=" in part else (None, part)
+        if key in seen:
+            raise ValueError(f"descriptor repeats {'its level' if key is None else key}: {part!r}")
+        seen.add(key)
+        if key is None:
             if part not in LEVELS:
                 raise ValueError(f"unknown descriptor token {part!r}")
             level = part
-            continue
-        key, val = (s.strip() for s in part.split("=", 1))
-        if key == "pi0":
+        elif key == "pi0":
             pi0 = parse_group(val)
         elif key == "id":
             identity = val

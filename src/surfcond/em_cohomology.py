@@ -93,9 +93,9 @@ def serre_generators(modulus: int, n: int, cap: int) -> list[SteenrodMonomial]:
     """All polynomial generators of H*(K(Z_{2^k}, n); Z2) up to degree cap,
     as the words applied to iota (a word of degree d gives degree n + d).
 
-    Plain words Sq^I iota with excess(I) < n; for k >= 2 sequences ending in
-    Sq1 are dropped and replaced by the power-Bockstein family Sq^J b_k iota.
-    Odd moduli contribute nothing.
+    Words Sq^I iota with excess(I) < n; for k >= 2 a trailing Sq1 is read as
+    the power-Bockstein marker, Sq^J Sq1 as Sq^J b_k (excess counts the
+    marker as a trailing 1).  Odd moduli contribute nothing.
     """
     if cap < n:
         raise ValueError("cap below the space degree")
@@ -108,17 +108,9 @@ def serre_generators(modulus: int, n: int, cap: int) -> list[SteenrodMonomial]:
         )
     out = []
     for seq in _admissible_sequences(cap - n, 1):
-        if k >= 2 and seq and seq[-1] == 1:
-            continue
-        mono = SteenrodMonomial(seq)
-        if seq and excess(mono) >= n:
-            continue
-        out.append(mono)
-    if k >= 2:
-        for seq in _admissible_sequences(cap - n - 1, 2):
-            mono = SteenrodMonomial(seq, bockstein=k)
-            if excess(mono) >= n:
-                continue
+        mono = (SteenrodMonomial(seq[:-1], bockstein=k) if k >= 2 and seq and seq[-1] == 1
+                else SteenrodMonomial(seq))
+        if not seq or excess(mono) < n:
             out.append(mono)
     return out
 
@@ -485,11 +477,8 @@ class EmAlgebra(Frozen):
         if k >= 2 and not word.bockstein and word.squares and word.squares[-1] == 1:
             return None
         e = excess(word)
-        if word.is_identity or e < n:
-            gi = self._gen_index.get((factor, word))
-            if gi is None:
-                raise UnsupportedRangeError(f"generator {word}(iota_{n}) above cap {self.cap}")
-            return ((gi, 1),)
+        if word.is_identity or e < n:  # a generator: sq_matrix keeps its degree within the cap
+            return ((self._gen_index[(factor, word)], 1),)
         if e > n:
             return None
         tail = SteenrodMonomial(word.squares[1:], word.bockstein)

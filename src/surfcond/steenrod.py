@@ -246,8 +246,6 @@ def parse_word(text: str) -> SteenrodWord:
                 continue
             m = _SQ_RE.match(t)
             if m:
-                if bockstein:
-                    raise ValueError("Sq after Bockstein marker")
                 squares.append(int(m.group(1)))
                 continue
             m = _B_RE.match(t)

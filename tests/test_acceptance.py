@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from surfcond import abelian, acceptance, ahss
-from surfcond.abelian import FinAbGroup, parse_group
+from surfcond.abelian import FinAbGroup, GroupExpr, parse_group
 from surfcond.acceptance import CHECKS, _check
 from surfcond.em_cohomology import EmSpace, algebra_for
 from surfcond.gf2 import Gf2Matrix
@@ -195,3 +195,88 @@ def test_cartan_check_catches_a_wrong_square_on_the_product(monkeypatch):
     ok, detail = acceptance.check_cartan_products()
     assert not ok
     assert detail.startswith("Cartan fails for Sq")
+
+
+# ---------------------------------------------------------------------------
+# Each selftest check can fail: a named mutant of what it guards is caught.
+
+
+def test_superwitt_check_catches_a_z4_report_that_answers_z2(monkeypatch):
+    real, Z4 = acceptance.run_ahss, FinAbGroup.cyclic(4)
+
+    def mutant(E, *args, **kwargs):
+        page, report = real(E, *args, **kwargs)
+        if E == Z4:
+            report = report.replace(verdict="Z/2", group=GroupExpr.of(FinAbGroup.cyclic(2)))
+        return page, report
+
+    monkeypatch.setattr(acceptance, "run_ahss", mutant)
+    ok, detail = acceptance.check_superwitt_degree5_cyclic()
+    assert ok is False
+    assert "k=2: Z/2" in detail
+
+
+def test_twisted_point_check_catches_a_quad_group_of_order_2(monkeypatch):
+    monkeypatch.setattr(acceptance, "quad_group", lambda E, target: FinAbGroup.cyclic(2))
+    ok, detail = acceptance.check_twisted_degree5_point()
+    assert ok is False
+    assert "quad(Z/2, circle)=Z/2" in detail
+
+
+def test_supercohomology_check_catches_a_split_verdict_of_z2(monkeypatch):
+    real = acceptance.product_split
+    monkeypatch.setattr(acceptance, "product_split",
+                        lambda *args, **kwargs: {**real(*args, **kwargs), "verdict": "Z/2"})
+    ok, detail = acceptance.check_supercohomology_degree7()
+    assert ok is False
+    assert "Z/2 x Z/2 split: Z/2" in detail
+
+
+def test_smash_check_catches_a_nonzero_q1(monkeypatch):
+    real = ahss.margolis_homology
+
+    def mutant(sq, spans):
+        q0, q1 = real(sq, spans)
+        return q0, dict.fromkeys(q1, 1)
+
+    monkeypatch.setattr(ahss, "margolis_homology", mutant)
+    ok, detail = acceptance.check_smash_margolis()
+    assert ok is False
+    assert "Q1=[1]" in detail
+
+
+def test_bookkeeping_check_catches_a_condensation_that_keeps_pi0(monkeypatch):
+    real = acceptance.condense_group_algebra
+    monkeypatch.setattr(acceptance, "condense_group_algebra",
+                        lambda cat, subgroup: real(cat, subgroup).replace(pi0=cat.pi0))
+    ok, detail = acceptance.check_condensation_bookkeeping()
+    assert ok is False
+    assert detail.startswith("Z/4 after Vec[Z/2]: 4 components")
+
+
+def test_d2_squared_check_catches_runs_that_check_no_chain(monkeypatch):
+    real = acceptance.run_ahss
+
+    def mutant(*args, **kwargs):
+        page, report = real(*args, **kwargs)
+        log = tuple({**rec, "chains_checked": 0} if rec["kind"] == "d2_squared" else rec
+                    for rec in page.log)
+        return page.replace(log=log), report
+
+    monkeypatch.setattr(acceptance, "run_ahss", mutant)
+    ok, detail = acceptance.check_d2_squared()
+    assert ok is False
+    assert detail.startswith("0 composable d2 chains")
+
+
+def test_poincare_check_catches_a_product_series_off_by_one(monkeypatch):
+    real = acceptance.poincare_series
+
+    def mutant(space, cap):
+        series = real(space, cap)
+        return series[:-1] + [series[-1] + 1] if len(space.factors) > 1 else series
+
+    monkeypatch.setattr(acceptance, "poincare_series", mutant)
+    ok, detail = acceptance.check_poincare_convolution()
+    assert ok is False
+    assert detail.startswith("convolution fails for K(Z/2,2) x K(Z/2,2)")

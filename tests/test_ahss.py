@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from surfcond.abelian import FinAbGroup, UnsupportedRangeError
+from surfcond import ahss
+from surfcond.abelian import FinAbGroup, GroupExpr, UnsupportedRangeError, parse_group
 from surfcond.ahss import (
     _a1_submodule,
     apply_d2,
@@ -295,6 +296,69 @@ class TestProductSplit:
         assert split["verdict"] == "0"
 
 
+Z7 = GroupExpr.of(FinAbGroup((7,)))
+# each computation product_split calls, and a perturbation of its result: a
+# point table of Z/7s, a report whose every entry is Z/7, a failed certificate
+PERTURBED = {
+    "spectrum": lambda table: table.replace(entries=(Z7,) * len(table.entries)),
+    "run_ahss": lambda run: (run[0], run[1].replace(
+        entries=tuple((i, j, str(Z7)) for i, j, _g in run[1].entries))),
+    "smash_freeness_check": lambda check: {**check, "all_free": False},
+}
+# query: {computation: (calls, the summands whose status or group moves)}.
+# A lock on what each summand reads today: the Z/2 ^ Z/4 smash is unknown
+# whatever its certificate says, and the odd-side and 2n > N smash summands
+# call nothing.
+SPLIT_SENSITIVITY = {
+    ("Z/2 x Z/4", "SW", 2, 5): {
+        "spectrum": (1, {"point"}),
+        "run_ahss": (2, {"reduced factor 0: Z/2[2]", "reduced factor 1: Z/4[2]"}),
+        "smash_freeness_check": (1, set()),
+    },
+    ("Z/6", "SW", 2, 5): {
+        "spectrum": (1, {"point"}),
+        "run_ahss": (2, {"reduced factor 0: Z/2[2]", "reduced factor 1: Z/3[2]"}),
+        "smash_freeness_check": (0, set()),
+    },
+    ("Z/2 x Z/2", "SH", 4, 7): {
+        "spectrum": (1, {"point"}),
+        "run_ahss": (2, {"reduced factor 0: Z/2[4]", "reduced factor 1: Z/2[4]"}),
+        "smash_freeness_check": (0, set()),
+    },
+    ("Z/2 x Z/2", "SH", 2, 5): {
+        "spectrum": (1, {"point"}),
+        "run_ahss": (2, {"reduced factor 0: Z/2[2]", "reduced factor 1: Z/2[2]"}),
+        "smash_freeness_check": (1, {"smash Z/2[2] ^ Z/2[2]"}),
+    },
+}
+
+
+@pytest.mark.parametrize("query", SPLIT_SENSITIVITY, ids="{0[0]} {0[1]} n={0[2]} N={0[3]}".format)
+def test_what_each_split_summand_reads(query, monkeypatch):
+    group, spectrum_name, n, N = query
+    E = parse_group(group)
+
+    def statuses(split):
+        return {s["summand"]: (s["status"], s["group"]) for s in split["summands"]}
+
+    # the unperturbed split also fills run_ahss's memo, so a perturbed point
+    # table reaches the point summand alone
+    base = statuses(product_split(E, spectrum_name, n, N))
+    found = {}
+    for name, perturb in PERTURBED.items():
+        calls = []
+
+        def perturbed(*args, _real=getattr(ahss, name), _perturb=perturb, **kwargs):
+            calls.append(args)
+            return _perturb(_real(*args, **kwargs))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ahss, name, perturbed)
+            split = statuses(product_split(E, spectrum_name, n, N))
+        found[name] = (len(calls), {label for label in base if split[label] != base[label]})
+    assert found == SPLIT_SENSITIVITY[query]
+
+
 class TestSmashCheck:
     def test_degree5_classes_are_free(self):
         X = EmSpace.from_group(Z2, 2)
@@ -360,5 +424,5 @@ class TestDumps:
         page3, _ = run_ahss(Z2, 2, "SW", 5, twist=True, d5_zero=True)
         e2 = page3.previous
         assert e2.number == 2 and e2.previous is None
-        fresh = assemble_e2(Z2, 2, spectrum("SW_twisted_by_Z2F"), 5)
+        fresh = assemble_e2(Z2, 2, spectrum("SW"), 5, twisted=True)
         assert page_to_dict(e2) == page_to_dict(fresh)

@@ -288,6 +288,7 @@ class TestRouting:
 
 SW_Z2_DEG5 = ["ahss", "--spectrum", "SW", "--group", "Z/2", "--space-degree", "2",
               "--total-degree", "5"]
+SH_Z2 = ["ahss", "--spectrum", "SH", "--group", "Z/2", "--space-degree", "2", "--total-degree"]
 
 
 class TestExitContract:
@@ -372,6 +373,38 @@ class TestExitContract:
                                           "--coeff-overrides", str(path)])
             assert (code, out) == (3, ""), N
             assert err == f"unsupported: no differential rule from row {row} into row {row - 1}\n"
+
+    # refusals that no other test runs, each locked with its exit code and message
+    @pytest.mark.parametrize("argv, overrides, code, message", [
+        (SW_Z2_DEG5, {"spectrum": {"SW": {"4": "SW x Z/2"}}},
+         3, "unsupported: mixed opaque coefficient row Z/2 x SW"),
+        (SH_Z2 + ["5"], {"spectrum": {"SH": {"2": "Z/4"}}},
+         3, "unsupported: coefficient row Z/4 has no differential rule"),
+        (SH_Z2 + ["3"], {"spectrum": {"SH": {"2": "C^x"}}},
+         3, "unsupported: no differential rule from row 2 into row 1"),
+        (["condense", "--pi0", "Z/2 x Z/4", "--algebra", "Z/2 x Z/2"], None,
+         2, "error: subgroup literal 'Z/2 x Z/2' must be cyclic or the full group"),
+        (["emcoh", "--group", "Z/2", "--space-degree", "0", "--max-degree", "4"], None,
+         2, "error: space degree 0 < 1"),
+    ], ids=["mixed-opaque-row", "row-without-rule", "circle-row-above-mod2",
+            "non-cyclic-subgroup", "space-degree-0"])
+    def test_refusal_exits_with_its_message(self, capsys, tmp_path, argv, overrides, code,
+                                            message):
+        if overrides is not None:
+            path = tmp_path / "ov.json"
+            path.write_text(json.dumps(overrides))
+            argv = argv + ["--coeff-overrides", str(path)]
+        assert run(capsys, argv) == (code, "", message + "\n")
+
+    @pytest.mark.parametrize("descriptor, repeat", [
+        ("braided; pi0=Z/2; pi0=Z/4", "pi0: 'pi0=Z/4'"),
+        ("braided; symmetric", "its level: 'symmetric'"),
+        ("id=2Vec; id=2SVec", "id: 'id=2SVec'"),
+        ("braided; fermionic=yes; pi0=Z/2; fermionic=yes", "fermionic: 'fermionic=yes'"),
+    ], ids=["pi0", "level", "id", "fermionic"])
+    def test_descriptor_repeating_a_key_exits_2(self, capsys, descriptor, repeat):
+        argv = ["condense", "--descriptor", descriptor]
+        assert run(capsys, argv) == (2, "", f"error: descriptor repeats {repeat}\n")
 
     @pytest.mark.parametrize(
         "argv, flag",

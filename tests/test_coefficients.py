@@ -30,7 +30,6 @@ class TestSpectrumTables:
         assert str(t.entry(1)) == "Z/2"
         assert str(t.entry(2)) == "Z/2"
         assert t.entry(3).is_zero and t.entry(7).is_zero
-        assert not t.twisted
 
     def test_superwitt_opaque_layer(self):
         t = spectrum("SW")
@@ -42,9 +41,12 @@ class TestSpectrumTables:
         assert t.entry(4).circle_rank == 1
 
     def test_twisted_variant_same_entries(self):
-        plain, tw = spectrum("SW"), spectrum("SW_twisted_by_Z2F")
-        assert plain.entries == tw.entries
+        # the twist changes SW's d2, not its table: a twisted run reads SW's
+        plain, tw = (run_ahss(Z2, 2, "SW", 5, twist=twist)[0] for twist in (False, True))
+        assert plain.spectrum is tw.spectrum is spectrum("SW")
         assert tw.twisted and not plain.twisted
+        with pytest.raises(UnsupportedRangeError, match="unknown spectrum"):
+            spectrum("SW_twisted_by_Z2F")
 
     def test_unknown_and_out_of_range(self):
         with pytest.raises(UnsupportedRangeError):
@@ -59,7 +61,7 @@ class TestMemo:
 
     def test_spectrum_once_per_key(self):
         assert spectrum("SW") is spectrum("SW", None)
-        assert spectrum("SW") is not spectrum("SW_twisted_by_Z2F")
+        assert spectrum("SW") is not spectrum("SH")
 
     def test_circle_row_shared_with_the_run(self):
         # condense asks for circle_row(E, n); assemble_e2 passes the overrides
@@ -267,9 +269,9 @@ class TestOverrides:
         path.write_text(json.dumps({"spectrum": {"SWW": {"4": "0"}, "SW": {"4": "0"}}}))
         with pytest.raises(ValueError, match="unknown spectra .*: SWW$"):
             CoeffOverrides.load(str(path))
-        # the twisted table has SW's entries, so it is overridden through SW
+        # the twist is a flag of the run, not a spectrum with a table
         path.write_text(json.dumps({"spectrum": {"SW_twisted_by_Z2F": {"4": "0"}}}))
-        with pytest.raises(ValueError, match=r"SW_twisted_by_Z2F \(.*override SW\)$"):
+        with pytest.raises(ValueError, match="unknown spectra .*: SW_twisted_by_Z2F$"):
             CoeffOverrides.load(str(path))
 
     def test_sw_override_reaches_the_twisted_run(self, tmp_path):
@@ -277,13 +279,13 @@ class TestOverrides:
         path.write_text(json.dumps({"spectrum": {"SW": {"4": "Z/2"}}}))
         ov = CoeffOverrides.load(str(path))
         note = "override: spectrum SW degree 4 -> Z/2"
-        for name in ("SW", "SW_twisted_by_Z2F"):
-            t = spectrum(name, ov)
-            assert t.notes == (note,)
-            assert str(t.entry(4)) == "Z/2"
-            assert t.provenance[4] == f"{name}^4(pt) = Z/2 [override]"
+        t = spectrum("SW", ov)
+        assert t.notes == (note,)
+        assert str(t.entry(4)) == "Z/2"
+        assert t.provenance[4] == "SW^4(pt) = Z/2 [override]"
         for twist in (False, True):
             page3, report = run_ahss(Z2, 2, "SW", 4, twist=twist, overrides=ov)
+            assert page3.spectrum is t
             assert {"kind": "override", "note": note} in [dict(r) for r in page3.log]
             assert (0, 4, "Z/2") in report.entries and not report.inconclusive
 
