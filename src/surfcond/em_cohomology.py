@@ -198,11 +198,13 @@ class PolyClass:
             return self.algebra.zero_class(degree)
         if degree > self.algebra.cap:
             raise UnsupportedRangeError(f"product degree {degree} above cap {self.algebra.cap}")
-        pos = self.algebra._basis_pos
+        table = self.algebra._mul_table(self.degree, other.degree)
+        right = bits(other.vec)
         vec = 0
-        for a in self.monomials:
-            for b in other.monomials:
-                vec ^= 1 << pos[_mul_monomials(a, b)]
+        for i in bits(self.vec):
+            row = table[i]
+            for j in right:
+                vec ^= row[j]
         return PolyClass(self.algebra, degree, vec)
 
     def __str__(self) -> str:
@@ -228,9 +230,11 @@ class EmAlgebra(Frozen):
     the two algebras' Sq matrices.
 
     A class is its bitmask in the basis of its degree (`PolyClass.vec`),
-    on which Sq^i acts by `sq_matrix`.  Read-only, as `algebra_for` shares
-    it: only its memo of Sq matrices by (i, degree) fills.  It equals only
-    itself, as classes compare their algebras with `is`.
+    on which Sq^i acts by `sq_matrix`, and two classes multiply through the
+    table of products of basis monomials for their pair of degrees.
+    Read-only, as `algebra_for` shares it: only its memos fill, with Sq
+    matrices by (i, degree) and multiplication tables by degree pair.  It
+    equals only itself, as classes compare their algebras with `is`.
     """
 
     _fields = ("space", "cap")
@@ -265,6 +269,7 @@ class EmAlgebra(Frozen):
         # a monomial's position in the basis of its own degree
         attrs["_basis_pos"] = {m: i for ms in self._basis.values() for i, m in enumerate(ms)}
         attrs["_sq_matrix_cache"] = {}
+        attrs["_mul_table_cache"] = {}
 
     # -- construction -------------------------------------------------
 
@@ -361,8 +366,21 @@ class EmAlgebra(Frozen):
     def mul_matrix(self, cls: PolyClass, degree: int) -> Gf2Matrix:
         """Multiplication by cls, from degree to degree + cls.degree."""
         self.coordinates(cls)
-        rows = [(cls * self.monomial_class(m)).vec for m in self.basis(degree)]
+        rows = [(cls * PolyClass(self, degree, 1 << j)).vec for j in range(self.dimension(degree))]
         return Gf2Matrix.from_rows(rows, self.dimension(degree + cls.degree))
+
+    def _mul_table(self, da: int, db: int) -> tuple[tuple[int, ...], ...]:
+        """Products of basis monomials, cached: entry [i][j] is the bit of
+        basis(da)[i] * basis(db)[j] in the basis of degree da + db."""
+        key = (da, db)
+        table = self._mul_table_cache.get(key)
+        if table is None:
+            pos, right = self._basis_pos, self.basis(db)
+            table = tuple(
+                tuple(1 << pos[_mul_monomials(a, b)] for b in right) for a in self.basis(da)
+            )
+            self._mul_table_cache[key] = table
+        return table
 
     # -- Steenrod action ----------------------------------------------
 
@@ -391,7 +409,10 @@ class EmAlgebra(Frozen):
         vec = self.coordinates(cls)
         if i == 0:
             return cls
-        return PolyClass(self, cls.degree + i, self.sq_matrix(i, cls.degree).apply(vec))
+        mat = self._sq_matrix_cache.get((i, cls.degree))
+        if mat is None:
+            mat = self.sq_matrix(i, cls.degree)
+        return PolyClass(self, cls.degree + i, mat.apply(vec))
 
     def _kronecker_sq(self, i: int, degree: int) -> list[int]:
         """Rows of Sq^i on H (x) T in `degree`, from the Sq matrices of H and T.

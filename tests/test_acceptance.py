@@ -197,6 +197,19 @@ def test_cartan_check_catches_a_wrong_square_on_the_product(monkeypatch):
     assert detail.startswith("Cartan fails for Sq")
 
 
+def test_cartan_check_catches_a_wrong_product_table(monkeypatch):
+    # the first product of two degree-2 classes of K(Z/2,2) x K(Z/2,2) gains
+    # or loses the first basis monomial of degree 4; Sq4 squares it, so the
+    # error shows in degree 8, while the Cartan sums read no (2, 2) product
+    alg = algebra_for(EmSpace.single(2, 2).product(EmSpace.single(2, 2)), 12)
+    table = alg._mul_table(2, 2)
+    flipped = ((table[0][0] ^ 1,) + table[0][1:],) + table[1:]
+    monkeypatch.setitem(alg._mul_table_cache, (2, 2), flipped)
+    ok, detail = acceptance.check_cartan_products()
+    assert not ok
+    assert detail.startswith("Cartan fails for Sq")
+
+
 # ---------------------------------------------------------------------------
 # Each selftest check can fail: a named mutant of what it guards is caught.
 

@@ -794,7 +794,7 @@ def test_every_subcommand_has_a_grid():
 
 
 @pytest.mark.parametrize("command", sorted(ARGV))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(data=st.data(), checks=fake_checks)
 def test_text_is_the_render_of_the_json_over_a_grid(command, data, checks):
     argv = data.draw(ARGV[command])
@@ -828,7 +828,7 @@ ISO_ARGV = {
 }
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     st.lists(st.sampled_from([2, 3, 4, 6, 10, 12]), min_size=1, max_size=2),
     st.sampled_from(sorted(ISO_ARGV)),
@@ -845,7 +845,7 @@ def test_isomorphic_literals_give_identical_payloads(factors, command, rnd, data
     assert len(runs) == 1
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.lists(st.sampled_from([3, 5, 9]), max_size=1),
     st.sampled_from([2, 4, 6, 8, 10, 12, 24]),

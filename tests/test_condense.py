@@ -283,7 +283,7 @@ class TestReportCache:
                   st.sampled_from(["braided", "symmetric"])),
         min_size=1, max_size=4,
     ).map(lambda queries: queries + queries[:1]))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_warm_verdicts_equal_cold_ones(self, queries):
         warm = [obstruction_verdict(*q).to_dict() for q in queries]
         for q, payload in zip(queries, warm):

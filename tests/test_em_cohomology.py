@@ -177,7 +177,7 @@ class TestClassesAsVectors:
     operations on classes are the operations on those bitmasks."""
 
     @given(st.sampled_from(sorted(VECTOR_ALGEBRAS)), st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_operations_agree_with_the_vectors(self, name, data):
         alg = algebra_for(*VECTOR_ALGEBRAS[name])
         d = data.draw(st.sampled_from([d for d in range(alg.cap + 1) if alg.dimension(d)]))
@@ -229,7 +229,7 @@ class TestAlgebraCache:
         for name in ("cap", "space", "generators", "_basis_pos", "fresh"):
             with pytest.raises(AttributeError):
                 setattr(alg, name, 3)
-        for name in ("cap", "_sq_matrix_cache"):
+        for name in ("cap", "_sq_matrix_cache", "_mul_table_cache"):
             with pytest.raises(AttributeError):
                 delattr(alg, name)
         assert alg.cap == 7
@@ -381,6 +381,43 @@ class TestKroneckerProducts:
             assert sorted(basis) == sorted(by_degree.get(d, []))
 
 
+MULTIPLICATION_CASES = {
+    "z2_2": (EmSpace.single(2, 2), 12),  # base case: one sorted monomial list
+    "z2_2-squared": (EmSpace(((2, 2), (2, 2))), 10),  # tensor order
+    "z4_2-z2_3": (EmSpace(((4, 2), (2, 3))), 10),  # tensor order, unequal factors
+}
+
+
+def _reference_product(alg, a, b):
+    """The bit of a * b in the basis of its degree: the sum of the two
+    exponent vectors, looked up in the basis as a monomial."""
+    exponents = [0] * len(alg.generators)
+    for gi, e in a + b:
+        exponents[gi] += e
+    mono = tuple((gi, e) for gi, e in enumerate(exponents) if e)
+    return 1 << alg.basis(alg.monomial_degree(mono)).index(mono)
+
+
+@pytest.mark.parametrize("case", sorted(MULTIPLICATION_CASES))
+def test_products_of_basis_monomials_add_their_exponents(case):
+    # every pair within the cap, through PolyClass.__mul__ and mul_matrix,
+    # both of which read the algebra's cached multiplication tables
+    alg = algebra_for(*MULTIPLICATION_CASES[case])
+    pairs = 0
+    for da in range(alg.cap + 1):
+        for db in range(alg.cap - da + 1):
+            right = [alg.monomial_class(b) for b in alg.basis(db)]
+            for a in alg.basis(da):
+                u = alg.monomial_class(a)
+                rows = alg.mul_matrix(u, db).rows
+                for j, b in enumerate(alg.basis(db)):
+                    expected = _reference_product(alg, a, b)
+                    assert (u * right[j]).vec == expected, (a, b)
+                    assert rows[j] == expected, (a, b)
+                    pairs += 1
+    assert pairs > 100
+
+
 EVEN_OR_ODD_FACTOR = st.tuples(st.sampled_from([2, 4, 8, 3]), st.sampled_from([2, 3, 4]))
 
 
@@ -390,7 +427,7 @@ EVEN_OR_ODD_FACTOR = st.tuples(st.sampled_from([2, 4, 8, 3]), st.sampled_from([2
     ),
     st.integers(min_value=4, max_value=10),
 )
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_product_sq_is_the_cartan_sum_over_single_factors(factors, cap):
     """Sq^i of every basis monomial of a product equals the sum over
     j_1 + ... + j_r = i of the products of its factor parts' images, each
