@@ -198,13 +198,7 @@ class PolyClass:
             return self.algebra.zero_class(degree)
         if degree > self.algebra.cap:
             raise UnsupportedRangeError(f"product degree {degree} above cap {self.algebra.cap}")
-        table = self.algebra._mul_table(self.degree, other.degree)
-        right = bits(other.vec)
-        vec = 0
-        for i in bits(self.vec):
-            row = table[i]
-            for j in right:
-                vec ^= row[j]
+        vec = self.algebra._product(self.degree, self.vec, other.degree, other.vec)
         return PolyClass(self.algebra, degree, vec)
 
     def __str__(self) -> str:
@@ -219,9 +213,10 @@ class EmAlgebra(Frozen):
 
     A space with at most one factor of even order is the base case (an odd
     factor contributes the unit algebra): its basis in each degree is the
-    sorted list of monomials, and Sq acts through instability on
-    generators, the Cartan formula on products and Adem normalization for
-    compositions.  A space with two or more even factors is the tensor
+    sorted list of monomials, and Sq acts through instability and Adem
+    normalization on generators, and on products by the Cartan formula,
+    each row XORed from rows of lower Sq matrices through the multiplication
+    tables.  A space with two or more even factors is the tensor
     product H (x) T of two algebras (Kunneth): the head H of its first
     factor and the tail T of the rest, each from `algebra_for`, so equal
     factors share one.  Its basis in degree D is listed in tensor order, by
@@ -266,8 +261,11 @@ class EmAlgebra(Frozen):
             attrs["_basis"] = self._build_basis()
         else:
             attrs["_basis"], attrs["_offsets"] = self._build_tensor_basis()
-        # a monomial's position in the basis of its own degree
-        attrs["_basis_pos"] = {m: i for ms in self._basis.values() for i, m in enumerate(ms)}
+        # a monomial's position in the basis of its own degree, and that degree
+        attrs["_basis_pos"], attrs["_basis_degree"] = pos, degree = {}, {}
+        for d, ms in self._basis.items():
+            for i, m in enumerate(ms):
+                pos[m], degree[m] = i, d
         attrs["_sq_matrix_cache"] = {}
         attrs["_mul_table_cache"] = {}
 
@@ -338,11 +336,7 @@ class EmAlgebra(Frozen):
             raise ValueError(
                 f"{mono!r} is not a basis monomial of {self.space} at cap {self.cap}"
             )
-        return PolyClass(self, self.monomial_degree(mono), 1 << pos)
-
-    def monomial_degree(self, mono: Monomial) -> int:
-        degrees = self._gen_degrees
-        return sum(degrees[gi] * e for gi, e in mono)
+        return PolyClass(self, self._basis_degree[mono], 1 << pos)
 
     def generator_class(self, gi: int) -> PolyClass:
         return self.monomial_class(((gi, 1),))
@@ -382,6 +376,18 @@ class EmAlgebra(Frozen):
             self._mul_table_cache[key] = table
         return table
 
+    def _product(self, da: int, u: int, db: int, v: int) -> int:
+        """Vector of the product of u in degree da and v in degree db, XORed
+        from the entries of their multiplication table."""
+        table = self._mul_table(da, db)
+        right = bits(v)
+        vec = 0
+        for i in bits(u):
+            row = table[i]
+            for j in right:
+                vec ^= row[j]
+        return vec
+
     # -- Steenrod action ----------------------------------------------
 
     def sq_matrix(self, i: int, degree: int) -> Gf2Matrix:
@@ -400,19 +406,18 @@ class EmAlgebra(Frozen):
                 rows = [self._cartan_row(i, mono) for mono in self.basis(degree)]
             else:
                 rows = self._kronecker_sq(i, degree)
-            mat = Gf2Matrix.from_rows(rows, self.dimension(target))
+            mat = Gf2Matrix(tuple(rows), self.dimension(target))
             self._sq_matrix_cache[key] = mat
         return mat
 
     def sq(self, i: int, cls: PolyClass) -> PolyClass:
         """Sq^i on a homogeneous class: its vector through `sq_matrix`."""
-        vec = self.coordinates(cls)
+        if cls.algebra is not self:
+            self.coordinates(cls)  # raises: a class of another algebra
         if i == 0:
             return cls
-        mat = self._sq_matrix_cache.get((i, cls.degree))
-        if mat is None:
-            mat = self.sq_matrix(i, cls.degree)
-        return PolyClass(self, cls.degree + i, mat.apply(vec))
+        mat = self._sq_matrix_cache.get((i, cls.degree)) or self.sq_matrix(i, cls.degree)
+        return PolyClass(self, cls.degree + i, mat.apply(cls.vec))
 
     def _kronecker_sq(self, i: int, degree: int) -> list[int]:
         """Rows of Sq^i on H (x) T in `degree`, from the Sq matrices of H and T.
@@ -423,16 +428,19 @@ class EmAlgebra(Frozen):
         product with the head row spread to the tail's width and moved to
         the target block's offset."""
         head, tail = self._head, self._tail
+        head_sq, tail_sq = head._sq_matrix_cache, tail._sq_matrix_cache
+        head_basis, tail_basis = head._basis, tail._basis
         target_offsets = self._offsets[degree + i]
         out: list[int] = []
         for a in range(degree + 1):
             b = degree - a
-            head_dim, tail_dim = head.dimension(a), tail.dimension(b)
+            head_dim, tail_dim = len(head_basis[a]), len(tail_basis[b])
             if not head_dim or not tail_dim:
                 continue
             parts = [
-                (head.sq_matrix(j, a).rows, tail.sq_matrix(i - j, b).rows,
-                 target_offsets[a + j], tail.dimension(b + i - j))
+                ((head_sq.get((j, a)) or head.sq_matrix(j, a)).rows,
+                 (tail_sq.get((i - j, b)) or tail.sq_matrix(i - j, b)).rows,
+                 target_offsets[a + j], len(tail_basis[b + i - j]))
                 for j in range(max(0, i - b), min(i, a) + 1)
             ]
             for h in range(head_dim):
@@ -449,9 +457,9 @@ class EmAlgebra(Frozen):
         return out
 
     def _cartan_row(self, i: int, mono: Monomial) -> int:
-        """Row of a basis monomial in Sq^i (i > 0).  The Cartan formula
-        splits off one generator g: Sq^i(g r) = sum_j Sq^j(g) Sq^(i-j)(r),
-        with both factors read from the Sq matrices of lower degree."""
+        """Row of a basis monomial in Sq^i (i > 0) by the Cartan formula on
+        one generator g: Sq^i(g r) = sum_j Sq^j(g) Sq^(i-j)(r), each factor a
+        row of a lower Sq matrix, each product XORed from a multiplication table."""
         if not mono:
             return 0
         (gi, e), rest = mono[0], mono[1:]
@@ -459,10 +467,15 @@ class EmAlgebra(Frozen):
             return self._sq_generator(i, gi)
         if e > 1:
             rest = ((gi, e - 1),) + rest
-        g, r = self.generator_class(gi), self.monomial_class(rest)
+        cache, pos = self._sq_matrix_cache, self._basis_pos
+        dg, dr = self._gen_degrees[gi], self._basis_degree[rest]
+        g, r = pos[((gi, 1),)], pos[rest]
         row = 0
-        for j in range(max(0, i - r.degree), min(i, g.degree) + 1):
-            row ^= (self.sq(j, g) * self.sq(i - j, r)).vec
+        for j in range(max(0, i - dr), min(i, dg) + 1):
+            left = (cache.get((j, dg)) or self.sq_matrix(j, dg)).rows[g]
+            right = (cache.get((i - j, dr)) or self.sq_matrix(i - j, dr)).rows[r]
+            if left and right:
+                row ^= self._product(dg + j, left, dr + i - j, right)
         return row
 
     def _sq_generator(self, i: int, gi: int) -> int:

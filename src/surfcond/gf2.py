@@ -48,10 +48,12 @@ class Gf2Matrix(Frozen):
     def apply(self, vec: int) -> int:
         """Image of a domain vector (bitmask over rows), in time proportional
         to its weight."""
-        if vec < 0 or vec >> self.nrows:
-            raise ValueError(f"vector {vec:#x} is not a bitmask over {self.nrows} rows")
-        out = 0
         rows = self.rows
+        if vec < 0 or vec >> len(rows):
+            raise ValueError(f"vector {vec:#x} is not a bitmask over {len(rows)} rows")
+        if not vec & (vec - 1):  # zero or a single bit
+            return rows[vec.bit_length() - 1] if vec else 0
+        out = 0
         for i in bits(vec):
             out ^= rows[i]
         return out

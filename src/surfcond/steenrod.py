@@ -150,12 +150,12 @@ def _normalize_squares(squares: tuple[int, ...]) -> frozenset[SteenrodMonomial]:
     for pos in range(len(squares) - 1):
         a, b = squares[pos], squares[pos + 1]
         if a < 2 * b:
-            out: set[SteenrodMonomial] = set()
+            out: frozenset[SteenrodMonomial] = frozenset()
             for repl in adem_expand(a, b):
-                rewritten = squares[:pos] + repl + squares[pos + 2 :]
-                out.symmetric_difference_update(_normalize_squares(rewritten))
-            return frozenset(out)
-    return frozenset({SteenrodMonomial(squares)})
+                terms = _normalize_squares(squares[:pos] + repl + squares[pos + 2 :])
+                out = out ^ terms if out else terms
+            return out
+    return frozenset((SteenrodMonomial(squares),))
 
 
 def adem_normalize(word: SteenrodWord) -> SteenrodWord:

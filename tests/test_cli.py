@@ -75,6 +75,16 @@ class TestExitCodes:
         assert "blocker" in out
         assert "inconclusive" in out
 
+    def test_d3_out_of_an_opaque_entry_blocks(self, capsys):
+        # SW's (0,4) is opaque; d4 and d5 out of it also block, so the exit
+        # code alone would not show a lost d3 blocker
+        code, out, _ = run(
+            capsys, ["ahss", "--spectrum", "SW", "--group", "Z/2",
+                     "--space-degree", "2", "--total-degree", "4"]
+        )
+        assert code == 4
+        assert "\nblocker: d3 out of opaque (0,4) undeclared\n" in out
+
     def test_declared_d5_resolves(self, capsys):
         code, out, _ = run(
             capsys, ["ahss", "--spectrum", "SW", "--group", "Z/2",

@@ -226,7 +226,7 @@ class TestAlgebraCache:
     def test_shared_algebra_is_read_only(self):
         # an edited cap would poison every later run that shares the algebra
         alg = algebra_for(EmSpace.single(2, 2), 7)
-        for name in ("cap", "space", "generators", "_basis_pos", "fresh"):
+        for name in ("cap", "space", "generators", "_basis_pos", "_basis_degree", "fresh"):
             with pytest.raises(AttributeError):
                 setattr(alg, name, 3)
         for name in ("cap", "_sq_matrix_cache", "_mul_table_cache"):
@@ -253,8 +253,9 @@ class TestForeignClasses:
     def test_another_algebras_class_is_rejected(self, other):
         alg = algebra_for(EmSpace.single(2, 2), 8)
         foreign = algebra_for(*other).fundamental_class()
-        with pytest.raises(ValueError, match="class of another algebra"):
-            alg.sq(1, foreign)
+        for i in (0, 1, 2):  # Sq0 too, although it returns its class unread
+            with pytest.raises(ValueError, match="i2 is a class of another algebra than"):
+                alg.sq(i, foreign)
         with pytest.raises(ValueError, match="class of another algebra"):
             alg.coordinates(foreign)
         with pytest.raises(ValueError, match="class of another algebra"):
@@ -315,6 +316,38 @@ def test_sq_action_matches_its_locked_digests():
     assert count == 2694
     assert matrices.hexdigest() == SQ_MATRIX_DIGEST
     assert images.hexdigest() == SQ_IMAGE_DIGEST
+
+
+CARTAN_ROW_ALGEBRAS = {  # (space, cap): the number of Cartan rows
+    "z2_2": ((EmSpace.single(2, 2), 14), 131),
+    "z4_2": ((EmSpace.single(4, 2), 12), 71),  # power-Bockstein generators
+    "z2_3": ((EmSpace.single(2, 3), 12), 40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CARTAN_ROW_ALGEBRAS))
+def test_cartan_rows_are_the_sums_of_class_products(case):
+    """Each row of Sq^i on a product g r (g the monomial's first generator)
+    is read from Sq matrix rows and a multiplication table; here it is the
+    class-level sum over every j of Sq^j(g) * Sq^(i-j)(r)."""
+    space_cap, count = CARTAN_ROW_ALGEBRAS[case]
+    alg = EmAlgebra(*space_cap)
+    rows = 0
+    for d in range(alg.cap + 1):
+        for p, mono in enumerate(alg.basis(d)):
+            if not mono or mono == ((mono[0][0], 1),):
+                continue  # the unit and single generators have no Cartan row
+            (gi, e), rest = mono[0], mono[1:]
+            if e > 1:
+                rest = ((gi, e - 1),) + rest
+            g, r = alg.generator_class(gi), alg.monomial_class(rest)
+            for i in range(1, alg.cap - d + 1):
+                expected = 0
+                for j in range(i + 1):
+                    expected ^= (alg.sq(j, g) * alg.sq(i - j, r)).vec
+                assert alg.sq_matrix(i, d).rows[p] == expected, (case, i, mono)
+                rows += 1
+    assert rows == count
 
 
 KRONECKER_CASES = {
@@ -395,7 +428,8 @@ def _reference_product(alg, a, b):
     for gi, e in a + b:
         exponents[gi] += e
     mono = tuple((gi, e) for gi, e in enumerate(exponents) if e)
-    return 1 << alg.basis(alg.monomial_degree(mono)).index(mono)
+    degree = sum(alg.generators[gi].degree * e for gi, e in mono)
+    return 1 << alg.basis(degree).index(mono)
 
 
 @pytest.mark.parametrize("case", sorted(MULTIPLICATION_CASES))
@@ -443,9 +477,10 @@ def test_product_sq_is_the_cartan_sum_over_single_factors(factors, cap):
 
     def images(f, mono, i):  # Sq^i of a factor part, embedded in the product
         single = singles[f]
-        if single.monomial_degree(mono) + i > cap:
+        cls = single.monomial_class(mono)
+        if cls.degree + i > cap:
             return set()
-        img = single.sq(i, single.monomial_class(mono))
+        img = single.sq(i, cls)
         return {tuple((index[(f, single.generators[gi].word)], e) for gi, e in m)
                 for m in img.monomials}
 

@@ -86,6 +86,14 @@ class TestGf2Matrix:
                 expected ^= m.rows[i]
         assert m.apply(vec) == expected
 
+    def test_apply_to_a_single_bit_reads_its_row(self):
+        m = Gf2Matrix.from_rows([0b01, 0b11, 0b10], 2)
+        for k in range(m.nrows):
+            assert m.apply(1 << k) == m.rows[k]
+        for vec in (1 << m.nrows, -1):
+            with pytest.raises(ValueError, match="not a bitmask over 3 rows"):
+                m.apply(vec)
+
     def test_apply_rejects_bits_outside_the_rows(self):
         m = Gf2Matrix.from_rows([0b01, 0b11], 2)
         for vec in (0b100, 0b101, 1 << 70, -1):
