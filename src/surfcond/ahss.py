@@ -93,7 +93,7 @@ def _row_kind(spec_table: SpectrumTable, j: int) -> str:
 def assemble_e2(
     E: FinAbGroup,
     n: int,
-    spec_table: SpectrumTable,
+    spectrum_name: str,
     max_total_degree: int,
     overrides: CoeffOverrides | None = None,
     twisted: bool = False,
@@ -107,8 +107,10 @@ def assemble_e2(
     i = 0 and its hom(-, Z2) companion at i = 2.  Bases with more than one
     2-primary factor are out of scope here (product_split handles them).
     The circle row is the one of degree n even when E is trivial and X is a
-    point.
+    point.  Both the spectrum's table and the circle row are read under the
+    one set of overrides given.
     """
+    spec_table = spectrum(spectrum_name, overrides)
     space = EmSpace.from_group(E, n)
     if even_count(E.invariant_factors) > 1:
         raise UnsupportedRangeError(
@@ -375,7 +377,7 @@ def _run_ahss(E, n, spectrum_name, N, twist, d5_zero, overrides):
         raise UnsupportedRangeError(
             f"twist fermion-parity is tabulated for SW only, not {spectrum_name}"
         )
-    page = assemble_e2(E, n, spectrum(spectrum_name, overrides), N, overrides, twist)
+    page = assemble_e2(E, n, spectrum_name, N, overrides, twist)
     page3 = apply_d2(page)
     if d5_zero and N in (4, 5) and page3.entry(0, 4).is_opaque:
         declared = _record(kind="declaration", r=5, source=(0, 4), rank=0)

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every subcommand builds a JSON-able payload {command, inputs, provenance,
-result} first; the human-readable text is rendered from that payload alone,
-so a --json dump re-rendered through the same functions reproduces the text
-output byte for byte.
+One table, COMMANDS, maps each subcommand to its handler, which returns the
+query's inputs, provenance and result with its exit code, and its renderer.
+main wraps them in the JSON-able payload {command, inputs, provenance,
+result}; the parser gives every subcommand --json, which prints it.  The text
+is rendered from the payload alone, so a --json dump re-rendered through the
+same renderer reproduces the text output byte for byte.
 
 Exit codes: 0 success, 1 selftest FAILURES, 2 parse error (including a
 negative degree or order argument), 3 unsupported range, missing table
@@ -49,9 +51,8 @@ EXIT_UNSUPPORTED = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_INTERNAL = 5
 
-
-def _payload(command: str, inputs: dict, provenance: list[str], result: dict) -> dict:
-    return {"command": command, "inputs": inputs, "provenance": provenance, "result": result}
+_STATISTICS = ("bosonic", "fermionic")
+_LEVELS = ("braided", "symmetric")
 
 
 # ---------------------------------------------------------------------------
@@ -162,26 +163,15 @@ def render_selftest(payload: dict) -> str:
     return "\n".join(lines)
 
 
-RENDERERS = {
-    "emcoh": render_emcoh,
-    "steenrod": render_steenrod,
-    "ahss": render_ahss,
-    "obstruction": render_obstruction,
-    "condense": render_condense,
-    "survey": render_survey,
-    "selftest": render_selftest,
-}
-
-
 def render_payload(payload: dict) -> str:
-    return RENDERERS[payload["command"]](payload)
+    return COMMANDS[payload["command"]][1](payload)
 
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
 
-def _cmd_emcoh(args) -> tuple[dict, int]:
+def _cmd_emcoh(args) -> tuple[tuple[dict, list[str], dict], int]:
     E = parse_group(args.group)
     space = EmSpace.from_group(E, args.space_degree)
     alg = algebra_for(space, max(args.max_degree, args.space_degree))
@@ -193,15 +183,11 @@ def _cmd_emcoh(args) -> tuple[dict, int]:
     series = [alg.dimension(d) for d in range(args.max_degree + 1)]
     result = {"generators": gens, "poincare_series": series}
     prov = ["generators from admissible words of excess below the space degree [computed]"]
-    return _payload(
-        "emcoh",
-        {"group": str(E), "space_degree": args.space_degree, "max_degree": args.max_degree},
-        prov,
-        result,
-    ), EXIT_OK
+    inputs = {"group": str(E), "space_degree": args.space_degree, "max_degree": args.max_degree}
+    return (inputs, prov, result), EXIT_OK
 
 
-def _cmd_steenrod(args) -> tuple[dict, int]:
+def _cmd_steenrod(args) -> tuple[tuple[dict, list[str], dict], int]:
     word = parse_word(args.word)
     normal = adem_normalize(word)
     monos = normal.sorted_monomials()
@@ -211,12 +197,10 @@ def _cmd_steenrod(args) -> tuple[dict, int]:
         "degree": normal.degree if not normal.is_zero else word.degree,
         "excess": exc,
     }
-    return _payload(
-        "steenrod", {"word": args.word}, ["Adem normalization [computed]"], result
-    ), EXIT_OK
+    return ({"word": args.word}, ["Adem normalization [computed]"], result), EXIT_OK
 
 
-def _cmd_ahss(args) -> tuple[dict, int]:
+def _cmd_ahss(args) -> tuple[tuple[dict, list[str], dict], int]:
     from .ahss import page_to_dict, product_split, run_ahss
     from .coefficients import CoeffOverrides
 
@@ -257,19 +241,19 @@ def _cmd_ahss(args) -> tuple[dict, int]:
             result["pages"] = dumps
         prov = list(report.provenance)
     code = EXIT_INCONCLUSIVE if result["verdict"] == "inconclusive" else EXIT_OK
-    return _payload("ahss", inputs, prov, result), code
+    return (inputs, prov, result), code
 
 
-def _cmd_obstruction(args) -> tuple[dict, int]:
+def _cmd_obstruction(args) -> tuple[tuple[dict, list[str], dict], int]:
     from .condense import obstruction_verdict
 
     E = parse_group(args.group)
     v = obstruction_verdict(E, args.statistic, args.level)
     inputs = {"group": str(E), "statistic": args.statistic, "level": args.level}
-    return _payload("obstruction", inputs, list(v.provenance), v.to_dict()), EXIT_OK
+    return (inputs, list(v.provenance), v.to_dict()), EXIT_OK
 
 
-def _cmd_condense(args) -> tuple[dict, int]:
+def _cmd_condense(args) -> tuple[tuple[dict, list[str], dict], int]:
     from .condense import SkeletalCategory, condense_group_algebra, condense_phi, parse_descriptor
 
     if args.descriptor:
@@ -311,7 +295,7 @@ def _cmd_condense(args) -> tuple[dict, int]:
         "level": level,
         "id": identity,
     }
-    return _payload("condense", inputs, prov, result), EXIT_OK
+    return (inputs, prov, result), EXIT_OK
 
 
 def _survey_groups(max_order: int) -> list[FinAbGroup]:
@@ -321,7 +305,7 @@ def _survey_groups(max_order: int) -> list[FinAbGroup]:
     return sorted(groups, key=lambda E: (E.order, E.invariant_factors))
 
 
-def _cmd_survey(args) -> tuple[dict, int]:
+def _cmd_survey(args) -> tuple[tuple[dict, list[str], dict], int]:
     from .condense import obstruction_verdict
 
     rows, prov = [], []
@@ -330,17 +314,17 @@ def _cmd_survey(args) -> tuple[dict, int]:
         rows.append({"group": str(E), "branch": v.branch, "verdict": v.verdict})
         prov += [p for p in v.provenance if p not in prov]
     inputs = {"max_order": args.max_order, "statistic": args.statistic, "level": args.level}
-    return _payload("survey", inputs, prov, {"rows": rows}), EXIT_OK
+    return (inputs, prov, {"rows": rows}), EXIT_OK
 
 
-def _cmd_selftest(args) -> tuple[dict, int]:
+def _cmd_selftest(args) -> tuple[tuple[dict, list[str], dict], int]:
     from .acceptance import run_all
 
     results = run_all()
     checks = [r.as_dict() for r in results]
     ok = all(r.ok for r in results)
     result = {"checks": checks, "verdict": "all checks passed" if ok else "FAILURES"}
-    return _payload("selftest", {}, [], result), (EXIT_OK if ok else EXIT_FAILURES)
+    return ({}, [], result), (EXIT_OK if ok else EXIT_FAILURES)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--group", required=True)
     e.add_argument("--space-degree", type=int, required=True)
     e.add_argument("--max-degree", type=int, required=True)
-    e.add_argument("--json", action="store_true")
 
     s = sub.add_parser("steenrod", help="Adem-normalize a Steenrod word")
     s.add_argument("--word", required=True)
-    s.add_argument("--json", action="store_true")
 
     a = sub.add_parser("ahss", help="spectral sequence run in one total degree")
     a.add_argument("--spectrum", required=True, choices=["SH", "SW", "Spin"])
@@ -373,13 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--d5", choices=["zero"])
     a.add_argument("--dump-pages", metavar="PATH")
     a.add_argument("--coeff-overrides", metavar="PATH")
-    a.add_argument("--json", action="store_true")
 
     o = sub.add_parser("obstruction", help="condensation obstruction verdict")
     o.add_argument("--group", required=True)
-    o.add_argument("--statistic", required=True, choices=["bosonic", "fermionic"])
-    o.add_argument("--level", required=True, choices=["braided", "symmetric"])
-    o.add_argument("--json", action="store_true")
+    o.add_argument("--statistic", required=True, choices=_STATISTICS)
+    o.add_argument("--level", required=True, choices=_LEVELS)
 
     c = sub.add_parser("condense", help="component-level condensation")
     c.add_argument("--pi0")
@@ -388,27 +368,26 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--descriptor")
     c.add_argument("--level", help="default: fusion")
     c.add_argument("--id", help="identity tag for --phi (default: 2Rep(G))")
-    c.add_argument("--json", action="store_true")
 
     v = sub.add_parser("survey", help="obstruction verdicts for every group of rank <= 2")
     v.add_argument("--max-order", type=int, default=8)
-    v.add_argument("--statistic", default="fermionic", choices=["bosonic", "fermionic"])
-    v.add_argument("--level", default="braided", choices=["braided", "symmetric"])
-    v.add_argument("--json", action="store_true")
+    v.add_argument("--statistic", default="fermionic", choices=_STATISTICS)
+    v.add_argument("--level", default="braided", choices=_LEVELS)
 
-    t = sub.add_parser("selftest", help="run the acceptance suite")
-    t.add_argument("--json", action="store_true")
+    sub.add_parser("selftest", help="run the acceptance suite")
+    for command in sub.choices.values():  # after each subcommand's own options
+        command.add_argument("--json", action="store_true")
     return p
 
 
-COMMANDS = {
-    "emcoh": _cmd_emcoh,
-    "steenrod": _cmd_steenrod,
-    "ahss": _cmd_ahss,
-    "obstruction": _cmd_obstruction,
-    "condense": _cmd_condense,
-    "survey": _cmd_survey,
-    "selftest": _cmd_selftest,
+COMMANDS = {  # name: (handler, renderer)
+    "emcoh": (_cmd_emcoh, render_emcoh),
+    "steenrod": (_cmd_steenrod, render_steenrod),
+    "ahss": (_cmd_ahss, render_ahss),
+    "obstruction": (_cmd_obstruction, render_obstruction),
+    "condense": (_cmd_condense, render_condense),
+    "survey": (_cmd_survey, render_survey),
+    "selftest": (_cmd_selftest, render_selftest),
 }
 
 
@@ -421,7 +400,7 @@ def main(argv=None) -> int:
             print(f"error: --{name.replace('_', '-')} must be >= 0, got {value}", file=sys.stderr)
             return EXIT_PARSE
     try:
-        payload, code = COMMANDS[args.command](args)
+        (inputs, prov, result), code = COMMANDS[args.command][0](args)
     except UnsupportedRangeError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -434,9 +413,9 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    payload = {"command": args.command, "inputs": inputs, "provenance": prov, "result": result}
     try:
-        print(json.dumps(payload, indent=2) if getattr(args, "json", False)
-              else render_payload(payload), flush=True)
+        print(json.dumps(payload, indent=2) if args.json else render_payload(payload), flush=True)
     except BrokenPipeError:  # the reader has gone; what is left of the output goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code

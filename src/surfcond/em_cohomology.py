@@ -179,17 +179,6 @@ class PolyClass:
     def is_zero(self) -> bool:
         return not self.vec
 
-    def __add__(self, other: "PolyClass") -> "PolyClass":
-        if self.algebra is not other.algebra:
-            raise ValueError("classes live in different algebras")
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.degree != other.degree:
-            raise ValueError("inhomogeneous sum")
-        return PolyClass(self.algebra, self.degree, self.vec ^ other.vec)
-
     def __mul__(self, other: "PolyClass") -> "PolyClass":
         if self.algebra is not other.algebra:
             raise ValueError("classes live in different algebras")

@@ -60,6 +60,10 @@ class TestFinAbGroup:
         with pytest.raises(ValueError):
             FinAbGroup((4, 2))
 
+    def test_invariant_factors_below_two_refused(self):
+        with pytest.raises(ValueError, match="^invariant factor 1 < 2$"):
+            FinAbGroup((1,))
+
     def test_element_arithmetic(self):
         G = FinAbGroup((2, 4))
         assert G.add((1, 3), (1, 2)) == (0, 1)
@@ -107,6 +111,10 @@ class TestSmithNormalForm:
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError):
             smith_normal_form([[1, 1], [2, 2]])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="^ragged relation matrix$"):
+            smith_normal_form([[2, 0], [3]])
 
     @pytest.mark.parametrize("rows, expected", [
         # the corner 2 does not divide its row [2, 1]: two column passes
@@ -282,6 +290,10 @@ class TestQuadraticForms:
         assert quad_group(FinAbGroup((3,)), CIRCLE) == FinAbGroup((3,))
         assert quad_group(FinAbGroup((2,)), Z2_TARGET) == FinAbGroup((2,))
         assert quad_group(FinAbGroup((3,)), Z2_TARGET).is_trivial
+
+    def test_brute_force_on_the_trivial_group(self):
+        for target in (CIRCLE, Z2_TARGET):
+            assert quad_group_brute(FinAbGroup.trivial(), target).is_trivial
 
     @pytest.mark.parametrize("factors", NON_CYCLIC_UP_TO_32)
     def test_brute_force_agrees_with_closed_form(self, factors):

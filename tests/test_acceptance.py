@@ -185,6 +185,36 @@ def test_adem_oracle_catches_a_term_dropped_consistently(monkeypatch):
     assert detail.startswith("evaluation mismatch at (2,3)")
 
 
+def test_adem_oracle_catches_a_normalization_that_disagrees_with_expansion(monkeypatch):
+    # Sq2 Sq3 = Sq4 Sq1 + Sq5; the mutant normalizes it to Sq5 alone
+    real = acceptance.adem_normalize
+    monkeypatch.setattr(acceptance, "adem_normalize", lambda word: (
+        SteenrodWord.sq(5) if word == SteenrodWord.sq(2, 3) else real(word)))
+    ok, detail = acceptance.check_adem_oracle()
+    assert (ok, detail) == (False, "normalization disagrees with expansion at (2,3)")
+
+
+def test_adem_oracle_catches_a_bad_term(monkeypatch):
+    # expansion and normalization agree that Sq1 Sq2 is itself, an
+    # inadmissible term
+    real_expand, real_normalize = acceptance.adem_expand, acceptance.adem_normalize
+    monkeypatch.setattr(acceptance, "adem_expand", lambda a, b: (
+        frozenset({(1, 2)}) if (a, b) == (1, 2) else real_expand(a, b)))
+    monkeypatch.setattr(acceptance, "adem_normalize", lambda word: (
+        word if word == SteenrodWord.sq(1, 2) else real_normalize(word)))
+    ok, detail = acceptance.check_adem_oracle()
+    assert (ok, detail) == (False, f"bad term {SteenrodMonomial((1, 2))} for (1,2)")
+
+
+def test_a_check_that_raises_fails_with_its_exception():
+    def crash():
+        raise ZeroDivisionError("no quotient")
+
+    result = _check("crash", crash)
+    assert (result.name, result.ok) == ("crash", False)
+    assert result.detail == "raised ZeroDivisionError: no quotient"
+
+
 def test_cartan_check_catches_a_wrong_square_on_the_product(monkeypatch):
     # Sq2 on degree 4 of K(Z/2,2) x K(Z/2,2), where every class is a product
     # of two degree-2 classes, has one bit of its first row flipped

@@ -16,7 +16,7 @@ from surfcond.ahss import (
     total_degree_report,
 )
 from surfcond.cli import render_page_text
-from surfcond.coefficients import spectrum
+from surfcond.coefficients import CoeffOverrides
 from surfcond.em_cohomology import EmSpace, algebra_for
 from surfcond.steenrod import margolis_homology
 
@@ -31,7 +31,7 @@ def d2_log(page):
 
 class TestAssembly:
     def test_e2_entries_for_superwitt(self):
-        page = assemble_e2(Z2, 2, spectrum("SW"), 6)
+        page = assemble_e2(Z2, 2, "SW", 6)
         assert str(page.entry(4, 1)) == "Z/2"
         assert page_to_dict(page)["entries"]["4,1"]["basis"] == ["i2^2"]
         assert page.entry(0, 4).opaque == ("SW",)
@@ -42,16 +42,28 @@ class TestAssembly:
 
     def test_two_even_factors_rejected(self):
         with pytest.raises(UnsupportedRangeError):
-            assemble_e2(FinAbGroup((2, 2)), 2, spectrum("SW"), 5)
+            assemble_e2(FinAbGroup((2, 2)), 2, "SW", 5)
 
     def test_short_spectrum_rejected(self):
         with pytest.raises(UnsupportedRangeError):
-            assemble_e2(Z2, 2, spectrum("Spin"), 9)
+            assemble_e2(Z2, 2, "Spin", 9)
+
+    def test_refusals_in_order(self):
+        # an unknown spectrum first, then two even factors, then a short table
+        with pytest.raises(UnsupportedRangeError, match="unknown spectrum 'KO'"):
+            assemble_e2(FinAbGroup((2, 2)), 2, "KO", 9)
+        with pytest.raises(UnsupportedRangeError, match="more than one 2-primary factor"):
+            assemble_e2(FinAbGroup((2, 2)), 2, "Spin", 9)
+
+    def test_spectrum_table_read_under_the_given_overrides(self):
+        ov = CoeffOverrides(spectrum_overrides={"SH": {3: GroupExpr.of(FinAbGroup((2,)))}})
+        assert assemble_e2(Z2, 2, "SH", 5).entry(0, 3).is_zero
+        assert str(assemble_e2(Z2, 2, "SH", 5, ov).entry(0, 3)) == "Z/2"
 
     def test_missing_circle_data_raises(self):
         # the page keeps an untabulated circle entry as None (dumps show
         # "?"); the run refuses it where its report reads it
-        assert assemble_e2(Z3, 2, spectrum("SH"), 6).entry(6, 0) is None
+        assert assemble_e2(Z3, 2, "SH", 6).entry(6, 0) is None
         with pytest.raises(UnsupportedRangeError,
                            match=r"entry \(6,0\) in total degree 6 is not tabulated"):
             run_ahss(Z3, 2, "SH", 6)
@@ -101,7 +113,7 @@ class TestD2:
         assert checks and checks[0]["chains_checked"] > 0
 
     def test_dimensions_never_grow(self):
-        e2 = assemble_e2(Z2, 2, spectrum("SW"), 5)
+        e2 = assemble_e2(Z2, 2, "SW", 5)
         e3 = apply_d2(e2)
         for i in range(6):
             j = 5 - i
@@ -109,6 +121,10 @@ class TestD2:
             if before is None or after is None:
                 continue
             assert after.finite.order <= before.finite.order
+
+    def test_d2_turns_an_e2_page_only(self):
+        with pytest.raises(ValueError, match="^apply_d2 expects an E2 page$"):
+            apply_d2(run_ahss(Z2, 2, "SW", 5)[0])
 
     @pytest.mark.parametrize("factors", [(3,), (5,), (15,), (3, 3)])
     def test_twist_over_odd_group_changes_no_report(self, factors):
@@ -424,5 +440,5 @@ class TestDumps:
         page3, _ = run_ahss(Z2, 2, "SW", 5, twist=True, d5_zero=True)
         e2 = page3.previous
         assert e2.number == 2 and e2.previous is None
-        fresh = assemble_e2(Z2, 2, spectrum("SW"), 5, twisted=True)
+        fresh = assemble_e2(Z2, 2, "SW", 5, twisted=True)
         assert page_to_dict(e2) == page_to_dict(fresh)

@@ -106,6 +106,9 @@ class TestCircleRows:
         assert str(circle_row(Z6, 4).entry(7)) == "Z/2"
         assert circle_row(Z3, 4).entry(7).is_zero
 
+    def test_negative_degree_is_zero(self):
+        assert circle_row(Z4, 2).entry(-1).is_zero
+
     def test_out_of_table_raises(self):
         row = circle_row(Z4, 2)
         with pytest.raises(UnsupportedRangeError):

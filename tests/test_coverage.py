@@ -14,8 +14,10 @@ The full grid (n = 1..5, N = 0..10, both twist settings on every spectrum,
 with and without `--d5 zero`, each query as text and as `--json
 --dump-pages`) runs in CI through `print_grid_hashes`, which also prints
 one sha256 over every query's argv, exit code, stdout, stderr and
-pages-file text, and one over the override grid's argv, exit code, stdout
-and stderr.  To reproduce both hashes locally:
+pages-file text, one over the override grid's argv, exit code, stdout
+and stderr, and one over those of `surfcond --help`, each subcommand's
+`--help` and one usage error per subcommand (`help_sha256`).  To reproduce
+the three hashes locally:
 `PYTHONPATH=src:tests python -c 'import test_coverage as t; t.print_grid_hashes()'`.
 """
 
@@ -179,11 +181,47 @@ def test_ahss_override_grid_exits_are_documented(tmp_path, monkeypatch):
     assert_exits(override_queries(tmp_path), DOCUMENTED_EXITS)
 
 
+def help_queries() -> list[list[str]]:
+    """`surfcond --help`, each subcommand's `--help`, and one usage error
+    per subcommand."""
+    usage_errors = (
+        ["emcoh", "--group", "Z/2"],
+        ["steenrod"],
+        ["ahss", "--spectrum", "KO", "--group", "Z/2", "--space-degree", "2", "--total-degree", "4"],
+        ["obstruction", "--group", "Z/2", "--statistic", "anyonic", "--level", "braided"],
+        ["condense", "--pi0"],
+        ["survey", "--level", "sylleptic"],
+        ["selftest", "--json=yes"],
+    )
+    return [["--help"]] + [[command, "--help"] for command in cli.COMMANDS] + list(usage_errors)
+
+
+def test_help_exits_0_and_usage_errors_exit_2():
+    for argv in help_queries():
+        code, out, err = run_query(argv)
+        if "--help" in argv:
+            assert (code, err) == (0, "") and out.startswith("usage: surfcond"), argv
+        else:
+            assert code == 2 and out == "" and f"surfcond {argv[0]}: error:" in err, argv
+
+
+def help_sha256() -> str:
+    """sha256 over the argv, exit code, stdout and stderr of each of
+    help_queries(), on an 80-column terminal: argparse wraps help text to
+    the width it reads from COLUMNS."""
+    digest = hashlib.sha256()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in help_queries():
+            digest.update(repr((argv, *run_query(argv))).encode())
+    return digest.hexdigest()
+
+
 def print_grid_hashes() -> int:
     """Print the answered count per spectrum of the full `ahss` grid, one
     sha256 over each of its queries' argv, exit code, stdout, stderr and
     pages text, one sha256 over the override grid's argv, exit code, stdout
-    and stderr, and the full grid's failing queries; 1 if there are any."""
+    and stderr, one over the help and usage-error queries (help_sha256), and
+    the full grid's failing queries; 1 if there are any."""
     digest = hashlib.sha256()
 
     def hashed(results):
@@ -208,6 +246,8 @@ def print_grid_hashes() -> int:
             os.chdir(cwd)
     print("sha256 over the override grid (argv, exit code, stdout, stderr): %s"
           % overrides.hexdigest())
+    print("sha256 over --help and usage errors (argv, exit code, stdout, stderr; COLUMNS=80): %s"
+          % help_sha256())
     print("\n".join(failures))
     return 1 if failures else 0
 

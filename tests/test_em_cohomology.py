@@ -9,6 +9,7 @@ from surfcond.ahss import run_ahss, smash_freeness_check
 from surfcond.em_cohomology import (
     EmAlgebra,
     EmSpace,
+    PolyClass,
     algebra_for,
     poincare_series,
     serre_generators,
@@ -40,6 +41,10 @@ class TestSerreGenerators:
 
     def test_odd_modulus_contributes_nothing(self):
         assert serre_generators(3, 2, 8) == []
+
+    def test_cap_below_the_space_degree_refused(self):
+        with pytest.raises(ValueError, match="^cap below the space degree$"):
+            serre_generators(2, 3, 2)
 
 
 class TestPoincareSeries:
@@ -100,7 +105,7 @@ class TestSteenrodAction:
         iota = alg.fundamental_class()
         x3 = alg.sq(1, iota)
         x5 = alg.sq(2, x3)
-        assert alg.sq(1, iota * x3 + x5).is_zero
+        assert alg.sq(1, PolyClass(alg, 5, (iota * x3).vec ^ x5.vec)).is_zero
 
     @given(
         st.integers(min_value=1, max_value=4),
@@ -121,7 +126,7 @@ class TestSteenrodAction:
         lhs = alg.sq(i, x * y)
         rhs = alg.zero_class(lhs.degree)
         for j in range(i + 1):
-            rhs = rhs + alg.sq(j, x) * alg.sq(i - j, y)
+            rhs = PolyClass(alg, rhs.degree, rhs.vec ^ (alg.sq(j, x) * alg.sq(i - j, y)).vec)
         assert lhs == rhs
 
     def test_cap_enforced(self):
@@ -183,21 +188,23 @@ class TestClassesAsVectors:
         d = data.draw(st.sampled_from([d for d in range(alg.cap + 1) if alg.dimension(d)]))
         basis = alg.basis(d)
 
+        def plus(x, y):
+            return PolyClass(alg, x.degree, x.vec ^ y.vec)
+
         def draw_class():
             vec = data.draw(st.integers(min_value=0, max_value=2 ** len(basis) - 1))
             cls = alg.zero_class(d)
             for b in bits(vec):
-                cls = cls + alg.monomial_class(basis[b])
+                cls = plus(cls, alg.monomial_class(basis[b]))
             assert cls.degree == d and cls.vec == vec
             assert cls.monomials == tuple(m for b, m in enumerate(basis) if vec >> b & 1)
             return cls
 
         u, v, w = draw_class(), draw_class(), draw_class()
-        assert (u + v).vec == u.vec ^ v.vec
         for i in range(alg.cap - d + 1):
-            assert alg.sq(i, u + v) == alg.sq(i, u) + alg.sq(i, v)
+            assert alg.sq(i, plus(u, v)) == plus(alg.sq(i, u), alg.sq(i, v))
         if 2 * d <= alg.cap:
-            assert u * (v + w) == u * v + u * w
+            assert u * plus(v, w) == plus(u * v, u * w)
 
 
 class TestAlgebraCache:
@@ -260,6 +267,8 @@ class TestForeignClasses:
             alg.coordinates(foreign)
         with pytest.raises(ValueError, match="class of another algebra"):
             alg.mul_matrix(foreign, 1)  # degree 1 has an empty basis
+        with pytest.raises(ValueError, match="^classes live in different algebras$"):
+            _ = alg.fundamental_class() * foreign
 
     @pytest.mark.parametrize("mono", [
         ((0, 1), (0, 1)),  # a repeated generator
@@ -271,6 +280,34 @@ class TestForeignClasses:
         alg = algebra_for(EmSpace.single(2, 2), 8)
         with pytest.raises(ValueError, match="not a basis monomial"):
             alg.monomial_class(mono)
+
+
+class TestRangeGuards:
+    """What the basic queries return, or refuse, at the edges of their range."""
+
+    def test_space_with_a_trivial_factor_refused(self):
+        with pytest.raises(ValueError, match="^cyclic order 1 < 2$"):
+            EmSpace(((1, 2),))
+
+    def test_basis_is_empty_below_degree_zero_and_refused_above_the_cap(self):
+        alg = algebra_for(EmSpace.single(2, 2), 8)
+        assert alg.basis(-1) == ()
+        with pytest.raises(UnsupportedRangeError, match="^degree 9 above cap 8$"):
+            alg.basis(9)
+
+    def test_odd_factor_has_no_fundamental_class(self):
+        alg = algebra_for(EmSpace(((2, 2), (3, 2))), 6)
+        assert str(alg.fundamental_class(0)) == "i2"
+        with pytest.raises(UnsupportedRangeError, match="^factor 1 has no mod-2 fundamental"):
+            alg.fundamental_class(1)
+
+    def test_negative_steenrod_index_refused(self):
+        with pytest.raises(ValueError, match="^negative Steenrod index$"):
+            algebra_for(EmSpace.single(2, 2), 8).sq_matrix(-1, 2)
+
+    def test_repr_names_the_class_and_its_degree(self):
+        iota = algebra_for(EmSpace.single(2, 2), 8).fundamental_class()
+        assert repr(iota * iota) == "<i2^2 in degree 4>"
 
 
 # The sha256 of every Sq matrix and of every Sq image of a basis monomial on

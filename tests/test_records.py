@@ -35,7 +35,7 @@ VALUES = {
     "SkeletalCategory": lambda: SkeletalCategory("braided", "bosonic", "2Vec", FinAbGroup((3,))),
     "TotalDegreeReport": lambda: TotalDegreeReport(
         2, ((0, 2, "Z/2"),), "Z/2", GroupExpr.of(Z2), (), ("a note",)),
-    "Page": lambda: assemble_e2(Z2, 2, spectrum("SW"), 3),
+    "Page": lambda: assemble_e2(Z2, 2, "SW", 3),
     "CircleRow": lambda: circle_row(Z2, 2),
     "Verdict": lambda: Verdict("braided/bosonic", "obstructed", None, ["a note"]),
     "CheckResult": lambda: CheckResult("check", True, "detail", 0.5),
