@@ -23,7 +23,7 @@ from types import MappingProxyType
 from .abelian import FinAbGroup, GroupExpr, UnsupportedRangeError, even_count
 from .coefficients import CircleRow, CoeffOverrides, SpectrumTable, circle_row, spectrum
 from .em_cohomology import EmAlgebra, EmSpace, algebra_for
-from .gf2 import Echelon, Gf2Matrix
+from .gf2 import Gf2Matrix
 from .record import Frozen
 from .steenrod import margolis_homology
 
@@ -389,25 +389,6 @@ def _run_ahss(E, n, spectrum_name, N, twist, d5_zero, overrides):
 # Product splitting and the smash-term freeness check
 
 
-def _a1_submodule(alg, seed_cls, lo: int, hi: int) -> dict[int, list[int]]:
-    """A(1)-submodule generated by one class, truncated to a degree window:
-    {degree: spanning vectors} for the degrees of [lo, hi] it reaches, each a
-    bitmask in the coordinates of alg.basis(degree), independent per degree."""
-    spans: dict[int, Echelon] = {}
-    queue = [(seed_cls.degree, alg.coordinates(seed_cls))]
-    while queue:
-        d, vec = queue.pop()
-        if not vec or d > hi:
-            continue
-        span = spans.setdefault(d, Echelon())
-        if not span.add(vec):
-            continue
-        for k in (1, 2):
-            if d + k <= hi:
-                queue.append((d + k, alg.sq_matrix(k, d).apply(vec)))
-    return {d: spans[d].vectors for d in range(lo, hi + 1) if d in spans}
-
-
 def smash_freeness_check(X: EmSpace, Y: EmSpace, degree: int, window: tuple[int, int]) -> dict:
     """Reduced smash classes in one degree and their Margolis certificates.
 
@@ -416,15 +397,14 @@ def smash_freeness_check(X: EmSpace, Y: EmSpace, degree: int, window: tuple[int,
     vanishing Q0 and Q1 Margolis homology through the window certifies a
     free summand (hence a nonzero contribution to the reduced theory).
     """
-    lo, hi = window
-    alg = algebra_for(X.product(Y), hi)
+    alg = algebra_for(X.product(Y), window[1])
     on_x = [g.factor < len(X.factors) for g in alg.generators]
     classes = [alg.monomial_class(mono) for mono in sorted(alg.basis(degree))
                if len({on_x[gi] for gi, _e in mono}) == 2]
     results = []
     all_free = bool(classes)
     for cls in classes:
-        q0, q1 = margolis_homology(alg.sq_matrix, _a1_submodule(alg, cls, lo, hi))
+        q0, q1 = margolis_homology(alg.sq_matrix, {cls.degree: [cls.vec]}, window)
         free = not any(q0.values()) and not any(q1.values())
         all_free = all_free and free
         results.append({"class": str(cls), "q0_homology": q0, "q1_homology": q1, "free_a1": free})

@@ -377,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("selftest", help="run the acceptance suite")
     for command in sub.choices.values():  # after each subcommand's own options
         command.add_argument("--json", action="store_true")
+        command.set_defaults(usage_error=command.error)  # stray arguments report here
     return p
 
 
@@ -393,7 +394,9 @@ COMMANDS = {  # name: (handler, renderer)
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, stray = parser.parse_known_args(argv)
+    if stray:
+        args.usage_error(f"unrecognized arguments: {' '.join(stray)}")
     for name in ("space_degree", "total_degree", "max_degree", "max_order"):
         value = getattr(args, name, None)
         if value is not None and value < 0:

@@ -210,14 +210,17 @@ def obstruction_verdict(E: FinAbGroup, statistic: str, level: str) -> Verdict:
     if level == "symmetric" and statistic == "bosonic":
         obstruction = circle_row(E, 4).entry(7)
         ps = product_split(E, "SH", 4, 7)
+        split = ps["verdict"]
+        to_svec = ("unobstructed" if split == "0"
+                   else f"undecided: degree-7 supercohomology of E[4] is {split}")
         return Verdict(
             "symmetric/bosonic",
             f"obstruction group to a fibre 2-functor to 2Vec: {obstruction};"
-            " fibre 2-functor to 2SVec unobstructed",
+            f" fibre 2-functor to 2SVec {to_svec}",
             str(obstruction),
             [
                 "obstruction group = dual of the 2-torsion subgroup of E [computed]",
-                f"degree-7 supercohomology of E[4]: {ps['verdict']} [computed]",
+                f"degree-7 supercohomology of E[4]: {split} [computed]",
             ],
             {"supercohomology_split": ps},
         )

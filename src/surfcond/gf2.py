@@ -72,7 +72,8 @@ class Echelon:
     """Incremental GF(2) span of bitmask vectors, all in one basis.
 
     Echelon(vecs) adds vecs in order; vectors keeps those that enlarged the
-    span, and an echelon form keyed by pivot answers dim and `vec in span`."""
+    span, and an echelon form keyed by pivot answers dim and whether a
+    vector is new to the span."""
 
     def __init__(self, vecs=()):
         self.vectors: list[int] = []
@@ -84,25 +85,17 @@ class Echelon:
     def dim(self) -> int:
         return len(self._pivots)
 
-    def _reduce(self, vec: int) -> int:
-        """Clear vec's lowest bit against the row with that pivot, until no
-        row has it.  The result is 0 iff vec lies in the span; otherwise its
-        lowest bit is a new pivot."""
-        while vec:
-            row = self._pivots.get(vec & -vec)
-            if row is None:
-                break
-            vec ^= row
-        return vec
-
     def add(self, vec: int) -> bool:
-        """Add a spanning vector; returns True if it enlarged the span."""
-        reduced = self._reduce(vec)
+        """Add a spanning vector; returns True if it enlarged the span.
+
+        vec's lowest bit is cleared against the row with that pivot until no
+        row has it: vec lies in the span iff nothing is left, and otherwise
+        the lowest bit left is a new pivot."""
+        reduced = vec
+        while reduced and (row := self._pivots.get(reduced & -reduced)) is not None:
+            reduced ^= row
         if not reduced:
             return False
         self._pivots[reduced & -reduced] = reduced
         self.vectors.append(vec)
         return True
-
-    def __contains__(self, vec: int) -> bool:
-        return not self._reduce(vec)

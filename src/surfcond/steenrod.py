@@ -182,15 +182,19 @@ def adem_normalize(word: SteenrodWord) -> SteenrodWord:
 
 
 def margolis_homology(
-    sq: Callable[[int, int], Gf2Matrix], spans: Mapping[int, Sequence[int]]
+    sq: Callable[[int, int], Gf2Matrix],
+    seeds: Mapping[int, Sequence[int]],
+    window: tuple[int, int],
 ) -> tuple[dict[int, int], dict[int, int]]:
-    """ker/im dimensions of Q0 = Sq1 and of Q1 = Sq1 Sq2 + Sq2 Sq1 on a module M.
+    """ker/im dimensions of Q0 = Sq1 and of Q1 = Sq1 Sq2 + Sq2 Sq1 on the
+    A(1)-module M that the seed vectors generate.
 
-    spans[d] holds vectors spanning M^d, bitmasks in the ambient basis of
-    degree d; sq(i, d) is the ambient Sq^i from degree d to d + i in those
-    bases (EmAlgebra.sq_matrix).  Below its top degree M must be closed
-    under Sq1 and Sq2, else AssertionError; M is reduced and checked once
-    for both.  For Q of degree shift, dim H_d = dim M^d - rank Q(M^d) -
+    seeds[d] holds vectors of degree d, bitmasks in the ambient basis of
+    that degree; sq(i, d) is the ambient Sq^i from degree d to d + i in
+    those bases (EmAlgebra.sq_matrix).  M is spanned by the seeds and their
+    images under Sq1 and Sq2 up to the window's top, kept from the window's
+    bottom up, so it is closed under both below its top by construction.
+    For Q of degree shift, dim H_d = dim M^d - rank Q(M^d) -
     rank Q(M^{d - shift}) for d from M's lowest degree while d + shift is at
     most its top.  ValueError: Q0 Q0 or Q1 Q1 != 0.
     """
@@ -203,14 +207,16 @@ def margolis_homology(
             return act(1, d, vec)
         return act(1, d + 2, act(2, d, vec)) ^ act(2, d + 1, act(1, d, vec))
 
-    module = {d: span for d, vecs in spans.items() if (span := Echelon(vecs)).dim}
+    bottom, top = window
+    spans: dict[int, Echelon] = {}
+    queue = [(d, vec) for d, vecs in seeds.items() for vec in vecs]
+    while queue:
+        d, vec = queue.pop()
+        if vec and d <= top and spans.setdefault(d, Echelon()).add(vec):
+            queue += [(d + k, act(k, d, vec)) for k in (1, 2) if d + k <= top]
+    module = {d: span for d, span in spans.items() if d >= bottom}
     lo, hi = min(module, default=0), max(module, default=0)
     empty = Echelon()
-    for d, span in module.items():
-        for k in (1, 2):
-            up = module.get(d + k, empty)
-            if d + k <= hi and any(sq(k, d).apply(v) not in up for v in span.vectors):
-                raise AssertionError(f"module not closed under Sq{k} from degree {d}")
     homology = []
     for shift in (1, 3):
         image = {d: [q(shift, d, v) for v in module.get(d, empty).vectors]

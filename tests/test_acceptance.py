@@ -278,8 +278,8 @@ def test_supercohomology_check_catches_a_split_verdict_of_z2(monkeypatch):
 def test_smash_check_catches_a_nonzero_q1(monkeypatch):
     real = ahss.margolis_homology
 
-    def mutant(sq, spans):
-        q0, q1 = real(sq, spans)
+    def mutant(sq, seeds, window):
+        q0, q1 = real(sq, seeds, window)
         return q0, dict.fromkeys(q1, 1)
 
     monkeypatch.setattr(ahss, "margolis_homology", mutant)

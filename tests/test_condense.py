@@ -224,7 +224,7 @@ Z7 = GroupExpr.of(FinAbGroup((7,)))
 SENSITIVITY = {
     "symmetric/fermionic": (("Z/2", "fermionic", "symmetric"), set(), set()),
     "symmetric/bosonic": (("Z/2", "bosonic", "symmetric"),
-                          {"circle_row", "product_split"}, {"circle_row"}),
+                          {"circle_row", "product_split"}, {"circle_row", "product_split"}),
     "braided/fermionic/odd": (("Z/3", "fermionic", "braided"), {"circle_row"}, {"circle_row"}),
     "braided/fermionic/cyclic-2-part": (("Z/2", "fermionic", "braided"),
                                         {"product_split"}, {"product_split"}),

@@ -182,8 +182,8 @@ def test_ahss_override_grid_exits_are_documented(tmp_path, monkeypatch):
 
 
 def help_queries() -> list[list[str]]:
-    """`surfcond --help`, each subcommand's `--help`, and one usage error
-    per subcommand."""
+    """`surfcond --help`, each subcommand's `--help`, one usage error per
+    subcommand, and one stray argument."""
     usage_errors = (
         ["emcoh", "--group", "Z/2"],
         ["steenrod"],
@@ -192,6 +192,7 @@ def help_queries() -> list[list[str]]:
         ["condense", "--pi0"],
         ["survey", "--level", "sylleptic"],
         ["selftest", "--json=yes"],
+        ["selftest", "--seconds", "1"],  # a stray argument reports through its subcommand
     )
     return [["--help"]] + [[command, "--help"] for command in cli.COMMANDS] + list(usage_errors)
 

@@ -223,12 +223,11 @@ def test_order2_bits_refuses_an_image_of_the_wrong_length(factors, image):
         _order2_bits(FinAbGroup(factors), image)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 9")
 def test_symmetric_bosonic_verdict_moves_with_its_split(monkeypatch):
     """Symmetric/bosonic over Z/2: the sentence "fibre 2-functor to 2SVec
     unobstructed" is drawn from the SH^7(E[4]) split that the branch
-    computes.  Were that split Z/7, the sentence would have to name it or
-    rest on the paper's theorem instead, so verdict or group must move."""
+    computes.  Were that split Z/7, the sentence names it instead, so the
+    verdict moves (ROADMAP item 9)."""
     E = parse_group("Z/2")
     before = obstruction_verdict(E, "bosonic", "symmetric")
     real = condense.product_split

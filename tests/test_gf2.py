@@ -135,9 +135,7 @@ class TestEchelon:
            st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1), max_size=8))
     @settings(max_examples=60)
     def test_membership_matches_dense_rank(self, spanning, probes):
-        e = Echelon()
-        for v in spanning:
-            e.add(v)
+        e = Echelon(spanning)
         for v in spanning + probes:
             in_span = dense_rank(Gf2Matrix.from_rows(e.vectors + [v], 16)) == e.dim
-            assert (v in e) == in_span
+            assert Echelon(spanning).add(v) == (not in_span)

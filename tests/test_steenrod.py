@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from surfcond import acceptance
 from surfcond.acceptance import _SqOnPolynomials
 from surfcond.em_cohomology import EmAlgebra, EmSpace
-from surfcond.gf2 import Gf2Matrix
+from surfcond.gf2 import Echelon, Gf2Matrix
 from surfcond.steenrod import (
     SteenrodMonomial,
     SteenrodWord,
@@ -228,55 +228,98 @@ def _toy_sq(dims, maps):
 
 
 def _whole(dims):
-    """Each degree spanned by its whole basis."""
-    return {d: [1 << k for k in range(n)] for d, n in dims.items()}
+    """Each degree's whole basis as seeds, and the window of those degrees."""
+    return {d: [1 << k for k in range(n)] for d, n in dims.items()}, (min(dims), max(dims))
+
+
+def _words_module(sq, degree, seed, top):
+    """Span per degree of the seed's images under every word in Sq1 and Sq2
+    that ends at or below top, each word applied in full."""
+    spans, layer = {}, [(degree, seed)]
+    while layer:
+        for d, vec in layer:
+            spans.setdefault(d, Echelon()).add(vec)
+        layer = [(d + k, sq(k, d).apply(vec)) for d, vec in layer for k in (1, 2) if d + k <= top]
+    return spans
 
 
 class TestMargolis:
     def test_zero_module(self):
         dims = {4: 2, 5: 2, 6: 1}
-        assert margolis_homology(_toy_sq(dims, {}), _whole(dims)) == ({4: 2, 5: 2}, {})
+        assert margolis_homology(_toy_sq(dims, {}), *_whole(dims)) == ({4: 2, 5: 2}, {})
 
     def test_exact_two_step_complex(self):
         # 0 -> F2 -> F2 -> 0 with the identity Sq1: acyclic for Q0
         dims = {0: 1, 1: 1}
         sq = _toy_sq(dims, {(1, 0): Gf2Matrix.from_rows([1], 1)})
-        assert margolis_homology(sq, _whole(dims)) == ({0: 0}, {})
+        assert margolis_homology(sq, *_whole(dims)) == ({0: 0}, {})
+        assert margolis_homology(sq, {0: [1]}, (0, 1)) == ({0: 0}, {})
 
     def test_q0_squared_nonzero_raises(self):
         ident = Gf2Matrix.from_rows([1], 1)
         dims = {0: 1, 1: 1, 2: 1}
         sq = _toy_sq(dims, {(1, 0): ident, (1, 1): ident})
         with pytest.raises(ValueError, match="Q0 squared is nonzero"):
-            margolis_homology(sq, _whole(dims))
-
-    @pytest.mark.parametrize("which", ["Q0", "Q1"])
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_span_not_closed_under_sq_raises(self, k, which):
-        # Sq^k sends the degree-0 class to the second basis vector of degree
-        # k, which the span given for degree k leaves out.  With top degree 2
-        # only Q0 has degrees to compute; a degree-3 class lets Q1 run from
-        # degree 0 too, and the closure check still comes first.
-        dims = {0: 1, 1: 2, 2: 2, 3: 1}
-        spans = {0: [1], 1: [0b01], 2: [0b01]} | ({3: [1]} if which == "Q1" else {})
-        sq = _toy_sq(dims, {(k, 0): Gf2Matrix.from_rows([0b10], 2)})
-        with pytest.raises(AssertionError, match=f"not closed under Sq{k} from degree 0"):
-            margolis_homology(sq, spans)
+            margolis_homology(sq, {0: [1]}, (0, 2))
 
     def test_redundant_spanning_vectors_change_nothing(self):
         dims = {0: 1, 1: 2, 2: 1}
         sq = _toy_sq(dims, {(1, 0): Gf2Matrix.from_rows([0b01], 2)})
-        # zero vectors, repeats and a degree spanned by zero alone
-        spans = {0: [1, 1, 0], 1: [0b01, 0b10, 0b11], 2: [0, 1], 3: [0]}
-        assert margolis_homology(sq, spans) == margolis_homology(sq, _whole(dims))
-        assert margolis_homology(sq, spans) == ({0: 0, 1: 1}, {})
+        # zero vectors, repeats, a degree seeded by zero alone and the
+        # image 0b01 of the degree-0 seed given again
+        seeds = {0: [1, 1, 0], 1: [0b01, 0b10, 0b11], 2: [0, 1], 3: [0]}
+        assert margolis_homology(sq, seeds, (0, 3)) == margolis_homology(sq, *_whole(dims))
+        assert margolis_homology(sq, seeds, (0, 3)) == ({0: 0, 1: 1}, {})
+
+    def test_module_takes_in_the_images_of_its_seeds(self):
+        # Sq1 and Sq2 send the degree-0 seed to the first basis vector of
+        # degrees 1 and 2, so the seed alone generates the module that the
+        # seed and both images span, and its Q0 maps degree 0 onto degree 1
+        dims = {0: 1, 1: 2, 2: 2}
+        to_first = Gf2Matrix.from_rows([0b01], 2)
+        sq = _toy_sq(dims, {(1, 0): to_first, (2, 0): to_first})
+        assert margolis_homology(sq, {0: [1]}, (0, 2)) == ({0: 0, 1: 0}, {})
+        assert margolis_homology(sq, {0: [1], 1: [0b01], 2: [0b01]}, (0, 2)) == ({0: 0, 1: 0}, {})
+
+    def test_seed_below_the_window_is_dropped_but_its_images_kept(self):
+        ident = Gf2Matrix.from_rows([1], 1)
+        dims = {0: 1, 1: 1, 2: 1}
+        sq = _toy_sq(dims, {(1, 0): ident, (2, 0): ident})
+        assert margolis_homology(sq, {0: [1]}, (0, 2)) == ({0: 0, 1: 0}, {})
+        # without the degree-0 seed nothing hits degree 1, whose class is
+        # then a Q0 cycle that no boundary kills; a seed above the top goes too
+        assert margolis_homology(sq, {0: [1], 3: [1]}, (1, 2)) == ({1: 1}, {})
+        assert margolis_homology(sq, {0: [1]}, (1, 2)) == margolis_homology(sq, *_whole({1: 1, 2: 1}))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_seed_matches_the_span_of_its_words(self, seed):
+        # the two degree-5 classes of K(Z/2,2) x K(Z/2,2) with a generator
+        # on each side; their homology is read off an independent span of
+        # the images of every word in Sq1 and Sq2
+        alg = EmAlgebra(EmSpace.single(2, 2).product(EmSpace.single(2, 2)), 9)
+        vec = [1 << k for k, mono in enumerate(alg.basis(5))
+               if len({alg.generators[gi].factor for gi, _e in mono}) == 2][seed]
+        module = {d: span for d, span in _words_module(alg.sq_matrix, 5, vec, 9).items()
+                  if d >= 4 and span.dim}
+        # free over A(1): dimensions 1, 1, 1, 2, 1 from the class up to degree 9
+        assert {d: span.dim for d, span in module.items()} == {5: 1, 6: 1, 7: 1, 8: 2, 9: 1}
+        q = {1: lambda d, v: alg.sq_matrix(1, d).apply(v),
+             3: lambda d, v: (alg.sq_matrix(1, d + 2).apply(alg.sq_matrix(2, d).apply(v))
+                              ^ alg.sq_matrix(2, d + 1).apply(alg.sq_matrix(1, d).apply(v)))}
+        expected = []
+        for shift in (1, 3):
+            rank = {d: Echelon(q[shift](d, v) for v in module[d].vectors).dim
+                    for d in range(5, 10 - shift)}
+            expected.append({d: module[d].dim - rank[d] - rank.get(d - shift, 0) for d in rank})
+        assert margolis_homology(alg.sq_matrix, {5: [vec]}, (4, 9)) == tuple(expected)
+        assert expected == [{5: 0, 6: 0, 7: 0, 8: 0}, {5: 0, 6: 0}]
 
     def test_polynomial_algebra_on_one_class(self):
         # H*(K(Z/2,1)) = F2[x]: Q0 x^n = n x^(n+1) and Q1 x^n = n x^(n+3),
         # so Q0 homology is 1 and Q1 homology is {1, x^2}
         alg = EmAlgebra(EmSpace.single(2, 1), 12)
-        spans = {d: [1] for d in range(13)}
-        q0, q1 = margolis_homology(alg.sq_matrix, spans)
+        seeds = {d: [1] for d in range(13)}
+        q0, q1 = margolis_homology(alg.sq_matrix, seeds, (0, 12))
         assert q0 == {d: int(d == 0) for d in range(12)}
         assert q1 == {
             d: int(d in (0, 2)) for d in range(10)
