@@ -421,7 +421,8 @@ def product_split(
 ) -> dict:
     """h^N(X1 x X2 x ...) split into point, reduced-factor, and smash summands.
 
-    Factors are the invariant-factor cyclic pieces of E.  Each reduced
+    Factors are the 2-primary and odd parts of each invariant factor of E,
+    as EmSpace.from_group splits them (Z/6 gives Z/2 and Z/3).  Each reduced
     factor runs through the spectral sequence, with d5 = 0 declared when
     d5_zero asks; each pair of factors gives one smash summand.  The split's
     verdict is the direct sum when every summand is computed, "nonzero" when

@@ -366,7 +366,7 @@ class CoeffOverrides(Frozen):
 
     @staticmethod
     def load(path: str) -> "CoeffOverrides":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"overrides in {path} must be a JSON object")

@@ -253,6 +253,21 @@ class TestRouting:
         assert [s["group"] for s in factors] == ["Z/2", "Z/2"]
         assert fresh[tuple(plain)]["result"]["verdict"] == "0"
 
+    def test_overrides_are_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # README's "×" separator, read where the locale's encoding is ASCII
+        path = tmp_path / "ov.json"
+        path.write_text('{"spectrum": {"SW": {"4": "Z/2 × Z/2"}}}', encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(surfcond.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "surfcond.cli", "ahss", "--spectrum", "SW",
+             "--group", "Z/2", "--space-degree", "2", "--total-degree", "4",
+             "--coeff-overrides", str(path)],
+            capture_output=True, text=True, encoding="utf-8", env=env,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "unsupported: coefficient row Z/2 x Z/2 has no differential rule\n")
+
     @pytest.mark.parametrize("section, table, group, key", [
         ("circle_row", {"Z/2 x Z/4|2": {"5": "Z/2"}}, "Z/2 x Z/4", "circle_row key 'Z/2 x Z/4|2'"),
         ("comparison", {"Z/2 x Z/2|2|5": {"nonsense": [1]}}, "Z/2 x Z/2",
