@@ -38,16 +38,20 @@ class Page(Frozen):
     circle.n; twisted says whether d2 takes the fermion-parity twist.
     entries and log are read-only, down to each record, and a
     declared differential is a log record of kind "declaration"; apply_d2
-    returns a new page, whose previous is the page it was turned from.
+    returns a new page, number 3, whose previous is the page it was turned from.
     """
 
-    __slots__ = ("number", "spectrum", "twisted", "max_total", "entries", "circle", "algebra",
-                 "log", "previous")
+    __slots__ = ("spectrum", "twisted", "max_total", "entries", "circle", "algebra", "log",
+                 "previous")
 
-    def __init__(self, number: int, spectrum: SpectrumTable, twisted: bool, max_total: int,
+    def __init__(self, spectrum: SpectrumTable, twisted: bool, max_total: int,
                  entries: Mapping[tuple[int, int], GroupExpr | None], circle: CircleRow,
                  algebra: EmAlgebra, log: tuple[Mapping, ...] = (), previous: Page | None = None):
-        self._set(number, spectrum, twisted, max_total, entries, circle, algebra, log, previous)
+        self._set(spectrum, twisted, max_total, entries, circle, algebra, log, previous)
+
+    @property
+    def number(self) -> int:
+        return 2 if self.previous is None else 3
 
     def entry(self, i: int, j: int) -> GroupExpr | None:
         """The entry at (i, j); zero off the page, which holds every i + j <= max_total."""
@@ -142,10 +146,8 @@ def assemble_e2(
             log.append(_record(kind="circle_row", i=i, note=circle.provenance[i]))
     for note in spec_table.notes + circle.notes:
         log.append(_record(kind="override", note=note))
-    return Page(
-        2, spec_table, twisted, max_total_degree, MappingProxyType(entries), circle, algebra,
-        tuple(log),
-    )
+    return Page(spec_table, twisted, max_total_degree, MappingProxyType(entries), circle, algebra,
+                tuple(log))
 
 
 def _opaque_entry(i: int, j: int, spec_table: SpectrumTable, algebra) -> GroupExpr | None:
@@ -249,9 +251,7 @@ def apply_d2(page: Page) -> Page:
             raise AssertionError(f"negative dimension at ({i},{j})")
         entries[(i, j)] = GroupExpr.of(FinAbGroup((2,) * new_dim))
     log.append(_record(kind="d2_squared", chains_checked=checked_chains))
-    return page.replace(
-        number=3, entries=MappingProxyType(entries), log=tuple(log), previous=page
-    )
+    return page.replace(entries=MappingProxyType(entries), log=tuple(log), previous=page)
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +427,17 @@ def product_split(
     d5_zero asks; each pair of factors gives one smash summand.  The split's
     verdict is the direct sum when every summand is computed, "nonzero" when
     a smash summand is certified, and "inconclusive" otherwise.
+    The point summand h^N(pt) is the (0, N) entry of the first factor's run,
+    as column 0 of every run is h^N(pt) under the same overrides, or of E's
+    own run when E has no factor, K(0, n) being a point.
     """
-    spec_table = spectrum(spectrum_name, overrides)
     # each cyclic factor as a group and as its own Eilenberg-MacLane space
     factors = EmSpace.from_group(E, n).factors
     pieces = [(FinAbGroup.cyclic(m), EmSpace(((m, d),))) for m, d in factors]
-    point = str(spec_table.entry(N)) if N <= spec_table.max_degree else None
-    summands = [_summand("point", "unknown" if point is None else "computed", point)]
-    for idx, (F, _X) in enumerate(pieces):
-        report = run_ahss(F, n, spectrum_name, N, d5_zero=d5_zero, overrides=overrides)[1]
+    runs = [run_ahss(F, n, spectrum_name, N, d5_zero=d5_zero, overrides=overrides)
+            for F, _X in pieces or [(E, None)]]
+    summands = [_summand("point", "computed", str(runs[0][0].entry(0, N)))]
+    for idx, ((F, _X), (_page, report)) in enumerate(zip(pieces, runs)):
         groups = [g for i, _j, g in report.entries if i > 0 and g != "0"]
         status = ("inconclusive" if report.inconclusive
                   else "associated graded" if len(groups) > 1 else "computed")
@@ -450,7 +452,7 @@ def product_split(
             summands.append(_summand(label, "computed", "0", f"no classes below degree {2 * n}"))
         else:
             check = smash_freeness_check(X, Y, N, (N - 1, N + 4))
-            if check["dimension"] and check["all_free"]:
+            if check["all_free"]:
                 summands.append(_summand(label, "nonzero", None,
                                          f"{check['dimension']} free A(1) classes in degree {N}"))
             else:
@@ -471,10 +473,7 @@ def product_split(
 
 
 def _summand(label: str, status: str, group: str | None, note: str = "") -> dict:
-    s = {"summand": label, "status": status, "group": group}
-    if note:
-        s["note"] = note
-    return s
+    return {"summand": label, "status": status, "group": group} | ({"note": note} if note else {})
 
 
 # ---------------------------------------------------------------------------

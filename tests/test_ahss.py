@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -119,6 +120,14 @@ class TestD2:
             if before is None or after is None:
                 continue
             assert after.finite.order <= before.finite.order
+
+    def test_a_rank_beyond_its_entry_fails_the_dimension_check(self):
+        # (3,2) holds Sq1(i2), whose d2 into (5,1) has rank 1; emptied, the
+        # entry has no dimension for that rank to cut
+        e2 = assemble_e2(Z2, 2, "SW", 5)
+        emptied = e2.replace(entries=MappingProxyType({**e2.entries, (3, 2): GroupExpr.zero()}))
+        with pytest.raises(AssertionError, match=r"^negative dimension at \(3,2\)$"):
+            apply_d2(emptied)
 
     def test_d2_turns_an_e2_page_only(self):
         with pytest.raises(ValueError, match="^apply_d2 expects an E2 page$"):
@@ -312,36 +321,32 @@ class TestProductSplit:
 
 Z7 = GroupExpr.of(FinAbGroup((7,)))
 # each computation product_split calls, and a perturbation of its result: a
-# point table of Z/7s, a report whose every entry is Z/7, a failed certificate
+# run whose page and report hold Z/7 at every entry, a failed certificate
 PERTURBED = {
-    "spectrum": lambda table: table.replace(entries=(Z7,) * len(table.entries)),
-    "run_ahss": lambda run: (run[0], run[1].replace(
-        entries=tuple((i, j, str(Z7)) for i, j, _g in run[1].entries))),
+    "run_ahss": lambda run: (
+        run[0].replace(entries=MappingProxyType(dict.fromkeys(run[0].entries, Z7))),
+        run[1].replace(entries=tuple((i, j, str(Z7)) for i, j, _g in run[1].entries))),
     "smash_freeness_check": lambda check: {**check, "all_free": False},
 }
 # query: {computation: (calls, the summands whose status or group moves)}.
-# A lock on what each summand reads today: the Z/2 ^ Z/4 smash is unknown
-# whatever its certificate says, and the odd-side and 2n > N smash summands
-# call nothing.
+# A lock on what each summand reads today: the point is column 0 of the
+# first factor's run, the Z/2 ^ Z/4 smash is unknown whatever its
+# certificate says, and the odd-side and 2n > N smash summands call nothing.
 SPLIT_SENSITIVITY = {
     ("Z/2 x Z/4", "SW", 2, 5): {
-        "spectrum": (1, {"point"}),
-        "run_ahss": (2, {"reduced factor 0: Z/2[2]", "reduced factor 1: Z/4[2]"}),
+        "run_ahss": (2, {"point", "reduced factor 0: Z/2[2]", "reduced factor 1: Z/4[2]"}),
         "smash_freeness_check": (1, set()),
     },
     ("Z/6", "SW", 2, 5): {
-        "spectrum": (1, {"point"}),
-        "run_ahss": (2, {"reduced factor 0: Z/2[2]", "reduced factor 1: Z/3[2]"}),
+        "run_ahss": (2, {"point", "reduced factor 0: Z/2[2]", "reduced factor 1: Z/3[2]"}),
         "smash_freeness_check": (0, set()),
     },
     ("Z/2 x Z/2", "SH", 4, 7): {
-        "spectrum": (1, {"point"}),
-        "run_ahss": (2, {"reduced factor 0: Z/2[4]", "reduced factor 1: Z/2[4]"}),
+        "run_ahss": (2, {"point", "reduced factor 0: Z/2[4]", "reduced factor 1: Z/2[4]"}),
         "smash_freeness_check": (0, set()),
     },
     ("Z/2 x Z/2", "SH", 2, 5): {
-        "spectrum": (1, {"point"}),
-        "run_ahss": (2, {"reduced factor 0: Z/2[2]", "reduced factor 1: Z/2[2]"}),
+        "run_ahss": (2, {"point", "reduced factor 0: Z/2[2]", "reduced factor 1: Z/2[2]"}),
         "smash_freeness_check": (1, {"smash Z/2[2] ^ Z/2[2]"}),
     },
 }
@@ -355,8 +360,6 @@ def test_what_each_split_summand_reads(query, monkeypatch):
     def statuses(split):
         return {s["summand"]: (s["status"], s["group"]) for s in split["summands"]}
 
-    # the unperturbed split also fills run_ahss's memo, so a perturbed point
-    # table reaches the point summand alone
     base = statuses(product_split(E, spectrum_name, n, N))
     found = {}
     for name, perturb in PERTURBED.items():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ import surfcond
 from surfcond.abelian import CIRCLE, FinAbGroup, UnsupportedRangeError, parse_expr, quad_group
 from surfcond.acceptance import CheckResult
 from surfcond.ahss import product_split, run_ahss
-from surfcond.cli import COMMANDS, main, render_payload
+from surfcond.cli import COMMANDS, build_parser, main, render_payload
 
 
 def run(capsys, argv):
@@ -586,6 +587,32 @@ class TestImportSet:
         assert package_modules(after) == CLI_BASE | {f"surfcond.{m}" for m in added}
         assert not NOT_AT_START_UP & at_import
         assert not NOT_AT_START_UP & after
+
+    def test_private_vocabularies_match_the_engine(self):
+        # cli keeps its own copies of the statistics, levels and spectra, so
+        # that parsing loads no layer above em_cohomology; each copy must
+        # name exactly what the engine takes
+        from surfcond import coefficients, condense
+
+        (commands,) = (a.choices for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        options = {(name, a.dest): a.choices
+                   for name, sub in commands.items() for a in sub._actions}
+
+        def accepts(level):
+            try:
+                condense.obstruction_verdict(FinAbGroup((2,)), "fermionic", level)
+            except ValueError:
+                return False
+            return True
+
+        accepted = tuple(filter(accepts, condense.LEVELS))
+        for command in ("obstruction", "survey"):
+            assert tuple(options[(command, "statistic")]) == condense.STATISTICS
+            assert tuple(options[(command, "level")]) == accepted
+        spectra = options[("ahss", "spectrum")]
+        assert set(spectra) == set(coefficients._SPECTRA)
+        assert [coefficients.spectrum(name).name for name in spectra] == spectra
 
 
 class TestLowTotalDegrees:

@@ -182,6 +182,15 @@ STEENROD_WORDS = (
     "b", "b-1", "Sq2 Sq3 Sq5 Sq7", "Sq16 Sq8 Sq4 Sq2 Sq1",
 )
 
+
+def emcoh_grid():
+    """Each group, n = 1..5 and --max-degree 0..12, as text and as --json;
+    K(Z/2^k, 1) with k >= 2 is refused (exit 3)."""
+    for json_flag, group, n, top in product(([], ["--json"]), GROUPS, range(1, 6), range(13)):
+        yield None, ["emcoh", "--group", group, "--space-degree", str(n),
+                     "--max-degree", str(top), *json_flag]
+
+
 # name -> (queries, which exits and outputs are documented)
 GRIDS = {
     "ahss": (ahss_grid, documented),
@@ -197,6 +206,7 @@ GRIDS = {
                  code in ((2,) if "--phi" in argv and "--algebra" in argv else (0, 2))),
     "steenrod": (lambda: ((None, ["steenrod", "--word", word]) for word in STEENROD_WORDS),
                  exits(0, 2)),
+    "emcoh": (emcoh_grid, exits(0, 3)),
 }
 
 
@@ -242,6 +252,10 @@ def test_condense_descriptor_grid_exits_are_documented():
 
 def test_steenrod_word_grid_exits_are_documented():
     assert_locked("steenrod")
+
+
+def test_emcoh_grid_exits_are_documented():
+    assert_locked("emcoh")
 
 
 def test_a_grid_that_moves_or_refuses_fails_naming_itself(tmp_path, monkeypatch):

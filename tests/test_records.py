@@ -79,8 +79,8 @@ def test_replace_validates_again(record, changes, message):
 
 def test_replace_changes_only_what_it_names():
     page = run_ahss(Z2, 2, "SW", 5)[0]
-    turned = page.replace(number=4)
-    assert turned.number == 4 and page.number == 3
+    turned = page.replace(spectrum=spectrum("SH"))
+    assert turned.spectrum.name == "SH" and page.spectrum.name == "SW"
     assert fields(turned)[1:] == fields(page)[1:]
 
 
