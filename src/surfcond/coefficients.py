@@ -299,7 +299,7 @@ def _circle_row(E, n, overrides):
                 # undeclared: Browder's beta_2(i4^2) = i4*Sq1(i4) + Sq4 Sq1(i4)
                 # is nonzero, so the image of i4^2 is not zero
                 del comparison[8]["i4^2"]
-        elif cyclic:
+        elif cyclic and not E.is_trivial:
             put(6, _0, "odd torsion: no even classes")
 
     if E.is_trivial:
@@ -348,9 +348,12 @@ class CoeffOverrides(Frozen):
     comparison monomial name outside the basis of its degree; and a
     circle_row or comparison key that no query reads: one whose n has no
     circle row, or whose group has two or more even factors (the product
-    split reads only its cyclic factors' rows).  The tables built from an
-    override carry a note for each value it replaced (SpectrumTable.notes,
-    CircleRow.notes), and the E2 page logs those notes once each.
+    split reads only its cyclic factors' rows), a circle_row degree 0 (H^0
+    of a connected K(E, n) is h^0(pt), the spectrum table's entry), or a
+    comparison degree below 2 (a d2 into the circle row lands in degree 2
+    or above).  The tables built from an override carry a note for each
+    value it replaced (SpectrumTable.notes, CircleRow.notes), and the E2
+    page logs those notes once each.
     Instances compare and hash by identity, so a loaded file can key a
     cache (ahss.run_ahss); their tables are read-only views, so no edit can
     leave such a cache stale.
@@ -380,15 +383,15 @@ class CoeffOverrides(Frozen):
         spectra, rows, images = {}, {}, {}
         for name, table in sections["spectrum"].items():
             top = len(_SPECTRA[name]) - 1
-            spectra[name] = _expr_table("spectrum", name, table, top)
+            spectra[name] = _expr_table("spectrum", name, table, 0, top)
         for key, table in sections["circle_row"].items():
             group, n = _key("circle_row", key, "group|n")
-            rows[(str(group), n)] = _expr_table("circle_row", key, table, DEFAULT_CAP)
+            rows[(str(group), n)] = _expr_table("circle_row", key, table, 1, DEFAULT_CAP)
         for key, table in sections["comparison"].items():
             group, n, i = _key("comparison", key, "group|n|degree")
-            if not 0 <= i <= DEFAULT_CAP:
+            if not 2 <= i <= DEFAULT_CAP:
                 raise ValueError(
-                    f"override comparison key {key!r}: degree {i} is outside 0..{DEFAULT_CAP}"
+                    f"override comparison key {key!r}: degree {i} is outside 2..{DEFAULT_CAP}"
                 )
             images[(str(group), n, i)] = _image_table(key, table)
             unknown = sorted(set(table) - set(_monomial_names(group, n, i)))
@@ -447,7 +450,7 @@ def _image_table(key: str, table: dict) -> dict[str, tuple[int, ...] | None]:
     return out
 
 
-def _expr_table(section: str, key: str, table: dict, top: int) -> dict[int, GroupExpr]:
+def _expr_table(section: str, key: str, table: dict, low: int, top: int) -> dict[int, GroupExpr]:
     out = {}
     for j, v in table.items():
         if not isinstance(v, str):
@@ -461,8 +464,8 @@ def _expr_table(section: str, key: str, table: dict, top: int) -> dict[int, Grou
             raise ValueError(
                 f"override {section}[{key!r}]: degree key {j!r} is not an integer"
             ) from None
-        if not 0 <= degree <= top:
-            raise ValueError(f"override {section}[{key!r}]: degree {degree} is outside 0..{top}")
+        if not low <= degree <= top:
+            raise ValueError(f"override {section}[{key!r}]: degree {degree} is outside {low}..{top}")
         try:
             out[degree] = parse_expr(v)
         except ValueError as exc:

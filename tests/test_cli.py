@@ -1,6 +1,4 @@
 import argparse
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -14,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import surfcond
+from conftest import capture
 from surfcond.abelian import CIRCLE, FinAbGroup, UnsupportedRangeError, parse_expr, quad_group
 from surfcond.acceptance import CheckResult
 from surfcond.ahss import product_split, run_ahss
@@ -475,9 +474,9 @@ class TestExitContract:
             ({"comparison": {"Z/2|2|5": {"Sq2 Sq1(i9)": None}}}, "is named Sq2 Sq1(i9)"),
             # above the algebra cap this exited 3 with a message naming no key
             ({"comparison": {"Z/2|2|13": {"x": None}}},
-             "comparison key 'Z/2|2|13': degree 13 is outside 0..12"),
+             "comparison key 'Z/2|2|13': degree 13 is outside 2..12"),
             ({"circle_row": {"Z/2|2": {"13": "Z/2"}}},
-             "circle_row['Z/2|2']: degree 13 is outside 0..12"),
+             "circle_row['Z/2|2']: degree 13 is outside 1..12"),
             # above the built-in table this was padded with zeros and never read
             ({"spectrum": {"SW": {"10": "Z/2"}}}, "spectrum['SW']: degree 10 is outside 0..8"),
             # values read with --group's grammar: a dangling separator used to be dropped
@@ -778,13 +777,6 @@ def test_condense_records_the_defaults(capsys):
 
 # ---------------------------------------------------------------------------
 # Metamorphic properties
-
-
-def capture(argv) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 def literal(factors) -> str:

@@ -106,6 +106,12 @@ class TestCircleRows:
         assert str(circle_row(Z6, 4).entry(7)) == "Z/2"
         assert circle_row(Z3, 4).entry(7).is_zero
 
+    def test_trivial_group_degree4_row_is_a_point(self):
+        # 0 has no invariant factor, so it is cyclic with no 2-part, as Z/3 is
+        row = circle_row(FinAbGroup(()), 4)
+        assert all(row.entry(i).is_zero for i in range(1, DEFAULT_CAP + 1))
+        assert row.provenance[6] == "K(0, n) is a point"
+
     def test_negative_degree_is_zero(self):
         assert circle_row(Z4, 2).entry(-1).is_zero
 
@@ -342,7 +348,7 @@ class TestOverrides:
             ({"spectrum": {"SH": {"-1": "Z/2"}}}, "spectrum['SH']: degree -1 is outside 0..8"),
             ({"circle_row": {"Z/2|2": {"13": "0"}}}, "circle_row['Z/2|2']: degree 13 is outside"),
             ({"comparison": {"Z/2|2|13": {"x": None}}}, "key 'Z/2|2|13': degree 13 is outside"),
-            ({"comparison": {"Z/2|2|-1": {}}}, "key 'Z/2|2|-1': degree -1 is outside 0..12"),
+            ({"comparison": {"Z/2|2|-1": {}}}, "key 'Z/2|2|-1': degree -1 is outside 2..12"),
         ],
         ids=[
             "table-list", "section-list", "comparison-table-string", "row-key-no-n",

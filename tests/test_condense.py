@@ -1,9 +1,8 @@
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clear_package_caches
 from surfcond import condense
 from surfcond.abelian import FinAbGroup, GroupExpr, parse_group
 from surfcond.acceptance import orbit_count
@@ -264,16 +263,6 @@ def test_what_each_verdict_branch_reads(branch, monkeypatch):
         if (v.verdict, v.group) != (base.verdict, base.group):
             moved.add(name)
     assert (called, moved) == (calls, moves)
-
-
-def clear_package_caches() -> None:
-    """Empty every lru_cache of the package, as a fresh process finds them."""
-    for key, module in list(sys.modules.items()):
-        if key.split(".")[0] != "surfcond":
-            continue
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == key:
-                value.cache_clear()
 
 
 class TestReportCache:

@@ -9,15 +9,14 @@ and, for the `ahss` grid, the answered count per (label, space degree n,
 total degree N), the label naming the spectrum and flags.  A query is
 answered when it exits 0 (a verdict) or 4 (inconclusive, naming the
 differential that blocks it); 2 and 3 are the documented refusals.  After a
-change meant to move outputs, rewrite the whole lock with
-`PYTHONPATH=src python tests/test_coverage.py` and list the grids that moved.
+change meant to move outputs, `PYTHONPATH=src python tests/test_coverage.py`
+rewrites every CLI lock, this one and each tests/golden/<case>.json of
+tests/test_golden.py; list the grids and cases that moved.
 The help and usage-error grid is checked but not locked: argparse's help
 layout differs between Python versions, so CI prints its `help_sha256`.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 import re
@@ -30,6 +29,7 @@ from unittest import mock
 
 import pytest
 
+from conftest import capture
 from surfcond import cli
 
 GOLDEN = Path(__file__).parent / "golden" / "coverage.json"
@@ -42,25 +42,6 @@ GROUPS = (
 TWIST = ["--twist", "fermion-parity"]
 D5 = ["--d5", "zero"]
 PAGES = ["--json", "--dump-pages", "pages.json"]
-# building the parser is most of an in-process query's cost; one serves all
-PARSER = cli.build_parser()
-
-
-def run_query(argv: list[str]) -> tuple[int | None, str, str]:
-    """Exit code, stdout and stderr of one in-process `surfcond` call; the
-    code is None, and stderr holds the traceback, if an exception escaped."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.object(cli, "build_parser", return_value=PARSER):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse's own usage errors exit 2
-            code = exc.code
-        except Exception:
-            code = None
-            traceback.print_exc()
-    return code, out.getvalue(), err.getvalue()
-
 
 def exits(*codes):
     """The check that a query exits with one of codes."""
@@ -80,7 +61,10 @@ def run_grid(name, queries, ok=documented, pages=False) -> tuple[Counter, str]:
         os.chdir(tmp)
         try:
             for cell, argv in queries:
-                code, out, err = run_query(argv)
+                try:
+                    code, out, err = capture(argv)
+                except Exception:  # the grid goes on, and fails on the traceback
+                    code, out, err = None, "", traceback.format_exc()
                 result = (argv, code, out, err)
                 if pages:
                     path = Path(PAGES[-1])
@@ -303,7 +287,13 @@ def test_help_exits_0_and_usage_errors_exit_2():
 
 
 if __name__ == "__main__":
+    from test_golden import CASES
+
     text = json.dumps({name: lock_entry(name) for name in GRIDS}, indent=1)
     # one line per list of answered counts
     GOLDEN.write_text(re.sub(r"\[[^\[\]]*\]", lambda m: json.dumps(json.loads(m[0])), text) + "\n")
-    print(f"wrote {GOLDEN}")
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # --dump-pages writes into the working directory
+        for name, (argv, _code) in CASES.items():
+            (GOLDEN.parent / f"{name}.json").write_text(capture(argv + ["--json"])[1])
+    print(f"wrote {GOLDEN} and {len(CASES)} golden cases beside it")

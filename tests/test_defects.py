@@ -31,7 +31,8 @@ import re
 
 import pytest
 
-from surfcond import abelian, acceptance, ahss, coefficients, condense
+from conftest import capture, clear_package_caches
+from surfcond import abelian, acceptance, coefficients, condense
 from surfcond.abelian import FinAbGroup, parse_group
 from surfcond.ahss import product_split
 from surfcond.cli import main
@@ -237,18 +238,7 @@ def test_symmetric_bosonic_verdict_moves_with_its_split(monkeypatch):
     assert (after.verdict, after.group) != (before.verdict, before.group)
 
 
-@pytest.fixture
-def fresh_circle_rows():
-    """Empty the memos that hold circle rows before and after a test that
-    patches what they are built from."""
-    coefficients._circle_row.cache_clear()
-    ahss._run_ahss.cache_clear()
-    yield
-    coefficients._circle_row.cache_clear()
-    ahss._run_ahss.cache_clear()
-
-
-def test_bosonic_symmetric_check_fails_under_a_wrong_two_torsion(monkeypatch, fresh_circle_rows):
+def test_bosonic_symmetric_check_fails_under_a_wrong_two_torsion(monkeypatch):
     """The elements of order <= 2 in Z/2 x Z/4 are (a, 2b), four of them:
     the 2-torsion subgroup is Z/2 x Z/2, so the degree-7 group there is
     (Z/2)^2.  A check that still passes when the helper says Z/2 compares
@@ -258,6 +248,44 @@ def test_bosonic_symmetric_check_fails_under_a_wrong_two_torsion(monkeypatch, fr
     def wrong(A):
         return FinAbGroup((2,)) if A == bad else real(A)
 
+    clear_package_caches()  # rows memoized from the real helper
     monkeypatch.setattr(coefficients, "two_torsion", wrong)
-    ok, detail = acceptance.check_bosonic_symmetric_obstruction()
+    try:
+        ok, detail = acceptance.check_bosonic_symmetric_obstruction()
+    finally:
+        clear_package_caches()  # rows memoized from the wrong one
     assert not ok, detail
+
+
+def _ahss_under(raw, group, N, tmp_path) -> tuple[int, str, str]:
+    """`ahss` over group on SW, n = 2, in total degree N, with d5 = 0
+    declared, under the override file raw."""
+    path = tmp_path / "ov.json"
+    path.write_text(json.dumps(raw))
+    return capture(["ahss", "--spectrum", "SW", "--group", group, "--space-degree", "2",
+                    "--total-degree", str(N), "--d5", "zero", "--coeff-overrides", str(path)])
+
+
+@pytest.mark.parametrize("group", ["Z/2", "Z/2 x Z/2", "Z/2 x Z/4"])
+def test_a_degree_0_circle_row_override_is_refused(group, tmp_path):
+    """A `circle_row` override of degree 0 exits 2, naming its key.
+
+    H^0 of a connected K(F, n) is h^0(pt), the spectrum table's degree-0
+    entry, so a circle row's degree 0 is no input of its own: an override
+    there could act only through the runs that read column 0, which for a
+    product split is its first factor's run alone."""
+    code, out, err = _ahss_under({"circle_row": {"Z/2|2": {"0": "Z/2"}}}, group, 0, tmp_path)
+    assert (code, out) == (2, ""), (code, out)
+    assert "circle_row['Z/2|2']: degree 0 is outside 1..12" in err, err
+
+
+@pytest.mark.parametrize("degree, table", [(0, {"1": [1]}), (1, {})])
+def test_a_comparison_override_below_degree_2_is_refused(degree, table, tmp_path):
+    """A `comparison` key of degree 0 or 1 exits 2, naming its key.
+
+    A d2 into the circle row goes from (i, 1) to (i + 2, 0) with i >= 0, and
+    comparison data is read only at that target degree, so data below
+    degree 2 is never read, however the run goes."""
+    code, out, err = _ahss_under({"comparison": {f"Z/2|2|{degree}": table}}, "Z/2", 5, tmp_path)
+    assert (code, out) == (2, ""), (code, out)
+    assert f"comparison key 'Z/2|2|{degree}': degree {degree} is outside 2..12" in err, err
